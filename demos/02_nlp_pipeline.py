@@ -21,7 +21,7 @@ encoder = HashingEncoder()
 sentence = "Patient reports depressed mood and ongoing heavy drinking."
 tokens = textproc.tokenize(sentence)
 print("sentence:", sentence)
-print("matched domains:", sorted(domains.match_domains(tokens, lexicon)))
+print("matched domains:", sorted(lexicon.match(tokens)))
 
 # 2. Weak labels over the whole corpus -> topic model.
 X, Y = domains.weak_label(corp, lexicon, encoder)

@@ -27,7 +27,7 @@ matrix = features.encode_features(features.build_features(corp, summaries))
 
 spec = ModelSpec("logistic_regression", seed=0)
 report = evaluate.ablation(matrix, spec, n_runs=60, master_seed=9)
-print(evaluate.render_ablation_text(report))
+print(evaluate.render_ablation_text(evaluate.ablation_report_obj(report)))
 
 # RFE on a small planted matrix: the noise columns go first.
 rng = np.random.default_rng(1)

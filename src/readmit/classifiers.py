@@ -7,7 +7,6 @@ values. Hinge-loss models map margins through the logistic function for
 probabilities, which is enough for ranking-based metrics.
 """
 
-import base64
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -77,48 +76,36 @@ class _Standardizer:
         return (X - self.mean) / self.scale
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 # ------------------------------------------------------------------ trees
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value: float):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value  # positive-class fraction at this node
-
-
 class _Tree:
-    def __init__(self, root: _TreeNode, importances: np.ndarray):
-        self.root = root
+    """A binary tree as five parallel arrays, nodes in preorder (root at 0).
+
+    Node i sends a row left when ``X[row, feature[i]] < threshold[i]``.
+    Leaves have ``left == right == -1`` (and feature -1, threshold 0);
+    ``value`` is the positive-class fraction of the training rows at a node.
+    """
+
+    FIELDS = ("feature", "threshold", "left", "right", "value")
+
+    def __init__(self, feature, threshold, left, right, value, importances: np.ndarray):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=float)
         self.importances = importances
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        nodes = [self.root] * X.shape[0]
-        active = np.arange(X.shape[0])
+        """Moves every row still at an internal node down one level per step."""
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.left[node] >= 0)
         while len(active):
-            still = []
-            for i in active:
-                node = nodes[i]
-                if node.left is None:
-                    out[i] = node.value
-                else:
-                    nodes[i] = node.left if X[i, node.feature] < node.threshold else node.right
-                    still.append(i)
-            active = np.array(still, dtype=int)
-        return out
+            at = node[active]
+            go_left = X[active, self.feature[at]] < self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.left[node[active]] >= 0]
+        return self.value[node]
 
 
 def _gini(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -161,10 +148,17 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: Optional[np.random.Generator],
                max_features: Optional[int], n_total_features: int) -> _Tree:
     importances = np.zeros(n_total_features)
     n_root = X.shape[0]
+    feature, threshold, left, right, value = [], [], [], [], []
 
-    def build(idx: np.ndarray, depth: int) -> _TreeNode:
+    def build(idx: np.ndarray, depth: int) -> int:
+        """Appends the subtree at idx in preorder; returns its root's index."""
         yn = y[idx]
-        node = _TreeNode(value=float(yn.mean()))
+        node = len(value)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(yn.mean()))
         n = len(idx)
         if (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
             return node
@@ -177,17 +171,15 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: Optional[np.random.Generator],
         split = _best_split(X[idx], yn, feat_idx, min_leaf)
         if split is None:
             return node
-        feature, threshold, decrease = split
-        importances[feature] += decrease * n / n_root
-        mask = X[idx, feature] < threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
+        feature[node], threshold[node], decrease = split
+        importances[feature[node]] += decrease * n / n_root
+        mask = X[idx, feature[node]] < threshold[node]
+        left[node] = build(idx[mask], depth + 1)
+        right[node] = build(idx[~mask], depth + 1)
         return node
 
-    root = build(np.arange(X.shape[0]), 0)
-    return _Tree(root, importances)
+    build(np.arange(n_root), 0)
+    return _Tree(feature, threshold, left, right, value, importances)
 
 
 def _resolve_max_features(setting, n_features: int) -> Optional[int]:
@@ -210,7 +202,7 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, hyper: dict):
     b = 0.0
     lr = hyper["learning_rate"]
     for _ in range(hyper["iterations"]):
-        p = _sigmoid(X @ w + b)
+        p = neural.sigmoid(X @ w + b)
         grad_w = X.T @ (p - y) / n + lam * w
         grad_b = float((p - y).mean())
         w -= lr * grad_w
@@ -283,10 +275,8 @@ class TrainedClassifier:
         kind = self.spec.kind
         if kind in _LINEAR_KINDS:
             Z = self.standardizer.transform(X)
-            return _sigmoid(Z @ self.weights + self.bias)
-        if kind == "decision_tree":
-            return self.trees[0].predict_proba(X)
-        if kind == "random_forest":
+            return neural.sigmoid(Z @ self.weights + self.bias)
+        if kind in _TREE_KINDS:
             return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
         Z = self.standardizer.transform(X)
         return neural.predict(self.mlp, Z)[:, 1]
@@ -324,17 +314,14 @@ def train(spec: ModelSpec, X, y=None) -> TrainedClassifier:
             clf.weights, clf.bias = _fit_svc(Z, y, hyper)
         else:
             clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, spec.seed)
-    elif kind == "decision_tree":
-        max_feats = _resolve_max_features(hyper["max_features"], X.shape[1])
-        rng = rng_for(spec.seed, "tree", 0) if max_feats is not None else None
-        clf.trees = [_grow_tree(X, y, rng, hyper["max_depth"], hyper["min_samples_leaf"],
-                                max_feats, X.shape[1])]
-    elif kind == "random_forest":
+    elif kind in _TREE_KINDS:
+        # A decision tree is grown exactly like a forest's one tree without bootstrap.
+        forest = kind == "random_forest"
         max_feats = _resolve_max_features(hyper["max_features"], X.shape[1])
         trees = []
-        for t in range(hyper["n_trees"]):
+        for t in range(hyper["n_trees"] if forest else 1):
             rng = rng_for(spec.seed, "tree", t)
-            if hyper["bootstrap"]:
+            if forest and hyper["bootstrap"]:
                 idx = rng.integers(0, X.shape[0], X.shape[0])
                 Xt, yt = X[idx], y[idx]
                 if yt.min() == yt.max():  # degenerate bootstrap: keep original
@@ -384,7 +371,10 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / total if total > 0 else v
 
 
-def _f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def f1_score(y_true, y_pred) -> float:
+    """Binary F1 of the positive class; 0 when there are no true or predicted positives."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
     tp = float(np.sum((y_pred == 1) & (y_true == 1)))
     fp = float(np.sum((y_pred == 1) & (y_true == 0)))
     fn = float(np.sum((y_pred == 0) & (y_true == 1)))
@@ -418,7 +408,7 @@ def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
             raise ConfigError(f"coef_magnitude importance unsupported for kind {clf.spec.kind!r}")
         return _normalize(np.abs(clf.weights))
 
-    base = _f1(y, clf.predict(X))
+    base = f1_score(y, clf.predict(X))
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
         col = X[:, j].copy()
@@ -426,7 +416,7 @@ def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
             rng = rng_for(seed, "perm", j, r)
             Xp = X.copy()
             Xp[:, j] = col[rng.permutation(len(col))]
-            drops[j] += base - _f1(y, clf.predict(Xp))
+            drops[j] += base - f1_score(y, clf.predict(Xp))
     drops = np.maximum(drops / n_permutations, 0.0)
     return _normalize(drops)
 
@@ -435,45 +425,6 @@ def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
 
 _FORMAT = "readmit-classifier"
 _VERSION = 1
-
-
-def _enc(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype=np.float64).tobytes()).decode("ascii")
-
-
-def _dec(s: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype=np.float64).copy()
-
-
-def _tree_to_obj(tree: _Tree) -> dict:
-    feats, thrs, lefts, rights, values = [], [], [], [], []
-
-    def walk(node: _TreeNode) -> int:
-        i = len(feats)
-        feats.append(node.feature)
-        thrs.append(node.threshold)
-        values.append(node.value)
-        lefts.append(-1)
-        rights.append(-1)
-        if node.left is not None:
-            lefts[i] = walk(node.left)
-            rights[i] = walk(node.right)
-        return i
-
-    walk(tree.root)
-    return {"feature": feats, "threshold": thrs, "left": lefts, "right": rights,
-            "value": values, "importances": _enc(tree.importances)}
-
-
-def _tree_from_obj(obj: dict) -> _Tree:
-    nodes = [_TreeNode(v) for v in obj["value"]]
-    for i, node in enumerate(nodes):
-        node.feature = obj["feature"][i]
-        node.threshold = obj["threshold"][i]
-        if obj["left"][i] >= 0:
-            node.left = nodes[obj["left"][i]]
-            node.right = nodes[obj["right"][i]]
-    return _Tree(nodes[0], _dec(obj["importances"]))
 
 
 def save_classifier(clf: TrainedClassifier, path) -> None:
@@ -486,14 +437,18 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
         "majority": clf.majority,
     }
     if clf.standardizer is not None:
-        payload["standardizer"] = {"mean": _enc(clf.standardizer.mean),
-                                   "scale": _enc(clf.standardizer.scale)}
+        payload["standardizer"] = {"mean": neural.encode_array(clf.standardizer.mean),
+                                   "scale": neural.encode_array(clf.standardizer.scale)}
     if clf.weights is not None:
-        payload["linear"] = {"weights": _enc(clf.weights), "bias": clf.bias}
+        payload["linear"] = {"weights": neural.encode_array(clf.weights), "bias": clf.bias}
     if clf.trees is not None:
-        payload["trees"] = [_tree_to_obj(t) for t in clf.trees]
+        payload["trees"] = [
+            {**{name: getattr(t, name).tolist() for name in _Tree.FIELDS},
+             "importances": neural.encode_array(t.importances)}
+            for t in clf.trees
+        ]
     if clf.mlp is not None:
-        payload["mlp"] = _mlp_to_obj(clf.mlp)
+        payload["mlp"] = neural.mlp_to_obj(clf.mlp)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
@@ -501,29 +456,6 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
 
 def _jsonable(hyper: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hyper.items()}
-
-
-def _mlp_to_obj(model: neural.MLPModel) -> dict:
-    s = model.spec
-    return {
-        "spec": {"input_dim": s.input_dim, "hidden_sizes": list(s.hidden_sizes),
-                 "activation": s.activation, "dropout_rate": s.dropout_rate,
-                 "output_kind": s.output_kind, "n_outputs": s.n_outputs},
-        "weights": [_enc(W) for W in model.weights],
-        "biases": [_enc(b) for b in model.biases],
-    }
-
-
-def _mlp_from_obj(obj: dict) -> neural.MLPModel:
-    s = obj["spec"]
-    spec = neural.MLPSpec(input_dim=s["input_dim"], hidden_sizes=tuple(s["hidden_sizes"]),
-                          activation=s["activation"], dropout_rate=s["dropout_rate"],
-                          output_kind=s["output_kind"], n_outputs=s["n_outputs"])
-    sizes = [spec.input_dim, *spec.hidden_sizes, spec.n_outputs]
-    dims = list(zip(sizes[:-1], sizes[1:]))
-    weights = [_dec(w).reshape(d) for w, d in zip(obj["weights"], dims)]
-    biases = [_dec(b) for b in obj["biases"]]
-    return neural.MLPModel(spec=spec, weights=weights, biases=biases)
 
 
 def load_classifier(path) -> TrainedClassifier:
@@ -540,13 +472,15 @@ def load_classifier(path) -> TrainedClassifier:
         majority=payload.get("majority"),
     )
     if "standardizer" in payload:
-        clf.standardizer = _Standardizer(_dec(payload["standardizer"]["mean"]),
-                                         _dec(payload["standardizer"]["scale"]))
+        clf.standardizer = _Standardizer(neural.decode_array(payload["standardizer"]["mean"]),
+                                         neural.decode_array(payload["standardizer"]["scale"]))
     if "linear" in payload:
-        clf.weights = _dec(payload["linear"]["weights"])
+        clf.weights = neural.decode_array(payload["linear"]["weights"])
         clf.bias = payload["linear"]["bias"]
     if "trees" in payload:
-        clf.trees = [_tree_from_obj(t) for t in payload["trees"]]
+        clf.trees = [_Tree(*(t[name] for name in _Tree.FIELDS),
+                           neural.decode_array(t["importances"]))
+                     for t in payload["trees"]]
     if "mlp" in payload:
-        clf.mlp = _mlp_from_obj(payload["mlp"])
+        clf.mlp = neural.mlp_from_obj(payload["mlp"])
     return clf

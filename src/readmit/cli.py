@@ -254,11 +254,7 @@ def cmd_train_nlp(args) -> int:
                                        epochs=int(epochs_topic), patience=5, seed=seed)
     topic = domains.train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
     pred = domains.predict_domains(topic, X[test_idx])
-    truth_bits = Y[test_idx] > 0.5
-    tp = float(np.sum(pred & truth_bits))
-    fp = float(np.sum(pred & ~truth_bits))
-    fn = float(np.sum(~pred & truth_bits))
-    micro_f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+    micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
     print(f"topic micro-F1 (held-out {int(100 * holdout)}%): {micro_f1:.3f}")
 
     sent_cfg = domains.DEFAULT_SENTIMENT_CONFIG
@@ -351,55 +347,46 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    matrix = None if args.mode == "consensus" else features.read_csv(args.features)
+    spec = _model_spec(settings)
+    split_cfg = _split_config(settings)
+    workers = settings["workers"]
+    inputs = [args.features]
+
     if args.mode == "consensus":
         outcomes = []
         for path in args.rfe:
             with open(path, "r", encoding="utf-8") as fh:
                 outcomes.append(evaluate.rfe_outcome_from_obj(json.load(fh)))
-        names = evaluate.consensus_elimination(outcomes)
-        report_obj = {"consensus_eliminated": names,
-                      "sources": [str(p) for p in args.rfe]}
-        report_path = out / "consensus.json"
-        _dump_json(report_obj, report_path)
-        text = "Consensus-eliminated feature values:\n" + "".join(f"  {n}\n" for n in names)
-        (out / "consensus.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
-        _write_manifest(out, "eval consensus", settings_echo(settings), list(args.rfe),
-                        [report_path, out / "consensus.txt"], settings["master_seed"], started)
-        return EXIT_OK
-
-    matrix = features.read_csv(args.features)
-    spec = _model_spec(settings)
-    split_cfg = _split_config(settings)
-    workers = settings["workers"]
-
-    if args.mode == "single":
+        obj = {"consensus_eliminated": evaluate.consensus_elimination(outcomes),
+               "sources": [str(p) for p in args.rfe]}
+        text = evaluate.render_consensus_text(obj)
+        stem, inputs = "consensus", list(args.rfe)
+    elif args.mode == "single":
         report = evaluate.repeated_eval(matrix, spec, split_cfg, n_runs=settings["n_runs"],
                                         master_seed=settings["master_seed"], workers=workers)
         obj = evaluate.runs_report_obj(report)
-        text = evaluate.render_runs_text(report)
+        text = evaluate.render_runs_text(obj)
         stem = "eval_single"
     elif args.mode == "ablation":
         report = evaluate.ablation(matrix, spec, split_cfg, n_runs=settings["n_runs"],
                                    master_seed=settings["master_seed"], workers=workers)
         obj = evaluate.ablation_report_obj(report)
-        text = evaluate.render_ablation_text(report)
+        text = evaluate.render_ablation_text(obj)
         stem = "eval_ablation"
     else:  # rfe
         outcome = evaluate.rfe(matrix, spec, folds=settings["rfe_folds"],
                                repeats=settings["rfe_repeats"],
                                master_seed=settings["master_seed"], workers=workers)
         obj = evaluate.rfe_outcome_obj(outcome)
-        text = (f"RFE best set ({len(outcome.best_set)} columns, "
-                f"CV F1 {outcome.best_score:.3f}):\n"
-                + "".join(f"  {n}\n" for n in outcome.best_set))
+        text = evaluate.render_rfe_text(obj)
         stem = "eval_rfe"
 
     report_path = out / f"{stem}.json"
     _dump_json(obj, report_path)
     (out / f"{stem}.txt").write_text(text, encoding="utf-8")
     print(text, end="")
-    _write_manifest(out, f"eval {args.mode}", settings_echo(settings), [args.features],
+    _write_manifest(out, f"eval {args.mode}", settings_echo(settings), inputs,
                     [report_path, out / f"{stem}.txt"], settings["master_seed"], started)
     return EXIT_OK
 
@@ -418,31 +405,20 @@ def _dump_json(obj, path) -> None:
 
 
 def cmd_report(args) -> int:
+    """Prints a JSON report as text, exactly as ``eval`` wrote it next to the JSON."""
     with open(args.report, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if "table" in obj:
-        rows = sorted(evaluate.ABLATION_CONFIGS, key=lambda name: obj["table"][name]["f1"])
-        print(f"Model: {obj['model_kind']} ({obj['n_runs']} runs per configuration)")
-        print(f"{'Configuration':<30}{'Acc':>8}{'AUC':>8}{'F1':>8}")
-        for name in rows:
-            t = obj["table"][name]
-            print(f"{evaluate.ABLATION_TITLES[name]:<30}{t['accuracy']:>8.2f}"
-                  f"{t['auc']:>8.2f}{t['f1']:>8.2f}")
-        print(f"Best-vs-baseline F1 improvement: {100 * obj['relative_f1_improvement']:.1f}%")
+        render = evaluate.render_ablation_text
     elif "mean" in obj:
-        print(f"Model: {obj['model_kind']} ({obj['n_runs']} runs)")
-        for metric in ("accuracy", "auc", "f1"):
-            print(f"{metric:<10}{obj['mean'][metric]:.3f} +/- {obj['std'][metric]:.3f}")
+        render = evaluate.render_runs_text
     elif "best_set" in obj:
-        print(f"RFE best set ({len(obj['best_set'])} columns, CV F1 {obj['best_score']:.3f}):")
-        for name in obj["best_set"]:
-            print(f"  {name}")
+        render = evaluate.render_rfe_text
     elif "consensus_eliminated" in obj:
-        print("Consensus-eliminated feature values:")
-        for name in obj["consensus_eliminated"]:
-            print(f"  {name}")
+        render = evaluate.render_consensus_text
     else:
         raise _CliConfigError(f"{args.report}: unrecognized report layout")
+    print(render(obj), end="")
     return EXIT_OK
 
 
@@ -531,9 +507,6 @@ def main(argv=None) -> int:
             parser.error("--workers must be >= 1")
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -65,9 +65,6 @@ class Corpus:
     patients: tuple[Patient, ...]
     admissions: tuple[Admission, ...]  # grouped by patient, admit-date order
 
-    def admissions_of(self, patient_id: str) -> list[Admission]:
-        return [a for a in self.admissions if a.patient_id == patient_id]
-
 
 @dataclass(frozen=True)
 class CorpusStats:

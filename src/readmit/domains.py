@@ -111,11 +111,6 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT_LEXICON
 
 
-def match_domains(tokens: Sequence[str], lexicon: Lexicon) -> frozenset[str]:
-    """Domains whose patterns occur as contiguous token subsequences."""
-    return lexicon.match(tokens)
-
-
 def domains_to_multihot(domains) -> np.ndarray:
     y = np.zeros(len(RISK_DOMAINS))
     for d in domains:
@@ -242,14 +237,20 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
     return models
 
 
-def scalar_sentiment(dist) -> float:
-    """Collapse (p_pos, p_neutral, p_neg) to p_pos - p_neg in [-1, 1]."""
+def scalar_sentiment(dist):
+    """Collapse (p_pos, p_neutral, p_neg) to p_pos - p_neg in [-1, 1].
+
+    One distribution gives a float; an (n, 3) block gives an array of n.
+    """
     dist = np.asarray(dist, dtype=float)
-    if dist.shape != (3,):
+    if dist.ndim not in (1, 2) or dist.shape[-1] != 3:
         raise DataError(f"sentiment distribution must have 3 entries, got shape {dist.shape}")
-    if np.any(dist < -1e-9) or abs(float(dist.sum()) - 1.0) > 1e-6:
-        raise DataError(f"not a probability distribution: {dist.tolist()}")
-    return float(dist[0] - dist[2])
+    bad = np.any(dist < -1e-9, axis=-1) | (np.abs(dist.sum(axis=-1) - 1.0) > 1e-6)
+    if np.any(bad):
+        first = dist if dist.ndim == 1 else dist[np.argmax(bad)]
+        raise DataError(f"not a probability distribution: {first.tolist()}")
+    scores = dist[..., 0] - dist[..., 2]
+    return float(scores) if dist.ndim == 1 else scores
 
 
 @dataclass(frozen=True)
@@ -302,8 +303,8 @@ def summarize_admission(admission, topic_model: Optional[MLPModel],
     for j, domain in enumerate(RISK_DOMAINS):
         rows = np.flatnonzero(tagged[:, j])
         if len(rows):
-            dists = neural.predict(sentiment_models[domain], vectors[rows])
-            sentiments[domain] = dists[:, 0] - dists[:, 2]
+            sentiments[domain] = scalar_sentiment(
+                neural.predict(sentiment_models[domain], vectors[rows]))
     return aggregate_admission(tagged, sentiments, note_of, len(sents_per_note))
 
 

@@ -49,14 +49,6 @@ class MetricSet:
     threshold: float = 0.5
 
 
-def _confusion(y_true: np.ndarray, y_pred: np.ndarray):
-    tp = float(np.sum((y_pred == 1) & (y_true == 1)))
-    fp = float(np.sum((y_pred == 1) & (y_true == 0)))
-    fn = float(np.sum((y_pred == 0) & (y_true == 1)))
-    tn = float(np.sum((y_pred == 0) & (y_true == 0)))
-    return tp, fp, fn, tn
-
-
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     order = np.argsort(scores, kind="mergesort")
     ranks = np.empty(len(scores))
@@ -98,12 +90,9 @@ def metrics(y_true, y_score, threshold: float = 0.5) -> MetricSet:
     if np.any((y_score < 0) | (y_score > 1)):
         raise DataError("y_score entries must lie in [0, 1]")
     y_pred = (y_score >= threshold).astype(float)
-    tp, fp, fn, tn = _confusion(y_true, y_pred)
-    accuracy = (tp + tn) / len(y_true)
-    denom = 2 * tp + fp + fn
-    f1 = 2 * tp / denom if denom > 0 else 0.0
+    accuracy = float(np.sum(y_pred == y_true)) / len(y_true)
     return MetricSet(accuracy=accuracy, auc=auc_score(y_true, y_score),
-                     f1=f1, threshold=threshold)
+                     f1=classifiers.f1_score(y_true, y_pred), threshold=threshold)
 
 
 def split(matrix_or_y, config: SplitConfig, patient_ids: Optional[Sequence[str]] = None):
@@ -490,32 +479,50 @@ def rfe_outcome_from_obj(obj: dict) -> RfeOutcome:
     )
 
 
-def render_ablation_text(report: AblationReport) -> str:
-    """Plain-text results table, rows in ascending F1 order."""
-    rows = sorted(ABLATION_CONFIGS, key=lambda name: report.table[name]["f1"])
+def render_ablation_text(obj: dict) -> str:
+    """Plain-text results table of an ablation_report_obj, rows in ascending F1 order."""
+    table = obj["table"]
+    rows = sorted(ABLATION_CONFIGS, key=lambda name: table[name]["f1"])
     lines = [
-        f"Model: {report.model_kind} ({report.n_runs} runs per configuration, "
-        f"seed {report.master_seed})",
+        f"Model: {obj['model_kind']} ({obj['n_runs']} runs per configuration, "
+        f"seed {obj['master_seed']})",
         f"{'Configuration':<30}{'Acc':>8}{'AUC':>8}{'F1':>8}",
     ]
     for name in rows:
-        t = report.table[name]
+        t = table[name]
         lines.append(f"{ABLATION_TITLES[name]:<30}{t['accuracy']:>8.2f}{t['auc']:>8.2f}{t['f1']:>8.2f}")
-    lines.append(f"Best-vs-baseline F1 improvement: {100 * report.relative_f1_improvement:.1f}%")
+    lines.append(f"Best-vs-baseline F1 improvement: {100 * obj['relative_f1_improvement']:.1f}%")
     return "\n".join(lines) + "\n"
 
 
-def render_runs_text(report: RunsReport) -> str:
-    m, s = report.mean, report.std
+def render_runs_text(obj: dict) -> str:
+    """Metric means and stds of a runs_report_obj, then the ten most important columns.
+
+    Equal importances rank by column name, so the text does not depend on
+    the key order of ``mean_importance`` (JSON reports store keys sorted).
+    """
+    m, s = obj["mean"], obj["std"]
     lines = [
-        f"Model: {report.model_kind} ({report.n_runs} runs, seed {report.master_seed})",
+        f"Model: {obj['model_kind']} ({obj['n_runs']} runs, seed {obj['master_seed']})",
         f"{'Metric':<10}{'Mean':>8}{'Std':>8}",
         f"{'Acc':<10}{m['accuracy']:>8.3f}{s['accuracy']:>8.3f}",
         f"{'AUC':<10}{m['auc']:>8.3f}{s['auc']:>8.3f}",
         f"{'F1':<10}{m['f1']:>8.3f}{s['f1']:>8.3f}",
     ]
-    top = sorted(report.mean_importance.items(), key=lambda kv: -kv[1])[:10]
+    top = sorted(obj["mean_importance"].items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     lines.append("Top features by mean importance:")
     for name, value in top:
         lines.append(f"  {name:<40}{value:.4f}")
     return "\n".join(lines) + "\n"
+
+
+def render_rfe_text(obj: dict) -> str:
+    """Best column set of an rfe_outcome_obj, one name per line."""
+    return (f"RFE best set ({len(obj['best_set'])} columns, CV F1 {obj['best_score']:.3f}):\n"
+            + "".join(f"  {n}\n" for n in obj["best_set"]))
+
+
+def render_consensus_text(obj: dict) -> str:
+    """The consensus-eliminated columns of an ``eval consensus`` report."""
+    return ("Consensus-eliminated feature values:\n"
+            + "".join(f"  {n}\n" for n in obj["consensus_eliminated"]))

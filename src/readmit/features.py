@@ -370,16 +370,6 @@ def encode_features(rows: Sequence[AdmissionFeatures],
     )
 
 
-def fit_schema_and_encode(train_rows: Sequence[AdmissionFeatures],
-                          all_rows: Sequence[AdmissionFeatures]):
-    """(schema, imputer fit on train rows only, imputed matrix of all rows)."""
-    schema = FeatureSchema.build()
-    imputer = Imputer.fit(encode_rows(schema, train_rows))
-    matrix = encode_features(all_rows, schema)
-    matrix.X = imputer.transform(matrix.X)
-    return schema, imputer, matrix
-
-
 def write_csv(matrix: FeatureMatrix, path) -> None:
     """Schema columns plus a final ``label`` column; floats at 6 sig. digits."""
     with open(path, "w", encoding="utf-8", newline="") as fh:

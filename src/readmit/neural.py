@@ -13,7 +13,7 @@ big-endian integer mod dim; sign = +1 if the 9th byte is even else -1.
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,9 +57,6 @@ class HashingEncoder:
         if norm > 0:
             v /= norm
         return v
-
-    def encode_many(self, token_seqs) -> np.ndarray:
-        return np.stack([self(toks) for toks in token_seqs]) if token_seqs else np.zeros((0, self.dim))
 
 
 ACTIVATIONS = ("relu", "tanh")
@@ -149,7 +146,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow on either side of 0."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -173,7 +171,7 @@ def _forward(model: MLPModel, X: np.ndarray, masks=None):
         h = a if masks is None else a * masks[l]
         inputs.append(h)
     z_out = h @ model.weights[-1] + model.biases[-1]
-    probs = _softmax(z_out) if spec.output_kind == "softmax" else _sigmoid(z_out)
+    probs = _softmax(z_out) if spec.output_kind == "softmax" else sigmoid(z_out)
     return inputs, zs, hs, probs
 
 
@@ -260,7 +258,6 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
     model = init_mlp(spec, seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     n = X.shape[0]
-    keep = 1.0 - spec.dropout_rate
     best_loss = np.inf
     stale = 0
     history: list[float] = []
@@ -273,10 +270,8 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
             xb, yb = X[idx], Y[idx]
             masks = None
             if spec.dropout_rate > 0.0:
-                masks = [
-                    (rng.random((len(idx), h)) < keep).astype(float) / keep
-                    for h in spec.hidden_sizes
-                ]
+                masks = [dropout_mask((len(idx), h), spec.dropout_rate, rng)
+                         for h in spec.hidden_sizes]
             loss, gW, gb = loss_and_gradients(model, xb, yb, config.weight_decay, masks=masks)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
@@ -313,30 +308,39 @@ _FORMAT = "readmit-mlp"
 _VERSION = 1
 
 
-def _encode_array(a: np.ndarray) -> str:
+def encode_array(a: np.ndarray) -> str:
+    """Base64 of the row-major float64 bytes; decode_array inverts it bit-exactly."""
     return base64.b64encode(np.ascontiguousarray(a, dtype=np.float64).tobytes()).decode("ascii")
 
 
-def _decode_array(s: str, shape) -> np.ndarray:
+def decode_array(s: str, shape=(-1,)) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape).copy()
+
+
+def mlp_to_obj(model: MLPModel) -> dict:
+    """Spec, weights and biases as a JSON-ready object (shared by both containers)."""
+    return {
+        "spec": {**asdict(model.spec), "hidden_sizes": list(model.spec.hidden_sizes)},
+        "weights": [encode_array(W) for W in model.weights],
+        "biases": [encode_array(b) for b in model.biases],
+    }
+
+
+def mlp_from_obj(obj: dict) -> MLPModel:
+    """Inverse of mlp_to_obj; training metadata is left at its defaults."""
+    spec = MLPSpec(**{**obj["spec"], "hidden_sizes": tuple(obj["spec"]["hidden_sizes"])})
+    dims = _layer_dims(spec)
+    weights = [decode_array(w, d) for w, d in zip(obj["weights"], dims)]
+    biases = [decode_array(b, (d[1],)) for b, d in zip(obj["biases"], dims)]
+    return MLPModel(spec=spec, weights=weights, biases=biases)
 
 
 def save_mlp(model: MLPModel, path) -> None:
     """Versioned JSON container; weights stored row-major, bit-exact."""
-    spec = model.spec
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_sizes": list(spec.hidden_sizes),
-            "activation": spec.activation,
-            "dropout_rate": spec.dropout_rate,
-            "output_kind": spec.output_kind,
-            "n_outputs": spec.n_outputs,
-        },
-        "weights": [_encode_array(W) for W in model.weights],
-        "biases": [_encode_array(b) for b in model.biases],
+        **mlp_to_obj(model),
         "metadata": {
             "seed": model.seed,
             "epochs_run": model.epochs_run,
@@ -356,21 +360,6 @@ def load_mlp(path) -> MLPModel:
         raise DataError(f"{path}: not a {_FORMAT} container")
     if payload.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported container version {payload.get('version')}")
-    s = payload["spec"]
-    spec = MLPSpec(
-        input_dim=s["input_dim"],
-        hidden_sizes=tuple(s["hidden_sizes"]),
-        activation=s["activation"],
-        dropout_rate=s["dropout_rate"],
-        output_kind=s["output_kind"],
-        n_outputs=s["n_outputs"],
-    )
-    dims = _layer_dims(spec)
-    weights = [_decode_array(w, d) for w, d in zip(payload["weights"], dims)]
-    biases = [_decode_array(b, (d[1],)) for b, d in zip(payload["biases"], dims)]
     meta = payload["metadata"]
-    return MLPModel(
-        spec=spec, weights=weights, biases=biases,
-        seed=meta["seed"], epochs_run=meta["epochs_run"],
-        final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]),
-    )
+    return replace(mlp_from_obj(payload), seed=meta["seed"], epochs_run=meta["epochs_run"],
+                   final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))

@@ -5,11 +5,13 @@ These deliberately re-derive results by the most direct method available
 the implementations under test are checked against a second route.
 """
 
+import base64
 import hashlib
 
 import numpy as np
 
 from readmit import neural
+from readmit.classifiers import _best_split
 from readmit.corpus import Admission, Corpus, Note, Patient
 
 
@@ -108,6 +110,86 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
                 rel = abs(numeric - gflat[k]) / max(1e-8, abs(numeric) + abs(gflat[k]))
                 worst = max(worst, rel)
     return worst
+
+
+class ReferenceNode:
+    """Node of the reference tree: leaves have left is None."""
+
+    def __init__(self, value: float):
+        self.feature = -1
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.value = value
+
+
+def reference_grow_tree(X, y, rng, max_depth, min_leaf, max_features, n_total_features):
+    """Linked-node CART grower, the reference for the array tree.
+
+    Same split search and random draws as the production grower, so on any
+    input it must yield the same tree. Returns (root, importances).
+    """
+    importances = np.zeros(n_total_features)
+    n_root = X.shape[0]
+
+    def build(idx, depth):
+        yn = y[idx]
+        node = ReferenceNode(float(yn.mean()))
+        n = len(idx)
+        if (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
+            return node
+        if yn.min() == yn.max():
+            return node
+        if max_features is None:
+            feat_idx = np.arange(n_total_features)
+        else:
+            feat_idx = rng.permutation(n_total_features)[:max_features]
+        split = _best_split(X[idx], yn, feat_idx, min_leaf)
+        if split is None:
+            return node
+        feature, threshold, decrease = split
+        importances[feature] += decrease * n / n_root
+        mask = X[idx, feature] < threshold
+        node.feature = feature
+        node.threshold = threshold
+        node.left = build(idx[mask], depth + 1)
+        node.right = build(idx[~mask], depth + 1)
+        return node
+
+    return build(np.arange(n_root), 0), importances
+
+
+def reference_tree_predict(root, X):
+    """Walks each row down the linked tree on its own."""
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = root
+        while node.left is not None:
+            node = node.left if X[i, node.feature] < node.threshold else node.right
+        out[i] = node.value
+    return out
+
+
+def reference_tree_obj(root, importances):
+    """The saved form of a tree: preorder node lists plus base64 importances."""
+    feats, thrs, lefts, rights, values = [], [], [], [], []
+
+    def walk(node):
+        i = len(feats)
+        feats.append(node.feature)
+        thrs.append(node.threshold)
+        values.append(node.value)
+        lefts.append(-1)
+        rights.append(-1)
+        if node.left is not None:
+            lefts[i] = walk(node.left)
+            rights[i] = walk(node.right)
+        return i
+
+    walk(root)
+    return {"feature": feats, "threshold": thrs, "left": lefts, "right": rights,
+            "value": values,
+            "importances": base64.b64encode(importances.astype("<f8").tobytes()).decode("ascii")}
 
 
 def tiny_corpus(note_texts=("Sleeping well. Appetite poor.",), label=None,

@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
-from readmit.classifiers import (KINDS, ModelSpec, default_importance_method,
-                                 importances, load_classifier, predict_proba,
-                                 save_classifier, train)
+from readmit.classifiers import (KINDS, ModelSpec, TrainedClassifier, _grow_tree,
+                                 default_importance_method, importances,
+                                 load_classifier, predict_proba, save_classifier, train)
 from readmit.errors import ConfigError, DataError, SchemaMismatchError
 from readmit.evaluate import metrics
 from readmit.features import Column, FeatureMatrix, FeatureSchema
+from readmit.seeding import rng_for
+
+from helpers import reference_grow_tree, reference_tree_obj, reference_tree_predict
 
 KIND_HYPER = {
     "sgd_linear": {},
@@ -70,9 +75,40 @@ def test_tree_perfect_binary_column():
     y = X[:, 2].copy()
     clf = train(ModelSpec("decision_tree"), X, y)
     tree = clf.trees[0]
-    assert tree.root.feature == 2
-    assert tree.root.left.left is None and tree.root.right.left is None  # depth 1
+    assert tree.feature[0] == 2
+    # depth 1: the root and two leaves, in preorder
+    assert tree.left.tolist() == [1, -1, -1] and tree.right.tolist() == [2, -1, -1]
     assert np.array_equal(clf.predict(X), y)
+
+
+def test_array_tree_matches_reference_tree(tmp_path):
+    rng = np.random.default_rng(40)
+    for k in range(40):
+        n = int(rng.integers(10, 400))
+        d = int(rng.integers(1, 110)) if k % 4 == 0 else int(rng.integers(1, 20))
+        X = rng.normal(0, 1, (n, d))
+        X[:, : d // 3] = np.round(X[:, : d // 3])  # columns with tied values
+        y = (rng.random(n) < 1 / (1 + np.exp(-2.0 * X[:, -1]))).astype(float)
+        if y.min() == y.max():
+            y[0] = 1.0 - y[0]
+        max_depth = (None, 3, 8)[k % 3]
+        min_leaf = 1 + k % 3
+        max_features = None if k % 2 else max(1, int(np.sqrt(d)))
+        args = (max_depth, min_leaf, max_features, d)
+        tree = _grow_tree(X, y, rng_for(k, "tree", 0), *args)
+        root, imp = reference_grow_tree(X, y, rng_for(k, "tree", 0), *args)
+
+        Xte = np.vstack([X, rng.normal(0, 1, (60, d))])
+        assert np.array_equal(tree.predict_proba(Xte), reference_tree_predict(root, Xte))
+        assert np.array_equal(tree.importances, imp)
+
+        clf = TrainedClassifier(spec=ModelSpec("decision_tree"), n_features=d,
+                                trees=[tree], majority=0.0)
+        path = tmp_path / "tree.json"
+        save_classifier(clf, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["trees"] = [reference_tree_obj(root, imp)]
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_forest_single_tree_equals_decision_tree():
@@ -208,6 +244,9 @@ def test_persistence_roundtrip(tmp_path, kind):
     Xte, _ = _linear_problem(seed=7, n=30, d=5)
     assert np.array_equal(clf.predict_proba(Xte), loaded.predict_proba(Xte))
     assert loaded.spec == clf.spec
+    again = tmp_path / f"{kind}_again.json"
+    save_classifier(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_schema_fingerprint_checked(tmp_path):

@@ -185,16 +185,40 @@ def test_eval_missing_features_exits_1(tmp_path):
 
 
 def test_report_rendering(pipeline_dirs, tmp_path, capsys):
+    """``report X.json`` prints exactly the X.txt that ``eval`` wrote, for every layout."""
     *_, features_csv = pipeline_dirs
-    out = tmp_path / "single"
-    assert run(["eval", "single", "--features", features_csv,
-                "--set", "n_runs=2", "--set", "model.kind=decision_tree",
-                "--out", out]) == 0
+    reports = []
+    # A depth-2 tree leaves most importances at 0, so the top ten hold ties.
+    for mode, model in (("single", ["--set", "model.kind=decision_tree",
+                                    "--set", "model.max_depth=2"]),
+                        ("ablation", ["--set", "model.kind=logistic_regression"])):
+        out = tmp_path / mode
+        assert run(["eval", mode, "--features", features_csv, "--set", "n_runs=2",
+                    *model, "--out", out]) == 0
+        reports.append(out / f"eval_{mode}.json")
+
+    import numpy as np
+    from readmit.features import Column, FeatureMatrix, FeatureSchema, write_csv
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, (60, 6))
+    y = (X[:, 0] + 0.3 * rng.normal(0, 1, 60) > 0).astype(float)
+    schema = FeatureSchema([Column(f"c{i}", f"c{i}", "numeric") for i in range(6)])
+    csv_path = tmp_path / "six.csv"
+    write_csv(FeatureMatrix(schema=schema, X=X, y=y), csv_path)
+    rfes = []
+    for k in range(3):
+        out = tmp_path / f"rfe{k}"
+        assert run(["eval", "rfe", "--features", csv_path, "--set", "rfe_repeats=1",
+                    "--set", "model.kind=logistic_regression", "--set", f"master_seed={k}",
+                    "--out", out]) == 0
+        rfes.append(out / "eval_rfe.json")
+    assert run(["eval", "consensus", "--rfe", *rfes, "--out", tmp_path / "cons"]) == 0
+    reports += [rfes[0], tmp_path / "cons" / "consensus.json"]
+
     capsys.readouterr()
-    assert run(["report", "--report", out / "eval_single.json"]) == 0
-    stdout = capsys.readouterr().out
-    assert "decision_tree" in stdout
-    assert "auc" in stdout
+    for path in reports:
+        assert run(["report", "--report", path]) == 0
+        assert capsys.readouterr().out == path.with_suffix(".txt").read_text(encoding="utf-8")
 
 
 def test_defaults_lists_keys(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from readmit import domains, neural, syngen, textproc
 from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
-                             default_lexicon, match_domains, scalar_sentiment,
+                             default_lexicon, scalar_sentiment,
                              summarize_admission, train_sentiment_models,
                              train_topic_model, weak_label)
 from readmit.errors import ConfigError, DataError
@@ -41,25 +41,25 @@ def test_load_lexicon_file(tmp_path):
 def test_match_shipped_mood_pattern():
     lex = default_lexicon()
     tokens = textproc.tokenize("Patient presents with depressed mood today.")
-    assert match_domains(tokens, lex) == {"Mood"}
+    assert lex.match(tokens) == {"Mood"}
 
 
 def test_match_multi_domain():
     lex = default_lexicon()
     tokens = textproc.tokenize("Notes depressed mood and heavy drinking this week.")
-    assert match_domains(tokens, lex) == {"Mood", "SubstanceUse"}
+    assert lex.match(tokens) == {"Mood", "SubstanceUse"}
 
 
 def test_match_none():
     lex = default_lexicon()
-    assert match_domains(textproc.tokenize("Routine vitals recorded."), lex) == frozenset()
+    assert lex.match(textproc.tokenize("Routine vitals recorded.")) == frozenset()
 
 
 def test_match_requires_contiguous():
     lex = Lexicon({**{d: [("zz%d" % i,)] for i, d in enumerate(RISK_DOMAINS)},
                    "Mood": [("low", "mood")]})
-    assert match_domains(["low", "stable", "mood"], lex) == frozenset()
-    assert match_domains(["very", "low", "mood"], lex) == {"Mood"}
+    assert lex.match(["low", "stable", "mood"]) == frozenset()
+    assert lex.match(["very", "low", "mood"]) == {"Mood"}
 
 
 def test_weak_label_empty_corpus(encoder):

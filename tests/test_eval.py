@@ -271,7 +271,7 @@ def test_render_text_ascending_order():
     schema = FeatureSchema([Column(nm, nm, "numeric") for nm in names])
     matrix = FeatureMatrix(schema=schema, X=X, y=y)
     report = ablation(matrix, ModelSpec("logistic_regression"), n_runs=6, master_seed=2)
-    text = evaluate.render_ablation_text(report)
+    text = evaluate.render_ablation_text(evaluate.ablation_report_obj(report))
     lines = [l for l in text.splitlines() if l.startswith("Baseline")]
     f1s = [float(l.split()[-1]) for l in lines]
     assert f1s == sorted(f1s)

@@ -10,8 +10,7 @@ from readmit.domains import RISK_DOMAINS, AdmissionDomainSummary, domain_key
 from readmit.errors import DataError
 from readmit.features import (FEATURES, FeatureSchema,
                               Imputer, assemble, build_features,
-                              encode_features, encode_rows,
-                              fit_schema_and_encode, history_features,
+                              encode_features, encode_rows, history_features,
                               read_csv, write_csv)
 
 from helpers import tiny_corpus
@@ -217,19 +216,12 @@ def test_unseen_level_maps_to_unknown():
     assert X[0, schema.names.index("insight=Missing")] == 1.0
 
 
-def test_fit_schema_and_encode_no_nan():
-    corpus = _labeled(tiny_corpus(n_admissions=3, gap_days=40))
-    rows = _rows_from_corpus(corpus)
-    schema, imputer, matrix = fit_schema_and_encode(rows, rows)
-    assert not np.isnan(matrix.X).any()
-    assert matrix.X.shape[0] == 3
-
-
 def test_csv_roundtrip(tmp_path, small_gen):
     _, corpus, _ = small_gen
     corpus = derive_labels(corpus)
-    rows = _rows_from_corpus(corpus)
-    schema, imputer, matrix = fit_schema_and_encode(rows, rows)
+    matrix = encode_features(_rows_from_corpus(corpus))
+    matrix.X = Imputer.fit(matrix.X).transform(matrix.X)
+    assert not np.isnan(matrix.X).any()
     path = tmp_path / "features.csv"
     write_csv(matrix, path)
     again = read_csv(path)
@@ -238,7 +230,7 @@ def test_csv_roundtrip(tmp_path, small_gen):
     assert np.allclose(again.X, matrix.X, rtol=1e-5, atol=1e-9)
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[-1] == "label"
-    assert len(header.split(",")) == len(schema) + 1
+    assert len(header.split(",")) == len(matrix.schema) + 1
 
 
 def test_csv_keeps_nan(tmp_path):
