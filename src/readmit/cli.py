@@ -11,6 +11,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,19 +249,24 @@ def cmd_train_nlp(args) -> int:
     order = rng.permutation(len(X))
     n_test = max(1, int(round(holdout * len(X))))
     test_idx, train_idx = order[:n_test], order[n_test:]
-    topic_cfg = domains.DEFAULT_TOPIC_CONFIG
-    if epochs_topic is not None:
-        topic_cfg = neural.TrainConfig(learning_rate=0.1, batch_size=128,
-                                       epochs=int(epochs_topic), patience=5, seed=seed)
+    # An epoch override keeps every other default; patience follows the
+    # budget, as in the defaults.
+    if epochs_topic is None:
+        topic_cfg = domains.topic_config(len(train_idx), seed=seed)
+    else:
+        topic_cfg = replace(domains.DEFAULT_TOPIC_CONFIG, epochs=int(epochs_topic),
+                            patience=int(epochs_topic), seed=seed)
     topic = domains.train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
     pred = domains.predict_domains(topic, X[test_idx])
     micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
     print(f"topic micro-F1 (held-out {int(100 * holdout)}%): {micro_f1:.3f}")
+    if micro_f1 < 0.5:
+        print(f"warning: held-out topic micro-F1 {micro_f1:.3f} is below 0.5; "
+              "the topic model tags sentences poorly", file=sys.stderr)
 
-    sent_cfg = domains.DEFAULT_SENTIMENT_CONFIG
+    sent_cfg = replace(domains.DEFAULT_SENTIMENT_CONFIG, seed=seed)
     if epochs_sent is not None:
-        sent_cfg = neural.TrainConfig(learning_rate=0.05, batch_size=32,
-                                      epochs=int(epochs_sent), patience=10, seed=seed)
+        sent_cfg = replace(sent_cfg, epochs=int(epochs_sent), patience=int(epochs_sent))
     rng2 = np.random.default_rng(derive_seed(seed, "sent-holdout"))
     order2 = rng2.permutation(len(records))
     n_test2 = max(1, int(round(holdout * len(records))))
@@ -272,7 +278,7 @@ def cmd_train_nlp(args) -> int:
         if not recs:
             print(f"sentiment accuracy ({domain}): no held-out sentences")
             continue
-        Xd = np.stack([encoder(textproc.tokenize(r.text)) for r in recs])
+        Xd = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
         pred_pol = np.argmax(neural.predict(models[domain], Xd), axis=1)
         true_pol = np.array([domains.POLARITIES.index(r.label) for r in recs])
         print(f"sentiment accuracy ({domain}): {float(np.mean(pred_pol == true_pol)):.3f}")
@@ -392,10 +398,7 @@ def cmd_eval(args) -> int:
 
 
 def settings_echo(settings: dict) -> dict:
-    echo = dict(settings)
-    echo["model.hyper"] = {k: (list(v) if isinstance(v, tuple) else v)
-                           for k, v in settings["model.hyper"].items()}
-    return echo
+    return {**settings, "model.hyper": classifiers._jsonable(settings["model.hyper"])}
 
 
 def _dump_json(obj, path) -> None:

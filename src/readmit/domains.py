@@ -9,7 +9,7 @@ distribution over (positive, neutral, negative), collapsed to a scalar in
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
@@ -111,27 +111,18 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT_LEXICON
 
 
-def domains_to_multihot(domains) -> np.ndarray:
-    y = np.zeros(len(RISK_DOMAINS))
-    for d in domains:
-        y[DOMAIN_INDEX[d]] = 1.0
-    return y
-
-
 def weak_label(corpus, lexicon: Lexicon, encoder: HashingEncoder):
     """(vectors, multi-hot domain targets) for every sentence in the corpus.
 
     Sentences matching no pattern are kept as all-zero targets.
     """
-    xs, ys = [], []
-    for admission in corpus.admissions:
-        for note in admission.notes:
-            for sent in textproc.split_sentences(note.text):
-                xs.append(encoder(sent.tokens))
-                ys.append(domains_to_multihot(lexicon.match(sent.tokens)))
-    if not xs:
-        return np.zeros((0, encoder.dim)), np.zeros((0, len(RISK_DOMAINS)))
-    return np.stack(xs), np.stack(ys)
+    token_lists = [sent.tokens for admission in corpus.admissions for note in admission.notes
+                   for sent in textproc.split_sentences(note.text)]
+    Y = np.zeros((len(token_lists), len(RISK_DOMAINS)))
+    for i, tokens in enumerate(token_lists):
+        for d in lexicon.match(tokens):
+            Y[i, DOMAIN_INDEX[d]] = 1.0
+    return neural.encode_rows(encoder, token_lists), Y
 
 
 DEFAULT_TOPIC_CONFIG = TrainConfig(learning_rate=0.3, batch_size=128, epochs=40, patience=40)
@@ -147,23 +138,30 @@ DEFAULT_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs
 MIN_SENTENCES_PER_DOMAIN = 50
 
 
+def topic_config(n_rows: int, seed: int = 0) -> TrainConfig:
+    """The default topic config for a training set of ``n_rows`` sentences.
+
+    The epoch budget scales up on small datasets so the update count stays
+    near the corpus-scale default.
+    """
+    base = DEFAULT_TOPIC_CONFIG
+    batch_size = base.batch_size if n_rows >= 4000 else 32
+    batches = max(1, -(-n_rows // batch_size))
+    epochs = int(np.clip(-(-_TOPIC_TARGET_UPDATES // batches), base.epochs, 400))
+    return replace(base, batch_size=batch_size, epochs=epochs, patience=epochs, seed=seed)
+
+
 def train_topic_model(X: np.ndarray, Y: np.ndarray,
                       config: Optional[TrainConfig] = None,
                       hidden_sizes: tuple[int, ...] = (256, 64)) -> MLPModel:
     """Multi-label topic MLP (sigmoid over the seven domains).
 
-    Without an explicit config, the epoch budget scales up on small
-    datasets so the update count stays near the corpus-scale default.
+    Without an explicit config it trains with ``topic_config(len(X))``.
     """
     if len(X) == 0:
         raise DataError("cannot train a topic model on an empty dataset")
     if config is None:
-        base = DEFAULT_TOPIC_CONFIG
-        batch_size = base.batch_size if len(X) >= 4000 else 32
-        batches = max(1, -(-len(X) // batch_size))
-        epochs = int(np.clip(-(-_TOPIC_TARGET_UPDATES // batches), base.epochs, 400))
-        config = TrainConfig(learning_rate=base.learning_rate, batch_size=batch_size,
-                             epochs=epochs, patience=epochs, seed=base.seed)
+        config = topic_config(len(X))
     spec = MLPSpec(
         input_dim=X.shape[1], hidden_sizes=hidden_sizes, activation="relu",
         dropout_rate=0.0, output_kind="sigmoid", n_outputs=len(RISK_DOMAINS),
@@ -225,7 +223,7 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
             )
         if {r.label for r in recs} != set(POLARITIES):
             raise ConfigError(f"domain {domain} is missing at least one polarity")
-        X = np.stack([encoder(textproc.tokenize(r.text)) for r in recs])
+        X = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
         Y = np.zeros((len(recs), 3))
         for i, r in enumerate(recs):
             Y[i, POLARITIES.index(r.label)] = 1.0
@@ -290,7 +288,7 @@ def summarize_admission(admission, topic_model: Optional[MLPModel],
         return AdmissionDomainSummary(dict(zeros), dict(zeros))
 
     note_of = np.repeat(np.arange(len(sents_per_note)), [len(s) for s in sents_per_note])
-    vectors = np.stack([encoder(s.tokens) for s in all_sents])
+    vectors = neural.encode_rows(encoder, [s.tokens for s in all_sents])
     if tagger == "model":
         tagged = predict_domains(topic_model, vectors)
     else:

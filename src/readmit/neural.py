@@ -59,6 +59,19 @@ class HashingEncoder:
         return v
 
 
+def encode_rows(encoder, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+    """``encoder`` applied to each token list, as the rows of one array.
+
+    The rows are written into a single preallocated array instead of being
+    stacked from a list of row arrays, so the matrix is held once, not
+    twice, and no heap of row-sized blocks is left behind after it.
+    """
+    X = np.empty((len(token_lists), encoder.dim))
+    for i, tokens in enumerate(token_lists):
+        X[i] = encoder(tokens)
+    return X
+
+
 ACTIVATIONS = ("relu", "tanh")
 OUTPUT_KINDS = ("softmax", "sigmoid")
 

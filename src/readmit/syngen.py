@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -107,13 +107,6 @@ def paper_scale_config(seed: int = 12345, **overrides) -> GenConfig:
                   target_readmission_rate=0.5)
     kwargs.update(overrides)
     return GenConfig(**kwargs)
-
-
-@dataclass(frozen=True)
-class SentenceTemplate:
-    domain: Optional[str]  # None for neutral filler
-    polarity: str
-    pattern: str  # contains {kw} and {adv} slots for domain templates
 
 
 POSITIVE_SHAPES = (
@@ -231,16 +224,6 @@ FILLER_SENTENCES = (
 # remaining mass splits between positive and negative according to the
 # admission's planted sentiment in [-1, 1].
 NEUTRAL_SHARE = 0.2
-
-
-def sentence_templates(lexicon: Optional[Lexicon] = None) -> list[SentenceTemplate]:
-    """The full template pool (domain x polarity x shape, plus fillers)."""
-    lexicon = lexicon or default_lexicon()
-    pool = [SentenceTemplate(None, "neutral", text) for text in FILLER_SENTENCES]
-    for domain in RISK_DOMAINS:
-        for polarity, shapes in _SHAPES.items():
-            pool.extend(SentenceTemplate(domain, polarity, s) for s in shapes)
-    return pool
 
 
 class _TemplateFiller:

@@ -16,6 +16,7 @@ structured fields to be picked up.
 """
 
 import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
@@ -25,7 +26,10 @@ from .errors import FieldRangeError, NoteParseError
 _TOKEN_RE = re.compile(r"\w+(?:['\-]\w+)*|[^\w\s]", re.UNICODE)
 _BLANK_LINE_RE = re.compile(r"\n[ \t]*\n+")
 _PUNCT_RUN_RE = re.compile(r"[.!?]+")
-_ABBREV_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z.]*$")
+# sre's \s and str.isspace agree on every code point, so this finds what
+# str.lstrip would strip.
+_SPACES_RE = re.compile(r"\s*")
+_ABBREV_CHARS = frozenset(string.ascii_letters + ".")
 
 
 def tokenize(text: str) -> list[str]:
@@ -61,10 +65,17 @@ class TokenizedSentence:
 
 
 def _is_guarded_abbreviation(block: str, punct_start: int, abbreviations) -> bool:
-    m = _ABBREV_TOKEN_RE.search(block, 0, punct_start)
-    if m is None:
+    end = punct_start
+    if end > 0 and block[end - 1] == "\n":
+        end -= 1  # the word may end just before a newline that precedes the dot
+    lo = end
+    while lo > 0 and block[lo - 1] in _ABBREV_CHARS:
+        lo -= 1
+    while lo < end and block[lo] == ".":
+        lo += 1
+    if lo == end:
         return False
-    return (m.group(0) + ".").lower() in abbreviations
+    return (block[lo:end] + ".").lower() in abbreviations
 
 
 def _block_spans(text: str):
@@ -79,8 +90,15 @@ def split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
     """Segment note text into tokenized sentences.
 
     Boundaries are '.', '!' or '?' runs followed by whitespace plus an
-    uppercase letter (or end of text), and blank lines. A '.' boundary is
-    suppressed when the preceding token is on the abbreviation guard list.
+    uppercase letter (or end of text), and blank lines. A run holding a '.'
+    is not a boundary when its guard word, lowercased and with a '.'
+    appended, is on the abbreviation guard list. The guard word is the
+    longest stretch of ASCII letters and dots that ends just before the
+    run (or just before one newline that precedes it), cut to start at its
+    first letter: "x.Dr. Smith" gives "x.dr.", "Dr\n. Smith" gives "dr.".
+
+    Each character is looked at a bounded number of times, so the cost is
+    linear in the length of the note.
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
@@ -98,17 +116,18 @@ def split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
     for bstart, bend in _block_spans(text):
         block = text[bstart:bend]
         start = 0
+        n = len(block)
         for m in _PUNCT_RUN_RE.finditer(block):
-            tail = block[m.end():]
-            if tail and not tail[0].isspace():
+            e = m.end()
+            if e < n and not block[e].isspace():
                 continue  # punctuation glued to following text: not a boundary
-            nxt = tail.lstrip()
-            if nxt and not nxt[0].isupper():
+            nxt = _SPACES_RE.match(block, e).end()
+            if nxt < n and not block[nxt].isupper():
                 continue
-            if nxt and "." in m.group() and _is_guarded_abbreviation(block, m.start(), abbreviations):
+            if nxt < n and "." in m.group() and _is_guarded_abbreviation(block, m.start(), abbreviations):
                 continue
-            emit(bstart + start, bstart + m.end())
-            start = m.end()
+            emit(bstart + start, bstart + e)
+            start = e
         emit(bstart + start, bend)
     return out
 

@@ -7,12 +7,15 @@ the implementations under test are checked against a second route.
 
 import base64
 import hashlib
+import re
 
 import numpy as np
 
 from readmit import neural
 from readmit.classifiers import _best_split
 from readmit.corpus import Admission, Corpus, Note, Patient
+from readmit.textproc import (TokenizedSentence, _block_spans,
+                              default_abbreviations, tokenize)
 
 
 def brute_force_auc(y_true, y_score) -> float:
@@ -190,6 +193,55 @@ def reference_tree_obj(root, importances):
     return {"feature": feats, "threshold": thrs, "left": lefts, "right": rights,
             "value": values,
             "importances": base64.b64encode(importances.astype("<f8").tobytes()).decode("ascii")}
+
+
+_PUNCT_RUN_RE = re.compile(r"[.!?]+")
+_ABBREV_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z.]*$")
+
+
+def _reference_is_guarded_abbreviation(block: str, punct_start: int, abbreviations) -> bool:
+    m = _ABBREV_TOKEN_RE.search(block, 0, punct_start)
+    if m is None:
+        return False
+    return (m.group(0) + ".").lower() in abbreviations
+
+
+def reference_split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
+    """The original sentence splitter, the reference for the linear one.
+
+    It searches each block from its start for the guard word and copies
+    the rest of the block at every punctuation run, so it is quadratic in
+    block length.
+    """
+    if abbreviations is None:
+        abbreviations = default_abbreviations()
+    out: list[TokenizedSentence] = []
+
+    def emit(lo: int, hi: int) -> None:
+        piece = text[lo:hi]
+        stripped = piece.strip()
+        if not stripped:
+            return
+        start = lo + (len(piece) - len(piece.lstrip()))
+        end = start + len(stripped)
+        out.append(TokenizedSentence(stripped, tuple(tokenize(stripped)), (start, end)))
+
+    for bstart, bend in _block_spans(text):
+        block = text[bstart:bend]
+        start = 0
+        for m in _PUNCT_RUN_RE.finditer(block):
+            tail = block[m.end():]
+            if tail and not tail[0].isspace():
+                continue  # punctuation glued to following text: not a boundary
+            nxt = tail.lstrip()
+            if nxt and not nxt[0].isupper():
+                continue
+            if nxt and "." in m.group() and _reference_is_guarded_abbreviation(block, m.start(), abbreviations):
+                continue
+            emit(bstart + start, bstart + m.end())
+            start = m.end()
+        emit(bstart + start, bend)
+    return out
 
 
 def tiny_corpus(note_texts=("Sleeping well. Appetite poor.",), label=None,

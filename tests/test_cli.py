@@ -1,10 +1,16 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from readmit import domains, neural
 from readmit.cli import main
-from readmit.corpus import load_corpus
+from readmit.corpus import derive_labels, load_corpus
+from readmit.domains import RISK_DOMAINS, domain_key
+from readmit.neural import HashingEncoder, TrainConfig
+from readmit.seeding import derive_seed
 
 
 def run(argv):
@@ -89,6 +95,66 @@ def test_train_nlp_prints_heldout_metrics(pipeline_dirs, capsys):
     assert (out / "topic_model.json").exists()
     for name in ("appearance", "mood", "substance_use"):
         assert (out / f"sentiment_{name}.json").exists()
+
+
+def _library_train_nlp(gen_dir, seed, topic_config, sentiment_config, holdout=0.2):
+    """train-nlp's steps through the library, with the same holdout draws.
+
+    ``topic_config`` maps the number of topic training rows to a config.
+    """
+    corpus = derive_labels(load_corpus(gen_dir / "corpus.jsonl"))
+    encoder = HashingEncoder()
+    X, Y = domains.weak_label(corpus, domains.default_lexicon(), encoder)
+    order = np.random.default_rng(derive_seed(seed, "topic-holdout")).permutation(len(X))
+    train_idx = order[max(1, int(round(holdout * len(X)))):]
+    topic = domains.train_topic_model(X[train_idx], Y[train_idx], topic_config(len(train_idx)))
+    records = domains.read_seed_file(gen_dir / "sentiment_seed.jsonl")
+    order = np.random.default_rng(derive_seed(seed, "sent-holdout")).permutation(len(records))
+    train_recs = [records[i] for i in order[max(1, int(round(holdout * len(records)))):]]
+    return topic, domains.train_sentiment_models(train_recs, encoder, sentiment_config)
+
+
+@pytest.mark.parametrize("settings, seed, topic_config, sentiment_config", [
+    # no override: the library defaults, small-corpus epoch scaling included
+    ([], 0, lambda n: None, None),
+    # an epoch override changes only epochs and patience; the seed reaches both
+    (["topic_epochs=7", "sentiment_epochs=5"], 9,
+     lambda n: TrainConfig(learning_rate=0.3, batch_size=128, epochs=7, patience=7, seed=9),
+     TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
+    (["sentiment_epochs=5"], 9, lambda n: domains.topic_config(n, seed=9),
+     TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
+])
+def test_train_nlp_models_match_library(pipeline_dirs, tmp_path, capsys,
+                                        settings, seed, topic_config, sentiment_config):
+    _, gen_dir, _, _ = pipeline_dirs
+    cli_dir = tmp_path / "cli"
+    argv = ["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
+            "--seed-file", gen_dir / "sentiment_seed.jsonl", "--out", cli_dir,
+            "--set", f"seed={seed}"]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    micro_f1 = float(re.search(r"topic micro-F1 \(held-out 20%\): ([0-9.]+)", captured.out).group(1))
+    assert ("warning: held-out topic micro-F1" in captured.err) == (micro_f1 < 0.5)
+
+    topic, sentiment = _library_train_nlp(gen_dir, seed, topic_config, sentiment_config)
+    lib_dir = tmp_path / "lib"
+    lib_dir.mkdir()
+    neural.save_mlp(topic, lib_dir / "topic_model.json")
+    names = ["topic_model.json"]
+    for domain in RISK_DOMAINS:
+        names.append(f"sentiment_{domain_key(domain)}.json")
+        neural.save_mlp(sentiment[domain], lib_dir / names[-1])
+    for name in names:
+        assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+
+
+def test_topic_config_scales_small_corpora():
+    assert domains.topic_config(20_000) == domains.DEFAULT_TOPIC_CONFIG
+    small = domains.topic_config(300, seed=4)
+    assert (small.batch_size, small.epochs, small.patience, small.seed) == (32, 320, 320, 4)
+    assert small.learning_rate == domains.DEFAULT_TOPIC_CONFIG.learning_rate
 
 
 def test_extract_row_count_and_header(pipeline_dirs):

@@ -36,6 +36,14 @@ def test_encode_bigram_sensitivity_against_reference(encoder):
     assert np.allclose(a, ra, atol=1e-12)
 
 
+def test_encode_rows_matches_stacked_encoder_calls(encoder):
+    token_lists = [["mood", "is", "stable"], [], ["sleeping", "well"]]
+    X = neural.encode_rows(encoder, token_lists)
+    assert X.shape == (3, encoder.dim) and X.dtype == np.float64
+    assert np.array_equal(X, np.stack([encoder(t) for t in token_lists]))
+    assert neural.encode_rows(encoder, []).shape == (0, encoder.dim)
+
+
 @pytest.mark.parametrize("output_kind", ["softmax", "sigmoid"])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_gradients_match_finite_differences(output_kind, activation):

@@ -7,8 +7,7 @@ from readmit.errors import ConfigError, DataError
 from readmit.syngen import (ADVERBIALS, FILLER_SENTENCES, GenConfig,
                             _SHAPES, _TemplateFiller, generate,
                             generate_with_truth, ground_truth,
-                            make_sentiment_seed, paper_scale_config,
-                            sentence_templates)
+                            make_sentiment_seed, paper_scale_config)
 
 from helpers import brute_force_auc
 
@@ -150,27 +149,26 @@ def test_lexicon_mode_counts_match_truth(small_gen):
 
 
 def test_template_pool_size_and_domain_purity():
-    templates = sentence_templates()
+    # The pools the generator draws from: a sentence of one domain and
+    # polarity is a shape of that polarity filled with one of the domain's
+    # keywords; filler sentences name no domain.
     lex = domains.default_lexicon()
-    per_key = {}
-    for t in templates:
-        per_key.setdefault((t.domain, t.polarity), []).append(t)
-    for domain in domains.RISK_DOMAINS:
-        for polarity in ("positive", "neutral", "negative"):
-            assert len(per_key[(domain, polarity)]) >= 20
-    assert len(per_key[(None, "neutral")]) >= 20
-
     filler = _TemplateFiller(lex)
+    for polarity in ("positive", "neutral", "negative"):
+        assert len(_SHAPES[polarity]) >= 20
+    assert len(FILLER_SENTENCES) >= 20
+
     rng = np.random.default_rng(0)
     for domain in domains.RISK_DOMAINS:
+        assert filler.kw[domain]
         for polarity, shapes in _SHAPES.items():
             for si in range(len(shapes)):
-                ki = int(rng.integers(0, len(filler.kw[domain])))
-                ai = int(rng.integers(0, len(ADVERBIALS)))
-                text, count = filler.render(domain, polarity, si, ki, ai)
-                tokens = textproc.tokenize(text)
-                assert lex.match(tokens) == {domain}
-                assert count == len(tokens)
+                for ki in range(len(filler.kw[domain])):
+                    ai = int(rng.integers(0, len(ADVERBIALS)))
+                    text, count = filler.render(domain, polarity, si, ki, ai)
+                    tokens = textproc.tokenize(text)
+                    assert lex.match(tokens) == {domain}
+                    assert count == len(tokens)
     for sentence in FILLER_SENTENCES:
         assert lex.match(textproc.tokenize(sentence)) == frozenset()
 

@@ -1,12 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from readmit import syngen
 from readmit.errors import FieldRangeError, NoteParseError
 from readmit.textproc import (NoteFields, extract_structured,
                               resolve_admission_fields, split_sentences,
                               tokenize)
 
-from helpers import tiny_corpus
+from helpers import reference_split_sentences, tiny_corpus
 
 
 def test_tokenize_punct_and_lowercase():
@@ -76,6 +77,56 @@ def test_span_coverage():
 def test_split_counts_joined_sentences(parts):
     text = " ".join(parts)
     assert len(split_sentences(text)) == len(parts)
+
+
+# A note is drawn as pieces of word, whitespace, punctuation run and
+# whitespace, so guard words meet dots, newlines and capitals often. The
+# pieces reach every branch of the splitter: guard words and dotted words,
+# every punctuation run, and whitespace kinds that str.isspace knows besides
+# the ASCII ones (no-break space, file separator, ideographic space).
+_SPLIT_WORDS = ["a", "x", "A", "M", "S", "Dr", "e.g", "St", "x.y", "7", "42", "'", "-"]
+_SPLIT_SPACES = ["", " ", "\t", "\n", "\n\n", "\xa0", "\x1c", "\u3000"]
+_SPLIT_PUNCT = ["", ".", "..", "!", "?"]
+_split_piece = st.tuples(st.sampled_from(_SPLIT_WORDS), st.sampled_from(_SPLIT_SPACES),
+                         st.sampled_from(_SPLIT_PUNCT), st.sampled_from(_SPLIT_SPACES))
+
+
+@settings(max_examples=1000)
+@given(st.lists(_split_piece, max_size=12).map(lambda pieces: "".join("".join(p) for p in pieces)))
+def test_split_matches_reference(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
+def test_split_matches_reference_on_generated_notes(small_gen):
+    _, corpus, _ = small_gen
+    for admission in corpus.admissions:
+        for note in admission.notes:
+            assert split_sentences(note.text) == reference_split_sentences(note.text)
+
+
+def test_split_matches_reference_on_paper_scale_notes():
+    corpus = syngen.generate(syngen.paper_scale_config(seed=3, n_patients=5))
+    notes = [n.text for a in corpus.admissions for n in a.notes]
+    assert sum(map(len, notes)) / len(notes) > 5000
+    for text in notes:
+        assert split_sentences(text) == reference_split_sentences(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # the guard word may end just before a newline that precedes the dot
+    ("Dr\n. Smith saw him.", ["Dr\n. Smith saw him."]),
+    ("See e.g. Notes.", ["See e.g. Notes."]),
+    # the word runs back over the dot to "x", so it is "x.dr.": no guard
+    ("x.Dr. Smith", ["x.Dr.", "Smith"]),
+    # leading dots are not part of the word
+    ("...Dr. Smith", ["...Dr. Smith"]),
+    # a guard word at the very start of a block
+    ("Dr. Smith saw him.", ["Dr. Smith saw him."]),
+    ("Calm.\n\nDr. Smith saw him.", ["Calm.", "Dr. Smith saw him."]),
+])
+def test_split_guard_edge_cases(text, expected):
+    assert [s.text for s in split_sentences(text)] == expected
+    assert split_sentences(text) == reference_split_sentences(text)
 
 
 def test_extract_gaf_admission():
