@@ -15,7 +15,7 @@ from readmit import corpus, syngen, textproc
 config = syngen.GenConfig(seed=7, n_patients=25, tokens_per_note=(80, 160))
 corp, truth = syngen.generate_with_truth(config)
 
-stats = corpus.corpus_stats(corpus.derive_labels(corp), textproc.tokenize)
+stats = corpus.corpus_stats(corpus.derive_labels(corp))
 print(f"patients:            {stats.n_patients}")
 print(f"admissions:          {stats.n_admissions}")
 print(f"readmission rate:    {stats.readmission_rate:.3f}")

@@ -41,6 +41,7 @@ DEFAULT_HYPERPARAMETERS = {
 }
 
 IMPORTANCE_METHODS = ("impurity", "coef_magnitude", "permutation")
+_N_PERMUTATIONS = 3  # shuffled copies per column in permutation importance
 
 
 @dataclass(frozen=True)
@@ -281,8 +282,8 @@ class TrainedClassifier:
         Z = self.standardizer.transform(X)
         return neural.predict(self.mlp, Z)[:, 1]
 
-    def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(float)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.predict_proba(X) >= 0.5).astype(float)
 
 
 def train(spec: ModelSpec, X, y=None) -> TrainedClassifier:
@@ -383,12 +384,12 @@ def f1_score(y_true, y_pred) -> float:
 
 
 def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
-                n_permutations: int = 3, seed: int = 0) -> np.ndarray:
+                seed: int = 0) -> np.ndarray:
     """Per-column nonnegative importances summing to 1 (or all zero).
 
     impurity: mean decrease in Gini (tree kinds only). coef_magnitude:
     |weight| on standardized inputs (linear kinds only). permutation: mean
-    F1 drop over shuffled copies of each column, negatives clamped to 0.
+    F1 drop over three shuffled copies of each column, negatives clamped to 0.
     """
     if y is None and hasattr(X, "schema"):
         X, y = X.X, X.y
@@ -412,12 +413,12 @@ def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
         col = X[:, j].copy()
-        for r in range(n_permutations):
+        for r in range(_N_PERMUTATIONS):
             rng = rng_for(seed, "perm", j, r)
             Xp = X.copy()
             Xp[:, j] = col[rng.permutation(len(col))]
             drops[j] += base - f1_score(y, clf.predict(Xp))
-    drops = np.maximum(drops / n_permutations, 0.0)
+    drops = np.maximum(drops / _N_PERMUTATIONS, 0.0)
     return _normalize(drops)
 
 
@@ -450,7 +451,7 @@ def save_classifier(clf: TrainedClassifier, path) -> None:
     if clf.mlp is not None:
         payload["mlp"] = neural.mlp_to_obj(clf.mlp)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ _EVAL_KEYS = {
     "grouping": str,
     "rfe_folds": int,
     "rfe_repeats": int,
-    "workers": int,
     "model.kind": str,
     "model.seed": int,
 }
@@ -63,7 +62,6 @@ EVAL_DEFAULTS = {
     "grouping": "admission_level",
     "rfe_folds": 3,
     "rfe_repeats": 30,
-    "workers": 1,
     "model.kind": "random_forest",
     "model.seed": 0,
 }
@@ -195,18 +193,7 @@ def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outp
 
 
 def _config_echo_gen(config: GenConfig, seed_sentences: int) -> dict:
-    return {
-        "seed": config.seed,
-        "n_patients": config.n_patients,
-        "admissions_per_patient": list(config.admissions_per_patient),
-        "notes_per_admission": list(config.notes_per_admission),
-        "tokens_per_note": list(config.tokens_per_note),
-        "target_readmission_rate": config.target_readmission_rate,
-        "effect_weights": dict(config.effect_weights),
-        "noise_sd": config.noise_sd,
-        "missing_field_rate": config.missing_field_rate,
-        "seed_sentences": seed_sentences,
-    }
+    return {**asdict(config), "seed_sentences": seed_sentences}
 
 
 def cmd_gen(args) -> int:
@@ -229,15 +216,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _pop_epochs(settings: dict[str, str], key: str):
+    """The epoch override under ``key``, removed from settings; None when unset."""
+    if key not in settings:
+        return None
+    epochs = _coerce(key, settings.pop(key), int)
+    if epochs < 1:
+        raise _CliConfigError(f"config key {key!r} must be positive, got {epochs}")
+    return epochs
+
+
 def cmd_train_nlp(args) -> int:
     started = time.time()
     settings = _collect_settings(args.config, args.set)
-    seed = int(settings.pop("seed", 0))
-    holdout = float(settings.pop("holdout_fraction", 0.2))
-    epochs_topic = settings.pop("topic_epochs", None)
-    epochs_sent = settings.pop("sentiment_epochs", None)
+    seed = _coerce("seed", settings.pop("seed", "0"), int)
+    holdout = _coerce("holdout_fraction", settings.pop("holdout_fraction", "0.2"), float)
+    epochs_topic = _pop_epochs(settings, "topic_epochs")
+    epochs_sent = _pop_epochs(settings, "sentiment_epochs")
     if settings:
         raise _CliConfigError(f"unknown train-nlp config keys {sorted(settings)}")
+    if not 0.0 < holdout < 1.0:
+        raise _CliConfigError(f"config key 'holdout_fraction' must lie in (0, 1), got {holdout}")
 
     corpus = corpus_mod.derive_labels(corpus_mod.load_corpus(args.corpus))
     lexicon = domains.load_lexicon(args.lexicon) if args.lexicon else domains.default_lexicon()
@@ -254,8 +253,8 @@ def cmd_train_nlp(args) -> int:
     if epochs_topic is None:
         topic_cfg = domains.topic_config(len(train_idx), seed=seed)
     else:
-        topic_cfg = replace(domains.DEFAULT_TOPIC_CONFIG, epochs=int(epochs_topic),
-                            patience=int(epochs_topic), seed=seed)
+        topic_cfg = replace(domains.DEFAULT_TOPIC_CONFIG, epochs=epochs_topic,
+                            patience=epochs_topic, seed=seed)
     topic = domains.train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
     pred = domains.predict_domains(topic, X[test_idx])
     micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
@@ -266,7 +265,7 @@ def cmd_train_nlp(args) -> int:
 
     sent_cfg = replace(domains.DEFAULT_SENTIMENT_CONFIG, seed=seed)
     if epochs_sent is not None:
-        sent_cfg = replace(sent_cfg, epochs=int(epochs_sent), patience=int(epochs_sent))
+        sent_cfg = replace(sent_cfg, epochs=epochs_sent, patience=epochs_sent)
     rng2 = np.random.default_rng(derive_seed(seed, "sent-holdout"))
     order2 = rng2.permutation(len(records))
     n_test2 = max(1, int(round(holdout * len(records))))
@@ -344,8 +343,6 @@ def _split_config(settings: dict) -> SplitConfig:
 def cmd_eval(args) -> int:
     started = time.time()
     settings = _eval_settings(_collect_settings(args.config, args.set))
-    if args.workers is not None:
-        settings["workers"] = args.workers
     if settings["grouping"] == "patient_grouped":
         raise _CliConfigError(
             "patient_grouped evaluation needs patient ids, which feature CSVs do not "
@@ -356,7 +353,6 @@ def cmd_eval(args) -> int:
     matrix = None if args.mode == "consensus" else features.read_csv(args.features)
     spec = _model_spec(settings)
     split_cfg = _split_config(settings)
-    workers = settings["workers"]
     inputs = [args.features]
 
     if args.mode == "consensus":
@@ -370,20 +366,20 @@ def cmd_eval(args) -> int:
         stem, inputs = "consensus", list(args.rfe)
     elif args.mode == "single":
         report = evaluate.repeated_eval(matrix, spec, split_cfg, n_runs=settings["n_runs"],
-                                        master_seed=settings["master_seed"], workers=workers)
+                                        master_seed=settings["master_seed"], workers=args.workers)
         obj = evaluate.runs_report_obj(report)
         text = evaluate.render_runs_text(obj)
         stem = "eval_single"
     elif args.mode == "ablation":
         report = evaluate.ablation(matrix, spec, split_cfg, n_runs=settings["n_runs"],
-                                   master_seed=settings["master_seed"], workers=workers)
+                                   master_seed=settings["master_seed"], workers=args.workers)
         obj = evaluate.ablation_report_obj(report)
         text = evaluate.render_ablation_text(obj)
         stem = "eval_ablation"
     else:  # rfe
         outcome = evaluate.rfe(matrix, spec, folds=settings["rfe_folds"],
                                repeats=settings["rfe_repeats"],
-                               master_seed=settings["master_seed"], workers=workers)
+                               master_seed=settings["master_seed"], workers=args.workers)
         obj = evaluate.rfe_outcome_obj(outcome)
         text = evaluate.render_rfe_text(obj)
         stem = "eval_rfe"
@@ -432,7 +428,7 @@ def cmd_defaults(args) -> int:
         if key == "effect_weights":
             for name, w in value.items():
                 print(f"effect_weights.{name} = {w}")
-        elif isinstance(value, list):
+        elif isinstance(value, tuple):
             print(f"{key} = {value[0]}:{value[1]}")
         else:
             print(f"{key} = {value}")
@@ -485,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="three RFE reports (consensus mode)")
     p.add_argument("--config", help="flat key=value eval config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--workers", type=int, help="parallel workers (never changes outputs)")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers (never changes outputs)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -506,7 +502,7 @@ def main(argv=None) -> int:
             parser.error("eval consensus requires --rfe with three report paths")
         if args.mode != "consensus" and not args.features:
             parser.error(f"eval {args.mode} requires --features")
-        if args.workers is not None and args.workers < 1:
+        if args.workers < 1:
             parser.error("--workers must be >= 1")
     try:
         return args.func(args)

@@ -11,9 +11,10 @@ label_readmitted_30d?}]. note_type is one of "admission", "progress",
 import json
 from dataclasses import dataclass, replace
 from datetime import date, datetime
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import CorpusValidationError
+from .textproc import tokenize
 
 GENDERS = ("Male", "Female", "Other", "Unknown")
 RACES = ("White", "Black", "Asian", "Hispanic", "Other", "Unknown")
@@ -285,12 +286,12 @@ def derive_labels(corpus: Corpus) -> Corpus:
     return Corpus(patients=corpus.patients, admissions=new_admissions)
 
 
-def corpus_stats(corpus: Corpus, tokenizer: Callable[[str], list]) -> CorpusStats:
-    """Corpus-level counts and means; token counts use ``tokenizer``."""
+def corpus_stats(corpus: Corpus) -> CorpusStats:
+    """Corpus-level counts and means; token counts use ``textproc.tokenize``."""
     n_patients = len(corpus.patients)
     n_admissions = len(corpus.admissions)
     n_notes = sum(len(a.notes) for a in corpus.admissions)
-    total_tokens = sum(len(tokenizer(n.text)) for a in corpus.admissions for n in a.notes)
+    total_tokens = sum(len(tokenize(n.text)) for a in corpus.admissions for n in a.notes)
     n_readmitted = sum(1 for a in corpus.admissions if a.label_readmitted_30d)
     return CorpusStats(
         n_patients=n_patients,

@@ -152,8 +152,7 @@ def topic_config(n_rows: int, seed: int = 0) -> TrainConfig:
 
 
 def train_topic_model(X: np.ndarray, Y: np.ndarray,
-                      config: Optional[TrainConfig] = None,
-                      hidden_sizes: tuple[int, ...] = (256, 64)) -> MLPModel:
+                      config: Optional[TrainConfig] = None) -> MLPModel:
     """Multi-label topic MLP (sigmoid over the seven domains).
 
     Without an explicit config it trains with ``topic_config(len(X))``.
@@ -163,15 +162,15 @@ def train_topic_model(X: np.ndarray, Y: np.ndarray,
     if config is None:
         config = topic_config(len(X))
     spec = MLPSpec(
-        input_dim=X.shape[1], hidden_sizes=hidden_sizes, activation="relu",
+        input_dim=X.shape[1], hidden_sizes=(256, 64), activation="relu",
         dropout_rate=0.0, output_kind="sigmoid", n_outputs=len(RISK_DOMAINS),
     )
     return neural.train_mlp(spec, X, Y, config)
 
 
-def predict_domains(model: MLPModel, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Boolean (n, 7) matrix of per-domain decisions at the given threshold."""
-    return neural.predict(model, X) >= threshold
+def predict_domains(model: MLPModel, X: np.ndarray) -> np.ndarray:
+    """Boolean (n, 7) matrix of per-domain decisions at threshold 0.5."""
+    return neural.predict(model, X) >= 0.5
 
 
 @dataclass(frozen=True)
@@ -206,8 +205,7 @@ def write_seed_file(records: Sequence[SeedRecord], path) -> None:
 
 
 def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncoder,
-                           config: Optional[TrainConfig] = None,
-                           hidden_sizes: tuple[int, ...] = (256, 64)) -> dict[str, MLPModel]:
+                           config: Optional[TrainConfig] = None) -> dict[str, MLPModel]:
     """One 3-class sentiment MLP per domain, trained only on its sentences."""
     config = config or DEFAULT_SENTIMENT_CONFIG
     by_domain: dict[str, list[SeedRecord]] = {d: [] for d in RISK_DOMAINS}
@@ -228,7 +226,7 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
         for i, r in enumerate(recs):
             Y[i, POLARITIES.index(r.label)] = 1.0
         spec = MLPSpec(
-            input_dim=encoder.dim, hidden_sizes=hidden_sizes, activation="relu",
+            input_dim=encoder.dim, hidden_sizes=(256, 64), activation="relu",
             dropout_rate=SENTIMENT_DROPOUT, output_kind="softmax", n_outputs=3,
         )
         models[domain] = neural.train_mlp(spec, X, Y, config)
@@ -265,21 +263,15 @@ class AdmissionDomainSummary:
 def summarize_admission(admission, topic_model: Optional[MLPModel],
                         sentiment_models: Mapping[str, MLPModel],
                         encoder: HashingEncoder,
-                        lexicon: Optional[Lexicon] = None,
-                        tagger: str = "model") -> AdmissionDomainSummary:
+                        lexicon: Optional[Lexicon] = None) -> AdmissionDomainSummary:
     """Tag every sentence and aggregate per-domain signals.
 
-    tagger="model" uses the topic model at threshold 0.5; tagger="lexicon"
-    uses direct pattern matching (useful for testing against generators).
-    Per note, a domain's score is the mean scalar sentiment over that
-    note's sentences tagged with the domain; the admission score is the
-    mean of per-note scores over notes with at least one such sentence.
+    Sentences are tagged by direct pattern matching when a lexicon is given
+    (useful for testing against generators), else by the topic model at
+    threshold 0.5. Per note, a domain's score is the mean scalar sentiment
+    over that note's sentences tagged with the domain; the admission score
+    is the mean of per-note scores over notes with at least one such sentence.
     """
-    if tagger not in ("model", "lexicon"):
-        raise ConfigError(f"tagger must be 'model' or 'lexicon', got {tagger!r}")
-    if tagger == "lexicon" and lexicon is None:
-        raise ConfigError("lexicon tagger requested but no lexicon given")
-
     sents_per_note = [textproc.split_sentences(n.text) for n in admission.notes]
     all_sents = [s for sents in sents_per_note for s in sents]
     total = len(all_sents)
@@ -289,7 +281,7 @@ def summarize_admission(admission, topic_model: Optional[MLPModel],
 
     note_of = np.repeat(np.arange(len(sents_per_note)), [len(s) for s in sents_per_note])
     vectors = neural.encode_rows(encoder, [s.tokens for s in all_sents])
-    if tagger == "model":
+    if lexicon is None:
         tagged = predict_domains(topic_model, vectors)
     else:
         tagged = np.zeros((total, len(RISK_DOMAINS)), dtype=bool)

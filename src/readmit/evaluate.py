@@ -6,7 +6,7 @@ config) and identical whether work runs sequentially or in parallel.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,11 +77,11 @@ def auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def metrics(y_true, y_score, threshold: float = 0.5) -> MetricSet:
-    """Accuracy and F1 at the threshold plus rank-statistic AUC.
+def metrics(y_true, y_score) -> MetricSet:
+    """Accuracy and F1 at threshold 0.5 plus rank-statistic AUC.
 
     Positive class is the readmitted one; F1 is 0 when precision+recall
-    is 0. Predictions are positive when score >= threshold.
+    is 0. Predictions are positive when score >= 0.5.
     """
     y_true = np.asarray(y_true, dtype=float)
     y_score = np.asarray(y_score, dtype=float)
@@ -89,25 +89,25 @@ def metrics(y_true, y_score, threshold: float = 0.5) -> MetricSet:
         raise DataError("y_true and y_score lengths differ")
     if np.any((y_score < 0) | (y_score > 1)):
         raise DataError("y_score entries must lie in [0, 1]")
-    y_pred = (y_score >= threshold).astype(float)
+    y_pred = (y_score >= 0.5).astype(float)
     accuracy = float(np.sum(y_pred == y_true)) / len(y_true)
     return MetricSet(accuracy=accuracy, auc=auc_score(y_true, y_score),
-                     f1=classifiers.f1_score(y_true, y_pred), threshold=threshold)
+                     f1=classifiers.f1_score(y_true, y_pred))
 
 
-def split(matrix_or_y, config: SplitConfig, patient_ids: Optional[Sequence[str]] = None):
+def split(matrix_or_y, config: SplitConfig):
     """(train_idx, test_idx); stratified within class, deterministic per seed.
 
     patient_grouped mode keeps all of a patient's rows on one side; it
-    needs patient ids (taken from the matrix when given one).
+    needs a matrix that carries patient ids.
     """
     config.validate()
     if isinstance(matrix_or_y, FeatureMatrix):
         y = matrix_or_y.y
-        if patient_ids is None and matrix_or_y.patient_ids:
-            patient_ids = matrix_or_y.patient_ids
+        patient_ids = matrix_or_y.patient_ids
     else:
         y = np.asarray(matrix_or_y, dtype=float)
+        patient_ids = ()
     rng = np.random.default_rng(config.seed)
 
     if config.grouping == "patient_grouped":
@@ -176,7 +176,7 @@ class RunsReport:
 
 
 def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
-             master_seed: int, r: int, top_k: int):
+             master_seed: int, r: int):
     run_seed = derive_seed(master_seed, "run", r)
     cfg = replace(split_config, seed=derive_seed(run_seed, "split"))
     train_idx, test_idx = split(matrix, cfg)
@@ -189,27 +189,31 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     mset = metrics(matrix.y[test_idx], scores)
     imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
                                   seed=derive_seed(run_seed, "importance"))
-    top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:top_k]]
+    top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
+
+
+def _map(job, n: int, workers: int) -> list:
+    """``[job(i) for i in range(n)]``, on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, range(n)))
+    return [job(i) for i in range(n)]
 
 
 def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,
                   split_config: Optional[SplitConfig] = None,
-                  n_runs: int = 100, master_seed: int = 0,
-                  top_k: int = 10, workers: int = 1) -> RunsReport:
-    """Split/fit/score ``n_runs`` times; aggregate means, stds, importances."""
+                  n_runs: int = 100, master_seed: int = 0, workers: int = 1) -> RunsReport:
+    """Split/fit/score ``n_runs`` times; aggregate means, stds, importances.
+
+    Each run records its ten most important columns.
+    """
     split_config = split_config or SplitConfig()
     if n_runs < 1:
         raise ConfigError(f"n_runs must be positive, got {n_runs}")
 
-    def job(r: int):
-        return _one_run(matrix, spec, split_config, master_seed, r, top_k)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(n_runs)))
-    else:
-        results = [job(r) for r in range(n_runs)]
+    results = _map(lambda r: _one_run(matrix, spec, split_config, master_seed, r),
+                   n_runs, workers)
 
     runs = [r for r, _ in results]
     imp_sum = np.sum([imp for _, imp in results], axis=0)
@@ -372,11 +376,7 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
             best_score=scores[best_pos],
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            details = list(pool.map(one_repeat, range(repeats)))
-    else:
-        details = [one_repeat(rep) for rep in range(repeats)]
+    details = _map(one_repeat, repeats, workers)
     best_repeat = int(np.argmax([d.best_score for d in details]))
     return RfeOutcome(
         model_kind=spec.kind, folds=folds, repeats=repeats, master_seed=master_seed,
@@ -439,44 +439,11 @@ def ablation_report_obj(report: AblationReport) -> dict:
 
 
 def rfe_outcome_obj(outcome: RfeOutcome) -> dict:
-    return {
-        "model_kind": outcome.model_kind,
-        "folds": outcome.folds,
-        "repeats": outcome.repeats,
-        "master_seed": outcome.master_seed,
-        "schema_names": outcome.schema_names,
-        "best_repeat": outcome.best_repeat,
-        "best_set": outcome.best_set,
-        "best_score": outcome.best_score,
-        "repeats_detail": [
-            {
-                "elimination_order": d.elimination_order,
-                "widths": d.widths,
-                "cv_scores": d.cv_scores,
-                "best_width": d.best_width,
-                "best_set": d.best_set,
-                "best_score": d.best_score,
-            }
-            for d in outcome.repeats_detail
-        ],
-    }
+    return asdict(outcome)
 
 
 def rfe_outcome_from_obj(obj: dict) -> RfeOutcome:
-    details = [
-        RfeRepeat(
-            elimination_order=list(d["elimination_order"]), cv_scores=list(d["cv_scores"]),
-            widths=list(d["widths"]), best_width=d["best_width"],
-            best_set=list(d["best_set"]), best_score=d["best_score"],
-        )
-        for d in obj["repeats_detail"]
-    ]
-    return RfeOutcome(
-        model_kind=obj["model_kind"], folds=obj["folds"], repeats=obj["repeats"],
-        master_seed=obj["master_seed"], schema_names=list(obj["schema_names"]),
-        repeats_detail=details, best_repeat=obj["best_repeat"],
-        best_set=list(obj["best_set"]), best_score=obj["best_score"],
-    )
+    return RfeOutcome(**{**obj, "repeats_detail": [RfeRepeat(**d) for d in obj["repeats_detail"]]})
 
 
 def render_ablation_text(obj: dict) -> str:

@@ -174,8 +174,7 @@ def history_features(prior: Sequence[tuple[Admission, StructuredFields]],
 
 
 def assemble(patient: Patient, admission: Admission, structured: StructuredFields,
-             summary: AdmissionDomainSummary, history: dict,
-             tokenizer=textproc.tokenize) -> AdmissionFeatures:
+             summary: AdmissionDomainSummary, history: dict) -> AdmissionFeatures:
     """Combine all blocks into one AdmissionFeatures row."""
     if admission.patient_id != patient.patient_id:
         raise DataError(
@@ -183,7 +182,7 @@ def assemble(patient: Patient, admission: Admission, structured: StructuredField
     if admission.label_readmitted_30d is None:
         raise DataError(f"admission {admission.admission_id} has no derived label")
 
-    note_tokens = [len(tokenizer(n.text)) for n in admission.notes]
+    note_tokens = [len(textproc.tokenize(n.text)) for n in admission.notes]
     n_tokens = sum(note_tokens)
     discharge_tokens = sum(
         t for n, t in zip(admission.notes, note_tokens) if n.note_type == "DischargeSummary")
@@ -234,8 +233,8 @@ def _opt_float(v) -> Optional[float]:
     return None if v is None else float(v)
 
 
-def build_features(corp: Corpus, summaries: dict[str, AdmissionDomainSummary],
-                   tokenizer=textproc.tokenize) -> list[AdmissionFeatures]:
+def build_features(corp: Corpus,
+                   summaries: dict[str, AdmissionDomainSummary]) -> list[AdmissionFeatures]:
     """Assemble one row per admission; ``summaries`` keyed by admission_id."""
     patients = {p.patient_id: p for p in corp.patients}
     rows: list[AdmissionFeatures] = []
@@ -249,8 +248,7 @@ def build_features(corp: Corpus, summaries: dict[str, AdmissionDomainSummary],
             prior = list(zip(ordered[:k], resolved[:k]))
             history = history_features(prior, admission.admit_date)
             rows.append(assemble(patients[pid], admission, resolved[k],
-                                 summaries[admission.admission_id], history,
-                                 tokenizer=tokenizer))
+                                 summaries[admission.admission_id], history))
     return rows
 
 
@@ -358,9 +356,8 @@ class FeatureMatrix:
         return self.schema.names
 
 
-def encode_features(rows: Sequence[AdmissionFeatures],
-                    schema: Optional[FeatureSchema] = None) -> FeatureMatrix:
-    schema = schema or FeatureSchema.build()
+def encode_features(rows: Sequence[AdmissionFeatures]) -> FeatureMatrix:
+    schema = FeatureSchema.build()
     X = encode_rows(schema, rows)
     y = np.array([1.0 if r.label else 0.0 for r in rows])
     return FeatureMatrix(
@@ -389,7 +386,9 @@ def read_csv(path) -> FeatureMatrix:
     """Read a feature CSV back into a matrix (ids are not stored in CSV)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty feature CSV")
         if not header or header[-1] != "label":
             raise DataError(f"{path}: final CSV column must be 'label'")
         names = header[:-1]

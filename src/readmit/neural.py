@@ -362,7 +362,7 @@ def save_mlp(model: MLPModel, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 

@@ -64,7 +64,7 @@ class TokenizedSentence:
     span: tuple[int, int]  # char offsets into the source note text
 
 
-def _is_guarded_abbreviation(block: str, punct_start: int, abbreviations) -> bool:
+def _is_guarded_abbreviation(block: str, punct_start: int) -> bool:
     end = punct_start
     if end > 0 and block[end - 1] == "\n":
         end -= 1  # the word may end just before a newline that precedes the dot
@@ -75,7 +75,7 @@ def _is_guarded_abbreviation(block: str, punct_start: int, abbreviations) -> boo
         lo += 1
     if lo == end:
         return False
-    return (block[lo:end] + ".").lower() in abbreviations
+    return (block[lo:end] + ".").lower() in default_abbreviations()
 
 
 def _block_spans(text: str):
@@ -86,7 +86,7 @@ def _block_spans(text: str):
     yield pos, len(text)
 
 
-def split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
+def split_sentences(text: str) -> list[TokenizedSentence]:
     """Segment note text into tokenized sentences.
 
     Boundaries are '.', '!' or '?' runs followed by whitespace plus an
@@ -100,8 +100,6 @@ def split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
     Each character is looked at a bounded number of times, so the cost is
     linear in the length of the note.
     """
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
     out: list[TokenizedSentence] = []
 
     def emit(lo: int, hi: int) -> None:
@@ -124,7 +122,7 @@ def split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
             nxt = _SPACES_RE.match(block, e).end()
             if nxt < n and not block[nxt].isupper():
                 continue
-            if nxt < n and "." in m.group() and _is_guarded_abbreviation(block, m.start(), abbreviations):
+            if nxt < n and "." in m.group() and _is_guarded_abbreviation(block, m.start()):
                 continue
             emit(bstart + start, bstart + e)
             start = e

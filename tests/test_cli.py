@@ -9,6 +9,7 @@ from readmit import domains, neural
 from readmit.cli import main
 from readmit.corpus import derive_labels, load_corpus
 from readmit.domains import RISK_DOMAINS, domain_key
+from readmit.features import read_csv
 from readmit.neural import HashingEncoder, TrainConfig
 from readmit.seeding import derive_seed
 
@@ -20,7 +21,7 @@ def run(argv):
 GEN_ARGS = ["--set", "n_patients=6", "--set", "tokens_per_note=40:80",
             "--set", "notes_per_admission=2:3", "--set", "seed=77",
             "--set", "seed_sentences=700"]
-NLP_ARGS = ["--set", "topic_epochs=60", "--set", "sentiment_epochs=40"]
+NLP_ARGS = ["--set", "sentiment_epochs=40"]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,20 @@ def test_train_nlp_prints_heldout_metrics(pipeline_dirs, capsys):
         assert (out / f"sentiment_{name}.json").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "seed=abc", "holdout_fraction=x", "holdout_fraction=1.5", "holdout_fraction=0",
+    "topic_epochs=0", "topic_epochs=1.5", "sentiment_epochs=-3",
+])
+def test_train_nlp_bad_value_exits_2(pipeline_dirs, tmp_path, capsys, setting):
+    _, gen_dir, _, _ = pipeline_dirs
+    code = run(["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
+                "--seed-file", gen_dir / "sentiment_seed.jsonl",
+                "--out", tmp_path / "m", "--set", setting])
+    assert code == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def _library_train_nlp(gen_dir, seed, topic_config, sentiment_config, holdout=0.2):
     """train-nlp's steps through the library, with the same holdout draws.
 
@@ -164,6 +179,15 @@ def test_extract_row_count_and_header(pipeline_dirs):
     assert len(lines) == 1 + len(corpus.admissions)
     from readmit.features import FeatureSchema
     assert len(lines[0].split(",")) == len(FeatureSchema.build()) + 1
+
+
+def test_extract_features_carry_topic_signal(pipeline_dirs):
+    *_, features_csv = pipeline_dirs
+    matrix = read_csv(features_csv)
+    cols = [j for j, n in enumerate(matrix.names)
+            if n.startswith("sentence_fraction_") and not n.endswith("__missing")]
+    assert len(cols) == len(RISK_DOMAINS)
+    assert np.any(matrix.X[:, cols] != 0)
 
 
 def test_extract_deterministic(pipeline_dirs, tmp_path):
@@ -242,6 +266,22 @@ def test_eval_patient_grouped_rejected(pipeline_dirs, tmp_path, capsys):
     code = run(["eval", "single", "--features", features_csv,
                 "--set", "grouping=patient_grouped", "--out", tmp_path / "x"])
     assert code == 2
+
+
+def test_eval_workers_is_not_a_config_key(pipeline_dirs, tmp_path, capsys):
+    *_, features_csv = pipeline_dirs
+    code = run(["eval", "single", "--features", features_csv,
+                "--set", "workers=2", "--out", tmp_path / "x"])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_eval_empty_features_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("", encoding="utf-8")
+    code = run(["eval", "single", "--features", empty, "--out", tmp_path / "x"])
+    assert code == 2
+    assert "empty feature CSV" in capsys.readouterr().err
 
 
 def test_eval_missing_features_exits_1(tmp_path):

@@ -3,7 +3,6 @@ from datetime import datetime
 
 import pytest
 
-from readmit import textproc
 from readmit.corpus import (Corpus, Note, corpus_stats, derive_labels,
                             load_corpus, validate_corpus, write_corpus)
 from readmit.errors import CorpusValidationError
@@ -143,7 +142,7 @@ def test_roundtrip_bit_exact(tmp_path, small_gen):
 
 def test_corpus_stats_single_note():
     corpus = derive_labels(tiny_corpus(note_texts=("one two three four five six seven eight nine ten",)))
-    stats = corpus_stats(corpus, textproc.tokenize)
+    stats = corpus_stats(corpus)
     assert stats.mean_tokens_per_note == 10
     assert stats.n_notes == 1
 
@@ -166,14 +165,14 @@ def test_corpus_stats_rate_third():
     )
     adms[2] = replace(adms[2], admit_date=new_admit, discharge_date=new_discharge, notes=notes)
     corpus = derive_labels(Corpus(patients=corpus.patients, admissions=tuple(adms)))
-    stats = corpus_stats(corpus, textproc.tokenize)
+    stats = corpus_stats(corpus)
     assert stats.n_admissions == 3
     assert stats.n_readmitted == 1
     assert stats.readmission_rate == pytest.approx(1 / 3)
 
 
 def test_corpus_stats_empty():
-    stats = corpus_stats(Corpus(patients=(), admissions=()), textproc.tokenize)
+    stats = corpus_stats(Corpus(patients=(), admissions=()))
     assert stats.n_admissions == 0
     assert stats.readmission_rate == 0.0
     assert stats.mean_tokens_per_note == 0.0

@@ -227,8 +227,7 @@ def test_summarize_lexicon_mode_matches_truth(small_gen, encoder, trained_pipeli
     lex = default_lexicon()
     for admission in corpus.admissions[:8]:
         rec = truth.records[admission.admission_id]
-        summary = summarize_admission(admission, topic, sentiment, encoder,
-                                      lexicon=lex, tagger="lexicon")
+        summary = summarize_admission(admission, topic, sentiment, encoder, lexicon=lex)
         for domain in RISK_DOMAINS:
             expected = rec.domain_sentence_counts[domain] / rec.n_sentences
             assert summary.sentence_fraction[domain] == expected
@@ -255,12 +254,3 @@ def test_summarize_ranges(small_gen, encoder, trained_pipeline):
         for domain in RISK_DOMAINS:
             assert 0.0 <= s.sentence_fraction[domain] <= 1.0
             assert -1.0 <= s.sentiment_score[domain] <= 1.0
-
-
-def test_summarize_tagger_validation(small_gen, encoder, trained_pipeline):
-    _, corpus, _ = small_gen
-    topic, sentiment, _ = trained_pipeline
-    with pytest.raises(ConfigError):
-        summarize_admission(corpus.admissions[0], topic, sentiment, encoder, tagger="bogus")
-    with pytest.raises(ConfigError):
-        summarize_admission(corpus.admissions[0], topic, sentiment, encoder, tagger="lexicon")

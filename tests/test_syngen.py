@@ -58,7 +58,7 @@ def test_derive_labels_reproduces_planted(small_gen):
 
 def test_paper_scale_statistics():
     corpus = generate(paper_scale_config(seed=606))
-    stats = corpus_mod.corpus_stats(corpus_mod.derive_labels(corpus), textproc.tokenize)
+    stats = corpus_mod.corpus_stats(corpus_mod.derive_labels(corpus))
     assert stats.n_patients == 183
     assert abs(stats.n_admissions - 552) <= 60
     assert 0.45 <= stats.readmission_rate <= 0.55
