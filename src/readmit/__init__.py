@@ -6,9 +6,9 @@ from .corpus import Corpus, corpus_stats, derive_labels, load_corpus, write_corp
 from .domains import RISK_DOMAINS, default_lexicon, summarize_admission
 from .evaluate import SplitConfig, ablation, consensus_elimination, metrics, repeated_eval, rfe
 from .features import FeatureMatrix, FeatureSchema, build_features, encode_features
-from .classifiers import ModelSpec, importances, predict_proba, train
+from .classifiers import ModelSpec, importances, train
 from .neural import HashingEncoder, MLPSpec, TrainConfig, train_mlp
-from .syngen import GenConfig, generate, generate_with_truth, ground_truth
+from .syngen import GenConfig, generate, generate_with_truth
 
 __all__ = [
     "__version__",
@@ -16,7 +16,7 @@ __all__ = [
     "RISK_DOMAINS", "default_lexicon", "summarize_admission",
     "SplitConfig", "ablation", "consensus_elimination", "metrics", "repeated_eval", "rfe",
     "FeatureMatrix", "FeatureSchema", "build_features", "encode_features",
-    "ModelSpec", "importances", "predict_proba", "train",
+    "ModelSpec", "importances", "train",
     "HashingEncoder", "MLPSpec", "TrainConfig", "train_mlp",
-    "GenConfig", "generate", "generate_with_truth", "ground_truth",
+    "GenConfig", "generate", "generate_with_truth",
 ]

@@ -7,14 +7,13 @@ values. Hinge-loss models map margins through the logistic function for
 probabilities, which is enough for ranking-based metrics.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import neural
-from .errors import ConfigError, DataError, SchemaMismatchError
+from .errors import ConfigError, DataError
 from .seeding import rng_for
 
 KINDS = (
@@ -40,7 +39,6 @@ DEFAULT_HYPERPARAMETERS = {
             "batch_size": 32, "epochs": 100, "patience": 20},
 }
 
-IMPORTANCE_METHODS = ("impurity", "coef_magnitude", "permutation")
 _N_PERMUTATIONS = 3  # shuffled copies per column in permutation importance
 
 
@@ -86,8 +84,6 @@ class _Tree:
     Leaves have ``left == right == -1`` (and feature -1, threshold 0);
     ``value`` is the positive-class fraction of the training rows at a node.
     """
-
-    FIELDS = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self, feature, threshold, left, right, value, importances: np.ndarray):
         self.feature = np.asarray(feature, dtype=np.intp)
@@ -260,13 +256,11 @@ class TrainedClassifier:
 
     spec: ModelSpec
     n_features: int
-    schema_fingerprint: Optional[str] = None
     standardizer: Optional[_Standardizer] = None
     weights: Optional[np.ndarray] = None
     bias: float = 0.0
     trees: Optional[list[_Tree]] = None
     mlp: Optional[neural.MLPModel] = None
-    majority: Optional[float] = None
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -286,12 +280,8 @@ class TrainedClassifier:
         return (self.predict_proba(X) >= 0.5).astype(float)
 
 
-def train(spec: ModelSpec, X, y=None) -> TrainedClassifier:
-    """Fit one classifier; X may be a FeatureMatrix (labels implied)."""
-    fingerprint = None
-    if y is None:
-        fingerprint = X.schema.fingerprint()
-        X, y = X.X, X.y
+def train(spec: ModelSpec, X, y) -> TrainedClassifier:
+    """Fit one classifier on a finite matrix and binary 0/1 labels."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):
@@ -303,7 +293,7 @@ def train(spec: ModelSpec, X, y=None) -> TrainedClassifier:
         raise DataError(f"labels must be binary 0/1, got {classes.tolist()}")
 
     hyper = spec.resolved()
-    clf = TrainedClassifier(spec=spec, n_features=X.shape[1], schema_fingerprint=fingerprint)
+    clf = TrainedClassifier(spec=spec, n_features=X.shape[1])
     kind = spec.kind
 
     if kind in _LINEAR_KINDS:
@@ -344,27 +334,7 @@ def train(spec: ModelSpec, X, y=None) -> TrainedClassifier:
             learning_rate=hyper["learning_rate"], batch_size=hyper["batch_size"],
             epochs=hyper["epochs"], seed=spec.seed, patience=hyper["patience"])
         clf.mlp = neural.train_mlp(mlp_spec, Z, Y, cfg)
-    clf.majority = float(np.round(y.mean()))
     return clf
-
-
-def predict_proba(clf: TrainedClassifier, X) -> np.ndarray:
-    """P(positive) per row; X may be a FeatureMatrix, checked by fingerprint."""
-    if hasattr(X, "schema"):
-        if (clf.schema_fingerprint is not None
-                and X.schema.fingerprint() != clf.schema_fingerprint):
-            raise SchemaMismatchError(
-                "feature matrix schema does not match the one this model was trained on")
-        X = X.X
-    return clf.predict_proba(X)
-
-
-def default_importance_method(kind: str) -> str:
-    if kind in _TREE_KINDS:
-        return "impurity"
-    if kind in _LINEAR_KINDS:
-        return "coef_magnitude"
-    return "permutation"
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -383,32 +353,22 @@ def f1_score(y_true, y_pred) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
-                seed: int = 0) -> np.ndarray:
+def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     """Per-column nonnegative importances summing to 1 (or all zero).
 
-    impurity: mean decrease in Gini (tree kinds only). coef_magnitude:
-    |weight| on standardized inputs (linear kinds only). permutation: mean
-    F1 drop over three shuffled copies of each column, negatives clamped to 0.
+    The method is fixed by the kind. Trees: mean decrease in Gini. Linear
+    kinds: |weight| on standardized inputs. MLP: permutation, the mean F1
+    drop on (X, y) over three shuffled copies of each column, negatives
+    clamped to 0.
     """
-    if y is None and hasattr(X, "schema"):
-        X, y = X.X, X.y
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    method = method or default_importance_method(clf.spec.kind)
-    if method not in IMPORTANCE_METHODS:
-        raise ConfigError(f"unknown importance method {method!r}")
-
-    if method == "impurity":
-        if clf.spec.kind not in _TREE_KINDS:
-            raise ConfigError(f"impurity importance unsupported for kind {clf.spec.kind!r}")
+    if clf.spec.kind in _TREE_KINDS:
         per_tree = [_normalize(t.importances.copy()) for t in clf.trees]
         return _normalize(np.mean(per_tree, axis=0))
-    if method == "coef_magnitude":
-        if clf.spec.kind not in _LINEAR_KINDS:
-            raise ConfigError(f"coef_magnitude importance unsupported for kind {clf.spec.kind!r}")
+    if clf.spec.kind in _LINEAR_KINDS:
         return _normalize(np.abs(clf.weights))
 
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     base = f1_score(y, clf.predict(X))
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
@@ -421,67 +381,3 @@ def importances(clf: TrainedClassifier, X, y=None, method: Optional[str] = None,
     drops = np.maximum(drops / _N_PERMUTATIONS, 0.0)
     return _normalize(drops)
 
-
-# ------------------------------------------------------------ persistence
-
-_FORMAT = "readmit-classifier"
-_VERSION = 1
-
-
-def save_classifier(clf: TrainedClassifier, path) -> None:
-    payload = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "spec": {"kind": clf.spec.kind, "hyper": _jsonable(clf.spec.hyper), "seed": clf.spec.seed},
-        "n_features": clf.n_features,
-        "schema_fingerprint": clf.schema_fingerprint,
-        "majority": clf.majority,
-    }
-    if clf.standardizer is not None:
-        payload["standardizer"] = {"mean": neural.encode_array(clf.standardizer.mean),
-                                   "scale": neural.encode_array(clf.standardizer.scale)}
-    if clf.weights is not None:
-        payload["linear"] = {"weights": neural.encode_array(clf.weights), "bias": clf.bias}
-    if clf.trees is not None:
-        payload["trees"] = [
-            {**{name: getattr(t, name).tolist() for name in _Tree.FIELDS},
-             "importances": neural.encode_array(t.importances)}
-            for t in clf.trees
-        ]
-    if clf.mlp is not None:
-        payload["mlp"] = neural.mlp_to_obj(clf.mlp)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True))
-        fh.write("\n")
-
-
-def _jsonable(hyper: dict) -> dict:
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in hyper.items()}
-
-
-def load_classifier(path) -> TrainedClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _FORMAT or payload.get("version") != _VERSION:
-        raise DataError(f"{path}: not a supported {_FORMAT} container")
-    s = payload["spec"]
-    hyper = {k: (tuple(v) if isinstance(v, list) else v) for k, v in s["hyper"].items()}
-    clf = TrainedClassifier(
-        spec=ModelSpec(kind=s["kind"], hyper=hyper, seed=s["seed"]),
-        n_features=payload["n_features"],
-        schema_fingerprint=payload.get("schema_fingerprint"),
-        majority=payload.get("majority"),
-    )
-    if "standardizer" in payload:
-        clf.standardizer = _Standardizer(neural.decode_array(payload["standardizer"]["mean"]),
-                                         neural.decode_array(payload["standardizer"]["scale"]))
-    if "linear" in payload:
-        clf.weights = neural.decode_array(payload["linear"]["weights"])
-        clf.bias = payload["linear"]["bias"]
-    if "trees" in payload:
-        clf.trees = [_Tree(*(t[name] for name in _Tree.FIELDS),
-                           neural.decode_array(t["importances"]))
-                     for t in payload["trees"]]
-    if "mlp" in payload:
-        clf.mlp = neural.mlp_from_obj(payload["mlp"])
-    return clf

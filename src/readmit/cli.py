@@ -394,7 +394,9 @@ def cmd_eval(args) -> int:
 
 
 def settings_echo(settings: dict) -> dict:
-    return {**settings, "model.hyper": classifiers._jsonable(settings["model.hyper"])}
+    hyper = settings["model.hyper"]
+    return {**settings, "model.hyper": {k: (list(v) if isinstance(v, tuple) else v)
+                                        for k, v in hyper.items()}}
 
 
 def _dump_json(obj, path) -> None:

@@ -34,9 +34,5 @@ class TrainingDivergedError(ReadmitError):
         self.loss = loss
 
 
-class SchemaMismatchError(ReadmitError):
-    """Model and feature matrix were built against different schemas."""
-
-
 class MetricUndefinedError(ReadmitError):
     """Requested metric is undefined for the given inputs."""

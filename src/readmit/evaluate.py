@@ -46,7 +46,6 @@ class MetricSet:
     accuracy: float
     auc: float
     f1: float
-    threshold: float = 0.5
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -175,20 +174,30 @@ class RunsReport:
     mean_importance: dict[str, float]
 
 
+def _fit_and_score(spec: ModelSpec, X: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
+                   test_idx: np.ndarray, fit_seed: int, imp_seed: int):
+    """(MetricSet on the test rows, importances on the training rows).
+
+    The imputer is fit on the training rows of X only, so callers pass X
+    already cut to the columns the model sees.
+    """
+    X_train = X[train_idx]
+    imputer = Imputer.fit(X_train)
+    X_train = imputer.transform(X_train)
+    X_test = imputer.transform(X[test_idx])
+    clf = classifiers.train(replace(spec, seed=fit_seed), X_train, y[train_idx])
+    mset = metrics(y[test_idx], clf.predict_proba(X_test))
+    imp = classifiers.importances(clf, X_train, y[train_idx], seed=imp_seed)
+    return mset, imp
+
+
 def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
              master_seed: int, r: int):
     run_seed = derive_seed(master_seed, "run", r)
     cfg = replace(split_config, seed=derive_seed(run_seed, "split"))
     train_idx, test_idx = split(matrix, cfg)
-    imputer = Imputer.fit(matrix.X[train_idx])
-    X_train = imputer.transform(matrix.X[train_idx])
-    X_test = imputer.transform(matrix.X[test_idx])
-    run_spec = replace(spec, seed=derive_seed(run_seed, "fit"))
-    clf = classifiers.train(run_spec, X_train, matrix.y[train_idx])
-    scores = clf.predict_proba(X_test)
-    mset = metrics(matrix.y[test_idx], scores)
-    imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
-                                  seed=derive_seed(run_seed, "importance"))
+    mset, imp = _fit_and_score(spec, matrix.X, matrix.y, train_idx, test_idx,
+                               derive_seed(run_seed, "fit"), derive_seed(run_seed, "importance"))
     top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
@@ -339,26 +348,23 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
         rep_seed = derive_seed(master_seed, "rfe", rep)
         rng = np.random.default_rng(rep_seed)
         fold_of = _stratified_folds(matrix.y, folds, rng)
+        fold_idx = [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k))
+                    for k in range(folds)]
         active = list(range(len(names)))
         order: list[str] = []
         widths: list[int] = []
         scores: list[float] = []
         sets: list[list[int]] = []
         while active:
+            X = matrix.X[:, active]
             f1s = []
             imp_sum = np.zeros(len(active))
-            for k in range(folds):
-                tr = np.flatnonzero(fold_of != k)
-                te = np.flatnonzero(fold_of == k)
-                imputer = Imputer.fit(matrix.X[np.ix_(tr, active)])
-                X_tr = imputer.transform(matrix.X[np.ix_(tr, active)])
-                X_te = imputer.transform(matrix.X[np.ix_(te, active)])
-                fold_spec = replace(spec, seed=derive_seed(rep_seed, "fold", k, len(active)))
-                clf = classifiers.train(fold_spec, X_tr, matrix.y[tr])
-                scores_te = clf.predict_proba(X_te)
-                f1s.append(metrics(matrix.y[te], scores_te).f1)
-                imp_sum += classifiers.importances(
-                    clf, X_tr, matrix.y[tr], seed=derive_seed(rep_seed, "imp", k, len(active)))
+            for k, (tr, te) in enumerate(fold_idx):
+                mset, imp = _fit_and_score(spec, X, matrix.y, tr, te,
+                                           derive_seed(rep_seed, "fold", k, len(active)),
+                                           derive_seed(rep_seed, "imp", k, len(active)))
+                f1s.append(mset.f1)
+                imp_sum += imp
             widths.append(len(active))
             scores.append(float(np.mean(f1s)))
             sets.append(list(active))
@@ -408,10 +414,6 @@ def consensus_elimination(outcomes: Sequence[RfeOutcome]) -> list[str]:
 
 # ------------------------------------------------------------- rendering
 
-def _metricset_obj(m: MetricSet) -> dict:
-    return {"accuracy": m.accuracy, "auc": m.auc, "f1": m.f1, "threshold": m.threshold}
-
-
 def runs_report_obj(report: RunsReport) -> dict:
     return {
         "model_kind": report.model_kind,
@@ -420,7 +422,7 @@ def runs_report_obj(report: RunsReport) -> dict:
         "mean": report.mean,
         "std": report.std,
         "per_run": [
-            {"seed": r.seed, **_metricset_obj(r.metrics), "top_features": r.top_features}
+            {"seed": r.seed, **asdict(r.metrics), "top_features": r.top_features}
             for r in report.runs
         ],
         "mean_importance": report.mean_importance,

@@ -9,7 +9,6 @@ indicator column and are mean-imputed from training rows only.
 """
 
 import csv
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -285,9 +284,6 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256("\n".join(self.names).encode("utf-8")).hexdigest()
-
 
 def encode_rows(schema: FeatureSchema, rows: Sequence[AdmissionFeatures]) -> np.ndarray:
     """Raw numeric matrix; missing numerics are NaN (indicator set to 1).
@@ -382,6 +378,14 @@ def _fmt(v: float) -> str:
     return "nan" if np.isnan(v) else format(v, ".6g")
 
 
+def _cell(path, line: int, column: str, v: str) -> float:
+    try:
+        return float(v)
+    except ValueError:
+        raise DataError(f"{path}: line {line}: column {column!r} holds non-numeric "
+                        f"value {v!r}") from None
+
+
 def read_csv(path) -> FeatureMatrix:
     """Read a feature CSV back into a matrix (ids are not stored in CSV)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -398,8 +402,9 @@ def read_csv(path) -> FeatureMatrix:
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}: row width {len(row)} != header width {len(header)}")
-            data.append([float(v) for v in row[:-1]])
-            labels.append(float(row[-1]))
+            values = [_cell(path, reader.line_num, c, v) for c, v in zip(header, row)]
+            data.append(values[:-1])
+            labels.append(values[-1])
     columns = [Column(n, n, "numeric") for n in names]
     schema = FeatureSchema(columns)
     return FeatureMatrix(schema=schema, X=np.array(data), y=np.array(labels))

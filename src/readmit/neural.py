@@ -13,7 +13,7 @@ big-endian integer mod dim; sign = +1 if the 9th byte is even else -1.
 import base64
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -330,30 +330,14 @@ def decode_array(s: str, shape=(-1,)) -> np.ndarray:
     return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape).copy()
 
 
-def mlp_to_obj(model: MLPModel) -> dict:
-    """Spec, weights and biases as a JSON-ready object (shared by both containers)."""
-    return {
-        "spec": {**asdict(model.spec), "hidden_sizes": list(model.spec.hidden_sizes)},
-        "weights": [encode_array(W) for W in model.weights],
-        "biases": [encode_array(b) for b in model.biases],
-    }
-
-
-def mlp_from_obj(obj: dict) -> MLPModel:
-    """Inverse of mlp_to_obj; training metadata is left at its defaults."""
-    spec = MLPSpec(**{**obj["spec"], "hidden_sizes": tuple(obj["spec"]["hidden_sizes"])})
-    dims = _layer_dims(spec)
-    weights = [decode_array(w, d) for w, d in zip(obj["weights"], dims)]
-    biases = [decode_array(b, (d[1],)) for b, d in zip(obj["biases"], dims)]
-    return MLPModel(spec=spec, weights=weights, biases=biases)
-
-
 def save_mlp(model: MLPModel, path) -> None:
     """Versioned JSON container; weights stored row-major, bit-exact."""
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
-        **mlp_to_obj(model),
+        "spec": {**asdict(model.spec), "hidden_sizes": list(model.spec.hidden_sizes)},
+        "weights": [encode_array(W) for W in model.weights],
+        "biases": [encode_array(b) for b in model.biases],
         "metadata": {
             "seed": model.seed,
             "epochs_run": model.epochs_run,
@@ -373,6 +357,11 @@ def load_mlp(path) -> MLPModel:
         raise DataError(f"{path}: not a {_FORMAT} container")
     if payload.get("version") != _VERSION:
         raise DataError(f"{path}: unsupported container version {payload.get('version')}")
+    spec = MLPSpec(**{**payload["spec"], "hidden_sizes": tuple(payload["spec"]["hidden_sizes"])})
+    dims = _layer_dims(spec)
     meta = payload["metadata"]
-    return replace(mlp_from_obj(payload), seed=meta["seed"], epochs_run=meta["epochs_run"],
-                   final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))
+    return MLPModel(spec=spec,
+                    weights=[decode_array(w, d) for w, d in zip(payload["weights"], dims)],
+                    biases=[decode_array(b, (d[1],)) for b, d in zip(payload["biases"], dims)],
+                    seed=meta["seed"], epochs_run=meta["epochs_run"],
+                    final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))

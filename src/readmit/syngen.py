@@ -15,7 +15,6 @@ is calibrated by bisection against pre-drawn uniforms, so regenerating
 with the same config is byte-identical.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -27,7 +26,7 @@ from . import corpus as corpus_mod
 from . import textproc
 from .corpus import Admission, Corpus, Note, Patient
 from .domains import RISK_DOMAINS, Lexicon, SeedRecord, default_lexicon
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .seeding import rng_for
 
 EFFECT_NAMES = (
@@ -300,7 +299,6 @@ class GroundTruthRecord:
 @dataclass(frozen=True)
 class GroundTruth:
     config: GenConfig
-    corpus_digest: str
     records: dict[str, GroundTruthRecord]  # keyed by admission_id
     intercept: float
 
@@ -568,8 +566,7 @@ def generate_with_truth(config: GenConfig) -> tuple[Corpus, GroundTruth]:
 
     out = Corpus(patients=tuple(patients), admissions=tuple(admissions))
     corpus_mod.validate_corpus(out)
-    truth = GroundTruth(config=config, corpus_digest=corpus_digest(out),
-                        records=records, intercept=intercept)
+    truth = GroundTruth(config=config, records=records, intercept=intercept)
     return out, truth
 
 
@@ -611,32 +608,6 @@ def _build_notes(text_rng, filler, latent: _AdmLatent, aid: str,
         notes.append(Note(note_id=f"{aid}-N{k:02d}", note_type=_NOTE_TYPE_FOR_ROLE[role],
                           timestamp=ts, text=text))
     return notes, counts, sent_counts
-
-
-def corpus_digest(corp: Corpus) -> str:
-    """Stable content digest used to pair a corpus with its ground truth."""
-    h = hashlib.sha256()
-    for p in corp.patients:
-        h.update(p.patient_id.encode())
-        h.update(p.birth_date.isoformat().encode())
-    for a in corp.admissions:
-        h.update(a.admission_id.encode())
-        h.update(a.admit_date.isoformat().encode())
-        for n in a.notes:
-            h.update(n.text.encode())
-    return h.hexdigest()
-
-
-def ground_truth(config: GenConfig, corp: Corpus) -> GroundTruth:
-    """Latent per-admission values for a corpus produced by ``generate``.
-
-    Regenerates from the config and verifies the corpus matches; a corpus
-    from a different seed or config is rejected.
-    """
-    regenerated, truth = generate_with_truth(config)
-    if corpus_digest(corp) != truth.corpus_digest:
-        raise DataError("corpus does not match this config/seed")
-    return truth
 
 
 def make_sentiment_seed(config: GenConfig, n_sentences: int = 3500) -> list[SeedRecord]:

@@ -5,7 +5,6 @@ These deliberately re-derive results by the most direct method available
 the implementations under test are checked against a second route.
 """
 
-import base64
 import hashlib
 import re
 
@@ -171,28 +170,6 @@ def reference_tree_predict(root, X):
             node = node.left if X[i, node.feature] < node.threshold else node.right
         out[i] = node.value
     return out
-
-
-def reference_tree_obj(root, importances):
-    """The saved form of a tree: preorder node lists plus base64 importances."""
-    feats, thrs, lefts, rights, values = [], [], [], [], []
-
-    def walk(node):
-        i = len(feats)
-        feats.append(node.feature)
-        thrs.append(node.threshold)
-        values.append(node.value)
-        lefts.append(-1)
-        rights.append(-1)
-        if node.left is not None:
-            lefts[i] = walk(node.left)
-            rights[i] = walk(node.right)
-        return i
-
-    walk(root)
-    return {"feature": feats, "threshold": thrs, "left": lefts, "right": rights,
-            "value": values,
-            "importances": base64.b64encode(importances.astype("<f8").tobytes()).decode("ascii")}
 
 
 _PUNCT_RUN_RE = re.compile(r"[.!?]+")

@@ -284,6 +284,20 @@ def test_eval_empty_features_exits_2(tmp_path, capsys):
     assert "empty feature CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, line, column", [
+    ("1.5,0.2,1\n2.5,abc,0\n", 3, "b"),
+    ("1.5,0.2,1\n2.5,0.3,yes\n", 3, "label"),
+    ("1.5,,0\n", 2, "b"),
+], ids=["feature_cell", "label", "empty_cell"])
+def test_eval_malformed_features_exits_2(tmp_path, capsys, rows, line, column):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b,label\n" + rows, encoding="utf-8")
+    code = run(["eval", "single", "--features", bad, "--out", tmp_path / "x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line {line}: column {column!r}" in err
+
+
 def test_eval_missing_features_exits_1(tmp_path):
     code = run(["eval", "single", "--features", tmp_path / "nope.csv",
                 "--out", tmp_path / "x"])

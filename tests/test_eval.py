@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,19 +134,26 @@ def test_f1_accuracy_match_confusion_tally():
 
 
 def test_repeated_eval_single_run_matches_manual():
+    # The MLP's fit and its permutation importances both depend on their seeds.
     matrix = _matrix(n=80)
-    spec = ModelSpec("logistic_regression", seed=0)
+    matrix.X[::7, 2] = np.nan
+    spec = ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}, seed=0)
     report = repeated_eval(matrix, spec, SplitConfig(), n_runs=1, master_seed=11)
 
     run_seed = derive_seed(11, "run", 0)
-    from dataclasses import replace
     cfg = replace(SplitConfig(), seed=derive_seed(run_seed, "split"))
     train_idx, test_idx = split(matrix, cfg)
     imputer = Imputer.fit(matrix.X[train_idx])
+    X_train = imputer.transform(matrix.X[train_idx])
     clf = classifiers.train(replace(spec, seed=derive_seed(run_seed, "fit")),
-                            imputer.transform(matrix.X[train_idx]), matrix.y[train_idx])
+                            X_train, matrix.y[train_idx])
     m = metrics(matrix.y[test_idx], clf.predict_proba(imputer.transform(matrix.X[test_idx])))
     assert report.runs[0].metrics == m
+    imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
+                                  seed=derive_seed(run_seed, "importance"))
+    assert report.mean_importance == {n: float(v) for n, v in zip(matrix.names, imp)}
+    assert report.runs[0].top_features == [matrix.names[j]
+                                           for j in np.argsort(-imp, kind="stable")[:10]]
 
 
 def test_repeated_eval_varies_and_aggregates():
@@ -204,6 +213,29 @@ def test_rfe_two_column_matrix():
     assert outcome.best_set == again.best_set
     assert [d.cv_scores for d in outcome.repeats_detail] == \
            [d.cv_scores for d in again.repeats_detail]
+
+
+def test_rfe_first_width_matches_manual():
+    matrix = _matrix(n=60, d=5)
+    matrix.X[::5, 3] = np.nan
+    spec = ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}, seed=0)
+    outcome = rfe(matrix, spec, folds=3, repeats=2, master_seed=4)
+
+    rep_seed = derive_seed(4, "rfe", 1)
+    fold_of = evaluate._stratified_folds(matrix.y, 3, np.random.default_rng(rep_seed))
+    f1s, imp_sum = [], np.zeros(5)
+    for k in range(3):
+        tr, te = np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)
+        imputer = Imputer.fit(matrix.X[tr])
+        X_tr = imputer.transform(matrix.X[tr])
+        clf = classifiers.train(replace(spec, seed=derive_seed(rep_seed, "fold", k, 5)),
+                                X_tr, matrix.y[tr])
+        f1s.append(metrics(matrix.y[te], clf.predict_proba(imputer.transform(matrix.X[te]))).f1)
+        imp_sum += classifiers.importances(clf, X_tr, matrix.y[tr],
+                                           seed=derive_seed(rep_seed, "imp", k, 5))
+    detail = outcome.repeats_detail[1]
+    assert detail.cv_scores[0] == float(np.mean(f1s))
+    assert detail.elimination_order[0] == matrix.names[int(np.argmin(imp_sum / 3))]
 
 
 def test_rfe_needs_two_columns():

@@ -3,10 +3,10 @@ import pytest
 
 from readmit import corpus as corpus_mod
 from readmit import domains, evaluate, syngen, textproc
-from readmit.errors import ConfigError, DataError
+from readmit.errors import ConfigError
 from readmit.syngen import (ADVERBIALS, FILLER_SENTENCES, GenConfig,
                             _SHAPES, _TemplateFiller, generate,
-                            generate_with_truth, ground_truth,
+                            generate_with_truth,
                             make_sentiment_seed, paper_scale_config)
 
 from helpers import brute_force_auc
@@ -69,19 +69,11 @@ def test_paper_scale_statistics():
 
 def test_ground_truth_matches_corpus(small_gen):
     config, corpus, truth = small_gen
-    again = ground_truth(config, corpus)
+    again_corpus, again = generate_with_truth(config)
+    assert again_corpus == corpus
     assert again.records.keys() == truth.records.keys()
     for aid, rec in truth.records.items():
         assert again.records[aid] == rec
-
-
-def test_ground_truth_rejects_mismatched_corpus(small_gen):
-    config, _, _ = small_gen
-    other = generate(GenConfig(seed=config.seed + 1, n_patients=config.n_patients,
-                               tokens_per_note=config.tokens_per_note,
-                               notes_per_admission=config.notes_per_admission))
-    with pytest.raises(DataError):
-        ground_truth(config, other)
 
 
 def test_planted_poor_insight_signal(small_gen):
