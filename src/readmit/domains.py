@@ -114,11 +114,12 @@ def default_lexicon() -> Lexicon:
 def weak_label(corpus, lexicon: Lexicon, encoder: HashingEncoder):
     """(vectors, multi-hot domain targets) for every sentence in the corpus.
 
-    Sentences matching no pattern are kept as all-zero targets.
+    Sentences matching no pattern are kept as all-zero targets. Both arrays
+    are float32, so the topic model trains in single precision.
     """
     token_lists = [sent.tokens for admission in corpus.admissions for note in admission.notes
                    for sent in textproc.split_sentences(note.text)]
-    Y = np.zeros((len(token_lists), len(RISK_DOMAINS)))
+    Y = np.zeros((len(token_lists), len(RISK_DOMAINS)), dtype=np.float32)
     for i, tokens in enumerate(token_lists):
         for d in lexicon.match(tokens):
             Y[i, DOMAIN_INDEX[d]] = 1.0

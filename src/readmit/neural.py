@@ -60,13 +60,16 @@ class HashingEncoder:
 
 
 def encode_rows(encoder, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
-    """``encoder`` applied to each token list, as the rows of one array.
+    """``encoder`` applied to each token list, as the float32 rows of one array.
 
     The rows are written into a single preallocated array instead of being
     stacked from a list of row arrays, so the matrix is held once, not
-    twice, and no heap of row-sized blocks is left behind after it.
+    twice, and no heap of row-sized blocks is left behind after it. The
+    encoder works in float64; each row is rounded to float32 once, as it is
+    written, so the NLP models that read these rows train and run in
+    single precision.
     """
-    X = np.empty((len(token_lists), encoder.dim))
+    X = np.empty((len(token_lists), encoder.dim), dtype=np.float32)
     for i, tokens in enumerate(token_lists):
         X[i] = encoder(tokens)
     return X
@@ -148,7 +151,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(float)
+        return (z > 0.0).astype(z.dtype)
     return 1.0 - h * h
 
 
@@ -189,11 +192,11 @@ def _forward(model: MLPModel, X: np.ndarray, masks=None):
 
 
 def predict(model: MLPModel, X: np.ndarray) -> np.ndarray:
-    """Inference-mode probabilities (dropout off).
+    """Inference-mode probabilities (dropout off), in the model's dtype.
 
     softmax: rows sum to 1; sigmoid: each output independently in [0, 1].
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=model.weights[0].dtype)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[None, :]
@@ -204,7 +207,10 @@ def predict(model: MLPModel, X: np.ndarray) -> np.ndarray:
 
 
 def _loss(probs: np.ndarray, Y: np.ndarray, kind: str) -> float:
-    p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    # In float64 whatever the model's dtype: in float32, 1 - 1e-12 rounds to
+    # 1.0, so a saturated sigmoid output would give 0 * log(0) = nan.
+    p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
+    Y = np.asarray(Y, dtype=np.float64)
     if kind == "softmax":
         return float(-(Y * np.log(p)).sum(axis=1).mean())
     return float(-(Y * np.log(p) + (1.0 - Y) * np.log(1.0 - p)).sum(axis=1).mean())
@@ -257,11 +263,16 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
     shuffles, and dropout masks all come from one seeded generator, and
     batches run sequentially. Early-stops after ``patience`` epochs without
     improvement of the epoch loss.
+
+    Parameters, targets and dropout masks take X's dtype: float32 if X is
+    float32, float64 otherwise. The loss is always summed in float64.
     """
     config = config or TrainConfig()
     config.validate()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X = np.asarray(X)
+    dtype = np.float32 if X.dtype == np.float32 else np.float64
+    X = X.astype(dtype, copy=False)
+    Y = np.asarray(Y, dtype=dtype)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DataError(f"data width {X.shape[1] if X.ndim == 2 else '?'} != input_dim {spec.input_dim}")
     if X.shape[0] != Y.shape[0]:
@@ -269,6 +280,8 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
     _validate_targets(spec, Y)
 
     model = init_mlp(spec, seed=config.seed)
+    model.weights = [W.astype(dtype, copy=False) for W in model.weights]
+    model.biases = [b.astype(dtype, copy=False) for b in model.biases]
     rng = np.random.default_rng(config.seed + 1)
     n = X.shape[0]
     best_loss = np.inf
@@ -283,7 +296,7 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
             xb, yb = X[idx], Y[idx]
             masks = None
             if spec.dropout_rate > 0.0:
-                masks = [dropout_mask((len(idx), h), spec.dropout_rate, rng)
+                masks = [dropout_mask((len(idx), h), spec.dropout_rate, rng).astype(dtype)
                          for h in spec.hidden_sizes]
             loss, gW, gb = loss_and_gradients(model, xb, yb, config.weight_decay, masks=masks)
             if not np.isfinite(loss):
@@ -318,23 +331,28 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 
 
 _FORMAT = "readmit-mlp"
-_VERSION = 1
+_VERSION = 2
+# Version 1 files carry no dtype field; their arrays are float64.
+_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 def encode_array(a: np.ndarray) -> str:
-    """Base64 of the row-major float64 bytes; decode_array inverts it bit-exactly."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype=np.float64).tobytes()).decode("ascii")
+    """Base64 of the array's own row-major bytes, in its own dtype;
+    decode_array with that dtype inverts it bit-exactly."""
+    return base64.b64encode(np.ascontiguousarray(a).tobytes()).decode("ascii")
 
 
-def decode_array(s: str, shape=(-1,)) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape).copy()
+def decode_array(s: str, shape=(-1,), dtype=np.float64) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(s), dtype=dtype).reshape(shape).copy()
 
 
 def save_mlp(model: MLPModel, path) -> None:
-    """Versioned JSON container; weights stored row-major, bit-exact."""
+    """Versioned JSON container; weights stored row-major, bit-exact, in
+    the model's dtype, which the file records."""
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
+        "dtype": model.weights[0].dtype.name,
         "spec": {**asdict(model.spec), "hidden_sizes": list(model.spec.hidden_sizes)},
         "weights": [encode_array(W) for W in model.weights],
         "biases": [encode_array(b) for b in model.biases],
@@ -355,13 +373,18 @@ def load_mlp(path) -> MLPModel:
         payload = json.load(fh)
     if payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} container")
-    if payload.get("version") != _VERSION:
-        raise DataError(f"{path}: unsupported container version {payload.get('version')}")
+    version = payload.get("version")
+    if version not in (1, _VERSION):
+        raise DataError(f"{path}: unsupported container version {version}")
+    dtype_name = payload.get("dtype") if version == _VERSION else "float64"
+    if dtype_name not in _DTYPES:
+        raise DataError(f"{path}: unsupported weight dtype {dtype_name!r}")
+    dtype = _DTYPES[dtype_name]
     spec = MLPSpec(**{**payload["spec"], "hidden_sizes": tuple(payload["spec"]["hidden_sizes"])})
     dims = _layer_dims(spec)
     meta = payload["metadata"]
     return MLPModel(spec=spec,
-                    weights=[decode_array(w, d) for w, d in zip(payload["weights"], dims)],
-                    biases=[decode_array(b, (d[1],)) for b, d in zip(payload["biases"], dims)],
+                    weights=[decode_array(w, d, dtype) for w, d in zip(payload["weights"], dims)],
+                    biases=[decode_array(b, (d[1],), dtype) for b, d in zip(payload["biases"], dims)],
                     seed=meta["seed"], epochs_run=meta["epochs_run"],
                     final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))

@@ -298,9 +298,7 @@ class GroundTruthRecord:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    config: GenConfig
     records: dict[str, GroundTruthRecord]  # keyed by admission_id
-    intercept: float
 
 
 def _choice(rng: np.random.Generator, options, probs) -> str:
@@ -566,7 +564,7 @@ def generate_with_truth(config: GenConfig) -> tuple[Corpus, GroundTruth]:
 
     out = Corpus(patients=tuple(patients), admissions=tuple(admissions))
     corpus_mod.validate_corpus(out)
-    truth = GroundTruth(config=config, records=records, intercept=intercept)
+    truth = GroundTruth(records=records)
     return out, truth
 
 

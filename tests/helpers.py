@@ -7,6 +7,7 @@ the implementations under test are checked against a second route.
 
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +67,12 @@ def reference_encode(tokens, dim):
         v[bucket] += sign
     n = np.sqrt((v * v).sum())
     return v / n if n > 0 else v
+
+
+def mlp_as_dtype(model, dtype):
+    """A copy of an MLP with its weights and biases cast to ``dtype``."""
+    return replace(model, weights=[W.astype(dtype) for W in model.weights],
+                   biases=[b.astype(dtype) for b in model.biases])
 
 
 def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,

@@ -12,6 +12,8 @@ from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
 from readmit.errors import ConfigError, DataError
 from readmit.neural import TrainConfig
 
+from helpers import mlp_as_dtype
+
 
 def test_default_lexicon_shape():
     lex = default_lexicon()
@@ -135,15 +137,22 @@ def test_aggregate_note_stage_weighting():
     assert summary.sentiment_score["Mood"] == pytest.approx(-0.25)
 
 
+def _topic_split(n):
+    """(held-out rows, training rows) of the ``trained_pipeline`` topic model."""
+    order = np.random.default_rng(77).permutation(n)
+    return order[:n // 5], order[n // 5:]
+
+
+PIPELINE_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs=120,
+                                        patience=120, seed=0)
+
+
 @pytest.fixture(scope="module")
 def trained_pipeline(small_gen, encoder):
     config, corpus, truth = small_gen
     lex = default_lexicon()
     X, Y = weak_label(corpus, lex, encoder)
-    rng = np.random.default_rng(77)
-    order = rng.permutation(len(X))
-    n_test = len(X) // 5
-    test_idx, train_idx = order[:n_test], order[n_test:]
+    test_idx, train_idx = _topic_split(len(X))
     topic = train_topic_model(X[train_idx], Y[train_idx])
     pred = domains.predict_domains(topic, X[test_idx])
     bits = Y[test_idx] > 0.5
@@ -152,9 +161,7 @@ def trained_pipeline(small_gen, encoder):
     fn = np.sum(~pred & bits)
     micro_f1 = 2 * tp / (2 * tp + fp + fn)
     records = syngen.make_sentiment_seed(config, 700)
-    sentiment = train_sentiment_models(records, encoder,
-                                       TrainConfig(learning_rate=0.15, batch_size=32,
-                                                   epochs=120, patience=120, seed=0))
+    sentiment = train_sentiment_models(records, encoder, PIPELINE_SENTIMENT_CONFIG)
     return topic, sentiment, float(micro_f1)
 
 
@@ -239,11 +246,78 @@ def test_summarize_note_order_invariant(small_gen, encoder, trained_pipeline):
     topic, sentiment, _ = trained_pipeline
     admission = corpus.admissions[0]
     reversed_adm = replace(admission, notes=tuple(reversed(admission.notes)))
-    a = summarize_admission(admission, topic, sentiment, encoder)
-    b = summarize_admission(reversed_adm, topic, sentiment, encoder)
+    # A float32 matrix product's row can depend on the row's position in
+    # the batch, so reordering notes moves float32 scores by a few eps.
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        topic_d = mlp_as_dtype(topic, dtype)
+        sentiment_d = {d: mlp_as_dtype(m, dtype) for d, m in sentiment.items()}
+        a = summarize_admission(admission, topic_d, sentiment_d, encoder)
+        b = summarize_admission(reversed_adm, topic_d, sentiment_d, encoder)
+        for domain in RISK_DOMAINS:
+            assert a.sentence_fraction[domain] == b.sentence_fraction[domain]
+            assert a.sentiment_score[domain] == pytest.approx(b.sentiment_score[domain],
+                                                              abs=tol)
+
+
+def _fidelity(summaries, truth) -> float:
+    """Mean Pearson r of the 14 per-domain summary values against planted
+    truth, a constant side counting as 0."""
+    recs = [truth.records[aid] for aid in summaries]
+    rs = []
+    for d in RISK_DOMAINS:
+        pairs = (([s.sentence_fraction[d] for s in summaries.values()],
+                  [r.domain_sentence_counts[d] / r.n_sentences for r in recs]),
+                 ([s.sentiment_score[d] for s in summaries.values()],
+                  [r.domain_sentiment[d] for r in recs]))
+        for got, planted in pairs:
+            if np.ptp(got) == 0 or np.ptp(planted) == 0:
+                rs.append(0.0)
+            else:
+                rs.append(float(np.corrcoef(got, planted)[0, 1]))
+    return float(np.mean(rs))
+
+
+def test_float32_models_agree_with_float64(small_gen, encoder, trained_pipeline):
+    """The float32 NLP models against float64 twins trained on the same
+    rows, the twins' inputs encoded in float64 without rounding."""
+    config, corpus, truth = small_gen
+    topic32, sentiment32, _ = trained_pipeline
+    token_lists = [s.tokens for a in corpus.admissions for n in a.notes
+                   for s in textproc.split_sentences(n.text)]
+    X32, Y = weak_label(corpus, default_lexicon(), encoder)
+    X64 = np.stack([encoder(t) for t in token_lists])
+    test_idx, train_idx = _topic_split(len(X32))
+    topic64 = train_topic_model(X64[train_idx], Y[train_idx])
+    assert topic32.weights[0].dtype == np.float32 and topic64.weights[0].dtype == np.float64
+    tags32 = domains.predict_domains(topic32, X32[test_idx])
+    tags64 = domains.predict_domains(topic64, X64[test_idx])
+    assert float(np.mean(tags32 == tags64)) >= 0.99
+
+    # train_sentiment_models encodes in float32, so the float64 twins are
+    # trained here with the same specs, rows, targets and config.
+    records = syngen.make_sentiment_seed(config, 700)
+    held_out = syngen.make_sentiment_seed(
+        syngen.GenConfig(seed=config.seed + 1, n_patients=config.n_patients), 350)
+    sentiment64, agree = {}, []
     for domain in RISK_DOMAINS:
-        assert a.sentence_fraction[domain] == b.sentence_fraction[domain]
-        assert a.sentiment_score[domain] == pytest.approx(b.sentiment_score[domain], abs=1e-12)
+        recs = [r for r in records if r.domain == domain]
+        X = np.stack([encoder(textproc.tokenize(r.text)) for r in recs])
+        Y = np.eye(3)[[domains.POLARITIES.index(r.label) for r in recs]]
+        sentiment64[domain] = neural.train_mlp(sentiment32[domain].spec, X, Y,
+                                               PIPELINE_SENTIMENT_CONFIG)
+        tokens = [textproc.tokenize(r.text) for r in held_out if r.domain == domain]
+        pred32 = neural.predict(sentiment32[domain], neural.encode_rows(encoder, tokens))
+        pred64 = neural.predict(sentiment64[domain], np.stack([encoder(t) for t in tokens]))
+        agree.extend(pred32.argmax(axis=1) == pred64.argmax(axis=1))
+    assert float(np.mean(agree)) >= 0.98
+
+    # summarize_admission encodes in float32; the float64 models read those
+    # rows widened back to float64.
+    fid32 = _fidelity({a.admission_id: summarize_admission(a, topic32, sentiment32, encoder)
+                       for a in corpus.admissions}, truth)
+    fid64 = _fidelity({a.admission_id: summarize_admission(a, topic64, sentiment64, encoder)
+                       for a in corpus.admissions}, truth)
+    assert abs(fid32 - fid64) < 0.01
 
 
 def test_summarize_ranges(small_gen, encoder, trained_pipeline):

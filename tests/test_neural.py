@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from readmit.errors import ConfigError, DataError, TrainingDivergedError
 from readmit.neural import (MLPSpec, TrainConfig, init_mlp,
                             load_mlp, predict, save_mlp, train_mlp)
 
-from helpers import gradient_check, reference_encode
+from helpers import gradient_check, mlp_as_dtype, reference_encode
 
 
 def test_encode_deterministic(encoder):
@@ -39,8 +41,8 @@ def test_encode_bigram_sensitivity_against_reference(encoder):
 def test_encode_rows_matches_stacked_encoder_calls(encoder):
     token_lists = [["mood", "is", "stable"], [], ["sleeping", "well"]]
     X = neural.encode_rows(encoder, token_lists)
-    assert X.shape == (3, encoder.dim) and X.dtype == np.float64
-    assert np.array_equal(X, np.stack([encoder(t) for t in token_lists]))
+    assert X.shape == (3, encoder.dim) and X.dtype == np.float32
+    assert np.array_equal(X, np.stack([encoder(t) for t in token_lists]).astype(np.float32))
     assert neural.encode_rows(encoder, []).shape == (0, encoder.dim)
 
 
@@ -178,16 +180,103 @@ def test_spec_validation():
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
-    X = rng.normal(0, 1, (30, 4))
-    labels = (X[:, 1] > 0).astype(float)
+    X64 = rng.normal(0, 1, (30, 4))
+    labels = (X64[:, 1] > 0).astype(float)
     Y = np.stack([1 - labels, labels], axis=1)
     spec = MLPSpec(input_dim=4, hidden_sizes=(6, 3), output_kind="softmax", n_outputs=2)
-    model = train_mlp(spec, X, Y, TrainConfig(epochs=5, seed=8, patience=5))
+    for dtype in (np.float32, np.float64):
+        X = X64.astype(dtype)
+        model = train_mlp(spec, X, Y, TrainConfig(epochs=5, seed=8, patience=5))
+        assert all(a.dtype == dtype for a in model.weights + model.biases)
+        path = tmp_path / f"model_{np.dtype(dtype).name}.json"
+        save_mlp(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["version"] == 2 and payload["dtype"] == np.dtype(dtype).name
+        loaded = load_mlp(path)
+        assert loaded.spec == model.spec
+        for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+        assert loaded.final_loss == model.final_loss
+        assert loaded.loss_history == model.loss_history
+        probs = predict(loaded, X)
+        assert probs.dtype == dtype
+        assert np.array_equal(probs, predict(model, X))
+
+
+# A version-1 file (no dtype field, float64 arrays) as the version-1 writer
+# saved it: a (3 -> 2 -> 2) softmax model trained for two epochs.
+V1_PAYLOAD = (
+    '{"biases": ["azo2IFcVdz+Q5pHQH0A6vw==", "2Ttecf/ypj/ZO15x//Kmvw=="], '
+    '"format": "readmit-mlp", "metadata": {"epochs_run": 2, "final_loss": 0.5862643817342292, '
+    '"loss_history": [0.5953838589183624, 0.5862643817342292], "seed": 8}, '
+    '"spec": {"activation": "relu", "dropout_rate": 0.0, "hidden_sizes": [2], "input_dim": 3, '
+    '"n_outputs": 2, "output_kind": "softmax"}, "version": 1, '
+    '"weights": ["Ve2izhlO2L8NsCcPsBnxPybWqkf29dm/U+47dn2n5D82Gp25W+3pPyQPddZQ7c6/", '
+    '"ZRxcyR7dwL/XJXfzSUHVv2N7MwICLO+/4rgBUIGQpL8="]}\n'
+)
+V1_WEIGHTS = [
+    [[-0.37976689509715317, 1.068771418761574], [-0.4056373309971114, 0.6454455670604581],
+     [0.8102244019763194, -0.2416173026232339]],
+    [[-0.13174805480977905, -0.33210991645736726], [-0.9741220515241874, -0.040164986626096924]],
+]
+
+
+def test_load_version_1_file_as_float64(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(V1_PAYLOAD, encoding="utf-8")
+    model = load_mlp(path)
+    assert model.spec == MLPSpec(input_dim=3, hidden_sizes=(2,), output_kind="softmax", n_outputs=2)
+    assert all(a.dtype == np.float64 for a in model.weights + model.biases)
+    for W, expected in zip(model.weights, V1_WEIGHTS):
+        assert W.tolist() == expected
+    assert (model.seed, model.epochs_run) == (8, 2)
+    assert model.loss_history == [0.5953838589183624, 0.5862643817342292]
+    assert predict(model, np.array([0.5, -1.0, 2.0])) == pytest.approx(
+        [0.6127008696176905, 0.3872991303823094], abs=1e-15)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dtype", "float16", "unsupported weight dtype"),
+    ("dtype", None, "unsupported weight dtype"),
+    ("version", 3, "unsupported container version"),
+], ids=["dtype_float16", "dtype_missing", "version_3"])
+def test_load_rejects_unknown_dtype_or_version(tmp_path, field, value, message):
+    spec = MLPSpec(input_dim=3, hidden_sizes=(2,), output_kind="softmax", n_outputs=2)
     path = tmp_path / "model.json"
-    save_mlp(model, path)
-    loaded = load_mlp(path)
-    assert loaded.spec == model.spec
-    for w0, w1 in zip(model.weights, loaded.weights):
-        assert np.array_equal(w0, w1)
-    assert loaded.final_loss == model.final_loss
-    assert np.array_equal(predict(loaded, X), predict(model, X))
+    save_mlp(init_mlp(spec, seed=0), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[field] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError, match=message) as err:
+        load_mlp(path)
+    assert str(path) in str(err.value)
+
+
+def test_float32_saturated_sigmoid_loss_stays_finite():
+    # Inputs of magnitude ~100 drive the output pre-activations far past
+    # the point where a float32 sigmoid rounds to exactly 1.0; the loss must
+    # still be finite for every epoch.
+    rng = np.random.default_rng(2)
+    X = (100.0 * rng.normal(0, 1, (40, 4))).astype(np.float32)
+    Y = np.stack([np.ones(40), X[:, 0] > 0, np.zeros(40)], axis=1)
+    spec = MLPSpec(input_dim=4, hidden_sizes=(8,), output_kind="sigmoid", n_outputs=3)
+    model = train_mlp(spec, X, Y, TrainConfig(learning_rate=0.01, batch_size=8, epochs=20,
+                                              seed=1, patience=20))
+    assert model.weights[0].dtype == np.float32
+    assert model.epochs_run == 20 and np.all(np.isfinite(model.loss_history))
+    initial = predict(mlp_as_dtype(init_mlp(spec, seed=1), np.float32), X)
+    assert initial.dtype == np.float32 and np.any(initial == 1.0)
+
+
+def test_float32_gradients_stay_float32():
+    rng = np.random.default_rng(4)
+    X = rng.normal(0, 1, (6, 5)).astype(np.float32)
+    Y = np.eye(3, dtype=np.float32)[rng.integers(0, 3, 6)]
+    for activation in ("relu", "tanh"):
+        spec = MLPSpec(input_dim=5, hidden_sizes=(4, 3), activation=activation,
+                       output_kind="softmax", n_outputs=3)
+        model = mlp_as_dtype(init_mlp(spec, seed=0), np.float32)
+        loss, gW, gb = neural.loss_and_gradients(model, X, Y, weight_decay=0.01)
+        assert isinstance(loss, float) and np.isfinite(loss)
+        assert all(g.dtype == np.float32 for g in gW + gb)
