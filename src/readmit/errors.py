@@ -29,9 +29,14 @@ class TrainingDivergedError(ReadmitError):
     """Training produced a non-finite loss."""
 
     def __init__(self, epoch: int, loss: float):
-        super().__init__(f"training diverged at epoch {epoch}: loss={loss!r}")
+        # args holds the constructor's arguments, so the error pickles and
+        # crosses from an evaluation worker process to the caller intact
+        super().__init__(epoch, loss)
         self.epoch = epoch
         self.loss = loss
+
+    def __str__(self) -> str:
+        return f"training diverged at epoch {self.epoch}: loss={self.loss!r}"
 
 
 class MetricUndefinedError(ReadmitError):

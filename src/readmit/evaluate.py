@@ -5,7 +5,8 @@ Every run, fold and repeat draws its seed from the master seed via
 config) and identical whether work runs sequentially or in parallel.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import multiprocessing
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
@@ -94,25 +95,20 @@ def metrics(y_true, y_score) -> MetricSet:
                      f1=classifiers.f1_score(y_true, y_pred))
 
 
-def split(matrix_or_y, config: SplitConfig):
+def split(matrix: FeatureMatrix, config: SplitConfig):
     """(train_idx, test_idx); stratified within class, deterministic per seed.
 
     patient_grouped mode keeps all of a patient's rows on one side; it
     needs a matrix that carries patient ids.
     """
     config.validate()
-    if isinstance(matrix_or_y, FeatureMatrix):
-        y = matrix_or_y.y
-        patient_ids = matrix_or_y.patient_ids
-    else:
-        y = np.asarray(matrix_or_y, dtype=float)
-        patient_ids = ()
+    y = matrix.y
     rng = np.random.default_rng(config.seed)
 
     if config.grouping == "patient_grouped":
-        if not patient_ids:
+        if not matrix.patient_ids:
             raise ConfigError("patient_grouped split requires patient ids")
-        return _grouped_split(y, np.asarray(patient_ids), config, rng)
+        return _grouped_split(y, np.asarray(matrix.patient_ids), config, rng)
 
     test_parts = []
     if config.stratified:
@@ -202,12 +198,67 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
 
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_")
+
+# The job of a pool worker; set only in forked children, by _start_worker.
+_worker_job = None
+
+
+def _one_blas_thread() -> None:
+    """Cap the OpenBLAS this process has loaded at one thread; no-op without one.
+
+    Workers whose BLAS each spreads over every CPU oversubscribe the
+    machine: uncapped, an MLP eval on two workers ran slower than on one.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+    _one_blas_thread()
+
+
+def _run_job(i: int):
+    return _worker_job(i)
+
+
 def _map(job, n: int, workers: int) -> list:
-    """``[job(i) for i in range(n)]``, on a thread pool when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(n)))
-    return [job(i) for i in range(n)]
+    """``[job(i) for i in range(n)]``, on ``min(workers, n)`` forked processes.
+
+    Forking hands each worker the job closure, and the matrix it holds,
+    without pickling. Only the index goes out and the result comes back,
+    in index order, so outputs match a sequential run byte for byte.
+    """
+    if workers < 2 or n < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [job(i) for i in range(n)]
+    pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
+    try:
+        return pool.map(_run_job, range(n), chunksize=1)
+    except BaseException:
+        pool.terminate()  # stop the runs still queued behind the failure
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,

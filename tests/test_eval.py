@@ -1,4 +1,11 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,27 +34,33 @@ def _matrix(seed=0, n=60, d=6, names=None, signal=1.8):
                          patient_ids=tuple(f"p{i // 3}" for i in range(n)))
 
 
+def _labels_matrix(y):
+    """A one-column matrix carrying the labels ``y``."""
+    y = np.array(y, dtype=float)
+    return FeatureMatrix(schema=FeatureSchema([Column("c0", "c0", "numeric")]),
+                         X=np.zeros((len(y), 1)), y=y)
+
+
 def test_split_stratified_exact_counts():
     y = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0], dtype=float)
-    train, test = split(y, SplitConfig(test_fraction=0.2, seed=1))
+    train, test = split(_labels_matrix(y), SplitConfig(test_fraction=0.2, seed=1))
     assert len(test) == 2
     assert y[test].sum() == 1.0
     assert sorted(np.concatenate([train, test]).tolist()) == list(range(10))
 
 
 def test_split_deterministic():
-    y = np.array([0, 1] * 20, dtype=float)
-    a = split(y, SplitConfig(seed=5))
-    b = split(y, SplitConfig(seed=5))
+    m = _labels_matrix([0, 1] * 20)
+    a = split(m, SplitConfig(seed=5))
+    b = split(m, SplitConfig(seed=5))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = split(y, SplitConfig(seed=6))
+    c = split(m, SplitConfig(seed=6))
     assert not np.array_equal(a[1], c[1])
 
 
 def test_split_infeasible():
-    y = np.array([1, 0, 0, 0, 0], dtype=float)
     with pytest.raises(DataError):
-        split(y, SplitConfig(test_fraction=0.2, seed=0))
+        split(_labels_matrix([1, 0, 0, 0, 0]), SplitConfig(test_fraction=0.2, seed=0))
 
 
 def test_split_patient_grouped_never_straddles():
@@ -175,6 +188,78 @@ def test_repeated_eval_deterministic_and_worker_invariant():
     assert a.mean_importance == b.mean_importance
 
 
+SMALL_SPECS = {
+    "sgd_linear": ModelSpec("sgd_linear"),
+    "logistic_regression": ModelSpec("logistic_regression"),
+    "linear_svc": ModelSpec("linear_svc"),
+    "decision_tree": ModelSpec("decision_tree", {"max_depth": 4}),
+    "random_forest": ModelSpec("random_forest", {"n_trees": 5, "max_depth": 4}),
+    "mlp": ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}),
+}
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_repeated_eval_more_workers_than_runs(kind):
+    matrix = _matrix(n=60)
+    a = repeated_eval(matrix, SMALL_SPECS[kind], n_runs=2, master_seed=5, workers=1)
+    b = repeated_eval(matrix, SMALL_SPECS[kind], n_runs=2, master_seed=5, workers=3)
+    assert _dump(evaluate.runs_report_obj(a)) == _dump(evaluate.runs_report_obj(b))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "mlp"])
+def test_rfe_worker_invariant(kind):
+    matrix = _matrix(n=60, d=5)
+    a = rfe(matrix, SMALL_SPECS[kind], folds=3, repeats=2, master_seed=3, workers=1)
+    b = rfe(matrix, SMALL_SPECS[kind], folds=3, repeats=2, master_seed=3, workers=2)
+    assert _dump(evaluate.rfe_outcome_obj(a)) == _dump(evaluate.rfe_outcome_obj(b))
+    assert multiprocessing.active_children() == []
+
+
+# Runs in a child interpreter, so a pool that hangs fails the test on its
+# timeout. An unstratified split with 3 positives in 30 rows and 3 test rows
+# leaves the test side of most runs with one class, and AUC is undefined.
+_WORKER_ERROR_SCRIPT = textwrap.dedent("""
+    import multiprocessing
+    import numpy as np
+    from readmit.classifiers import ModelSpec
+    from readmit.evaluate import SplitConfig, repeated_eval
+    from readmit.features import Column, FeatureMatrix, FeatureSchema
+
+    X = np.random.default_rng(0).normal(0, 1, (30, 2))
+    y = np.zeros(30)
+    y[[0, 10, 20]] = 1.0
+    schema = FeatureSchema([Column(n, n, "numeric") for n in ("a", "b")])
+    matrix = FeatureMatrix(schema=schema, X=X, y=y)
+    spec = ModelSpec("logistic_regression")
+    repeated_eval(matrix, spec, n_runs=4, master_seed=1, workers=2)
+    print("after success", multiprocessing.active_children())
+    bad = SplitConfig(test_fraction=0.1, stratified=False)
+    for workers in (1, 2):
+        try:
+            repeated_eval(matrix, spec, bad, n_runs=4, master_seed=1, workers=workers)
+        except Exception as exc:
+            print(workers, type(exc).__module__, type(exc).__name__, exc)
+    print("after failure", multiprocessing.active_children())
+""")
+
+
+def test_worker_error_reaches_caller_and_no_child_survives():
+    src = str(Path(evaluate.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _WORKER_ERROR_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    error = "readmit.errors MetricUndefinedError AUC undefined: y_true contains a single class"
+    assert result.stdout.splitlines() == ["after success []", f"1 {error}", f"2 {error}",
+                                          "after failure []"]
+
+
 def test_ablation_column_sets_by_prefix():
     names = ["age", "sentence_fraction_mood", "clinical_sentiment_mood",
              "sentence_fraction_mood__missing", "gaf_admission"]
@@ -289,7 +374,6 @@ def test_end_to_end_report_deterministic():
     spec = ModelSpec("random_forest", {"n_trees": 10, "max_depth": 5})
     a = evaluate.runs_report_obj(repeated_eval(matrix, spec, n_runs=4, master_seed=9))
     b = evaluate.runs_report_obj(repeated_eval(matrix, spec, n_runs=4, master_seed=9))
-    import json
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
