@@ -7,8 +7,6 @@ domain then get a 3-class sentiment distribution from that domain's MLP,
 collapsed to a scalar in [-1, 1].
 """
 
-import numpy as np
-
 from readmit import domains, neural, syngen, textproc
 from readmit.neural import HashingEncoder
 
@@ -23,24 +21,18 @@ tokens = textproc.tokenize(sentence)
 print("sentence:", sentence)
 print("matched domains:", sorted(lexicon.match(tokens)))
 
-# 2. Weak labels over the whole corpus -> topic model.
+# 2. Weak labels over the whole corpus train the topic model; a labeled seed
+# set (generated here) trains the sentiment models. Each is scored on a
+# held-out 20% of its data.
 X, Y = domains.weak_label(corp, lexicon, encoder)
 print(f"\nweak-labeled sentences: {X.shape[0]} ({int(Y.sum())} domain tags)")
-rng = np.random.default_rng(0)
-order = rng.permutation(len(X))
-n_test = len(X) // 5
-test_idx, train_idx = order[:n_test], order[n_test:]
-topic = domains.train_topic_model(X[train_idx], Y[train_idx])
-pred = domains.predict_domains(topic, X[test_idx])
-truth = Y[test_idx] > 0.5
-tp = np.sum(pred & truth)
-fp = np.sum(pred & ~truth)
-fn = np.sum(~pred & truth)
-print(f"topic micro-F1 on held-out sentences: {2 * tp / (2 * tp + fp + fn):.3f}")
+nlp = domains.train_nlp(corp, syngen.make_sentiment_seed(config, 1400), lexicon)
+topic, sentiment = nlp.topic, nlp.sentiment
+print(f"topic micro-F1 on held-out sentences: {nlp.metrics['topic_micro_f1']:.3f}")
+print(f"Mood sentiment accuracy on held-out seed sentences: "
+      f"{nlp.metrics['sentiment_accuracy']['Mood']:.3f}")
 
-# 3. Sentiment models train on a labeled seed set (generated here).
-records = syngen.make_sentiment_seed(config, 1400)
-sentiment = domains.train_sentiment_models(records, encoder)
+# 3. Scalar sentiment collapses a (positive, neutral, negative) distribution.
 for text in ("Patient reports steady improvement in depressed mood today.",
              "Patient reports worsening of depressed mood today."):
     vec = encoder(textproc.tokenize(text))

@@ -12,22 +12,13 @@ from readmit import classifiers, corpus, domains, features, syngen
 from readmit.classifiers import ModelSpec
 from readmit.evaluate import metrics, split, SplitConfig
 from readmit.features import Imputer
-from readmit.neural import HashingEncoder
 
 config = syngen.GenConfig(seed=21, n_patients=80, tokens_per_note=(80, 160))
 corp = corpus.derive_labels(syngen.generate(config))
-encoder = HashingEncoder()
-lexicon = domains.default_lexicon()
+nlp = domains.train_nlp(corp, syngen.make_sentiment_seed(config, 1400), domains.default_lexicon())
 
-X, Y = domains.weak_label(corp, lexicon, encoder)
-topic = domains.train_topic_model(X, Y)
-sentiment = domains.train_sentiment_models(syngen.make_sentiment_seed(config, 1400), encoder)
-summaries = {a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
-             for a in corp.admissions}
-
-rows = features.build_features(corp, summaries)
 print(f"named features per admission: {len(features.FEATURE_NAMES)}")
-matrix = features.encode_features(rows)
+matrix = features.extract(corp, nlp.topic, nlp.sentiment)
 print(f"encoded matrix: {matrix.X.shape[0]} admissions x {matrix.X.shape[1]} columns")
 print("example columns:", matrix.names[:3], "...", matrix.names[-3:])
 

@@ -12,18 +12,11 @@ import numpy as np
 
 from readmit import corpus, domains, evaluate, features, syngen
 from readmit.classifiers import ModelSpec
-from readmit.neural import HashingEncoder
 
 config = syngen.GenConfig(seed=33, n_patients=90, tokens_per_note=(80, 160))
 corp = corpus.derive_labels(syngen.generate(config))
-encoder = HashingEncoder()
-lexicon = domains.default_lexicon()
-X, Y = domains.weak_label(corp, lexicon, encoder)
-topic = domains.train_topic_model(X, Y)
-sentiment = domains.train_sentiment_models(syngen.make_sentiment_seed(config, 1400), encoder)
-summaries = {a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
-             for a in corp.admissions}
-matrix = features.encode_features(features.build_features(corp, summaries))
+nlp = domains.train_nlp(corp, syngen.make_sentiment_seed(config, 1400), domains.default_lexicon())
+matrix = features.extract(corp, nlp.topic, nlp.sentiment)
 
 spec = ModelSpec("logistic_regression", seed=0)
 report = evaluate.ablation(matrix, spec, n_runs=60, master_seed=9)

@@ -11,19 +11,16 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
+from typing import Optional
 
-import numpy as np
-
-from . import __version__, classifiers, domains, evaluate, features, neural, syngen, textproc
+from . import __version__, classifiers, domains, evaluate, features, neural, syngen
 from . import corpus as corpus_mod
 from .classifiers import ModelSpec
 from .domains import RISK_DOMAINS, domain_key
 from .errors import ReadmitError
 from .evaluate import SplitConfig
-from .neural import HashingEncoder
-from .seeding import derive_seed
 from .syngen import GenConfig
 
 EXIT_OK = 0
@@ -177,7 +174,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outputs,
-                    master_seed, started: float) -> None:
+                    master_seed, started: float, metrics: Optional[dict] = None) -> None:
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -187,6 +184,8 @@ def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outp
         "outputs": {str(p): _sha256(p) for p in outputs},
         "timings_sec": {"wall": time.time() - started},
     }
+    if metrics is not None:
+        manifest["metrics"] = metrics
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -216,116 +215,61 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _pop_epochs(settings: dict[str, str], key: str):
-    """The epoch override under ``key``, removed from settings; None when unset."""
-    if key not in settings:
-        return None
-    epochs = _coerce(key, settings.pop(key), int)
-    if epochs < 1:
-        raise _CliConfigError(f"config key {key!r} must be positive, got {epochs}")
-    return epochs
-
-
 def cmd_train_nlp(args) -> int:
     started = time.time()
     settings = _collect_settings(args.config, args.set)
-    seed = _coerce("seed", settings.pop("seed", "0"), int)
-    holdout = _coerce("holdout_fraction", settings.pop("holdout_fraction", "0.2"), float)
-    epochs_topic = _pop_epochs(settings, "topic_epochs")
-    epochs_sent = _pop_epochs(settings, "sentiment_epochs")
+    config = {"seed": _coerce("seed", settings.pop("seed", "0"), int),
+              "holdout_fraction": _coerce("holdout_fraction",
+                                          settings.pop("holdout_fraction", "0.2"), float)}
+    for key in ("topic_epochs", "sentiment_epochs"):
+        config[key] = _coerce(key, settings.pop(key), int) if key in settings else None
     if settings:
         raise _CliConfigError(f"unknown train-nlp config keys {sorted(settings)}")
-    if not 0.0 < holdout < 1.0:
-        raise _CliConfigError(f"config key 'holdout_fraction' must lie in (0, 1), got {holdout}")
 
     corpus = corpus_mod.derive_labels(corpus_mod.load_corpus(args.corpus))
     lexicon = domains.load_lexicon(args.lexicon) if args.lexicon else domains.default_lexicon()
     records = domains.read_seed_file(args.seed_file)
-    encoder = HashingEncoder()
-
-    X, Y = domains.weak_label(corpus, lexicon, encoder)
-    rng = np.random.default_rng(derive_seed(seed, "topic-holdout"))
-    order = rng.permutation(len(X))
-    n_test = max(1, int(round(holdout * len(X))))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    # An epoch override keeps every other default; patience follows the
-    # budget, as in the defaults.
-    if epochs_topic is None:
-        topic_cfg = domains.topic_config(len(train_idx), seed=seed)
-    else:
-        topic_cfg = replace(domains.DEFAULT_TOPIC_CONFIG, epochs=epochs_topic,
-                            patience=epochs_topic, seed=seed)
-    topic = domains.train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
-    pred = domains.predict_domains(topic, X[test_idx])
-    micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
-    print(f"topic micro-F1 (held-out {int(100 * holdout)}%): {micro_f1:.3f}")
+    nlp = domains.train_nlp(corpus, records, lexicon, seed=config["seed"],
+                            holdout=config["holdout_fraction"],
+                            topic_epochs=config["topic_epochs"],
+                            sentiment_epochs=config["sentiment_epochs"])
+    micro_f1 = nlp.metrics["topic_micro_f1"]
+    print(f"topic micro-F1 (held-out {config['holdout_fraction']:.0%}): {micro_f1:.3f}")
     if micro_f1 < 0.5:
         print(f"warning: held-out topic micro-F1 {micro_f1:.3f} is below 0.5; "
               "the topic model tags sentences poorly", file=sys.stderr)
-
-    sent_cfg = replace(domains.DEFAULT_SENTIMENT_CONFIG, seed=seed)
-    if epochs_sent is not None:
-        sent_cfg = replace(sent_cfg, epochs=epochs_sent, patience=epochs_sent)
-    rng2 = np.random.default_rng(derive_seed(seed, "sent-holdout"))
-    order2 = rng2.permutation(len(records))
-    n_test2 = max(1, int(round(holdout * len(records))))
-    test_recs = [records[i] for i in order2[:n_test2]]
-    train_recs = [records[i] for i in order2[n_test2:]]
-    models = domains.train_sentiment_models(train_recs, encoder, sent_cfg)
-    for domain in RISK_DOMAINS:
-        recs = [r for r in test_recs if r.domain == domain]
-        if not recs:
-            print(f"sentiment accuracy ({domain}): no held-out sentences")
-            continue
-        Xd = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
-        pred_pol = np.argmax(neural.predict(models[domain], Xd), axis=1)
-        true_pol = np.array([domains.POLARITIES.index(r.label) for r in recs])
-        print(f"sentiment accuracy ({domain}): {float(np.mean(pred_pol == true_pol)):.3f}")
+    for domain, accuracy in nlp.metrics["sentiment_accuracy"].items():
+        print(f"sentiment accuracy ({domain}): "
+              + ("no held-out sentences" if accuracy is None else f"{accuracy:.3f}"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    topic_path = out / "topic_model.json"
-    neural.save_mlp(topic, topic_path)
-    outputs.append(topic_path)
-    for domain in RISK_DOMAINS:
-        path = out / f"sentiment_{domain_key(domain)}.json"
-        neural.save_mlp(models[domain], path)
-        outputs.append(path)
+    outputs = _model_paths(out)
+    for model, path in zip([nlp.topic] + [nlp.sentiment[d] for d in RISK_DOMAINS], outputs):
+        neural.save_mlp(model, path)
     inputs = [args.corpus, args.seed_file] + ([args.lexicon] if args.lexicon else [])
-    _write_manifest(out, "train-nlp", {"seed": seed, "holdout_fraction": holdout},
-                    inputs, outputs, seed, started)
+    _write_manifest(out, "train-nlp", config, inputs, outputs, config["seed"], started,
+                    metrics=nlp.metrics)
     return EXIT_OK
 
 
-def _load_nlp_models(models_dir: Path):
-    topic = neural.load_mlp(models_dir / "topic_model.json")
-    sentiment = {d: neural.load_mlp(models_dir / f"sentiment_{domain_key(d)}.json")
-                 for d in RISK_DOMAINS}
-    return topic, sentiment
+def _model_paths(models_dir: Path) -> list[Path]:
+    """train-nlp's model files: the topic model, then one sentiment model per domain."""
+    return [models_dir / "topic_model.json"] + [
+        models_dir / f"sentiment_{domain_key(d)}.json" for d in RISK_DOMAINS]
 
 
 def cmd_extract(args) -> int:
     started = time.time()
     corpus = corpus_mod.derive_labels(corpus_mod.load_corpus(args.corpus))
-    models_dir = Path(args.models)
-    topic, sentiment = _load_nlp_models(models_dir)
-    encoder = HashingEncoder(dim=topic.spec.input_dim)
-    summaries = {
-        a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
-        for a in corpus.admissions
-    }
-    rows = features.build_features(corpus, summaries)
-    matrix = features.encode_features(rows)
+    model_paths = _model_paths(Path(args.models))
+    topic, *sentiment = [neural.load_mlp(p) for p in model_paths]
+    matrix = features.extract(corpus, topic, dict(zip(RISK_DOMAINS, sentiment)))
     out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     features.write_csv(matrix, out_path)
-    manifest_dir = out_path.parent if str(out_path.parent) else Path(".")
-    inputs = [args.corpus, models_dir / "topic_model.json"]
-    inputs += [models_dir / f"sentiment_{domain_key(d)}.json" for d in RISK_DOMAINS]
-    _write_manifest(manifest_dir, "extract", {"corpus": str(args.corpus)},
-                    inputs, [out_path], 0, started)
+    _write_manifest(out_path.parent, "extract", {"corpus": str(args.corpus)},
+                    [args.corpus] + model_paths, [out_path], 0, started)
     print(f"wrote {out_path} ({matrix.X.shape[0]} rows x {matrix.X.shape[1]} feature columns)")
     return EXIT_OK
 

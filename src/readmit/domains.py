@@ -15,9 +15,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import neural, textproc
+from . import classifiers, neural, textproc
 from .errors import ConfigError, DataError
 from .neural import HashingEncoder, MLPModel, MLPSpec, TrainConfig
+from .seeding import derive_seed
 
 RISK_DOMAINS = (
     "Appearance",
@@ -232,6 +233,67 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
         )
         models[domain] = neural.train_mlp(spec, X, Y, config)
     return models
+
+
+@dataclass(frozen=True)
+class NlpModels:
+    """Trained NLP models. ``metrics`` is JSON-ready: ``topic_micro_f1`` and, per
+    domain, ``sentiment_accuracy``, None when none of its seed records was held out."""
+
+    topic: MLPModel
+    sentiment: dict[str, MLPModel]
+    metrics: dict
+
+
+def _holdout(n: int, fraction: float, seed: int, label: str):
+    """(held-out, training) indices: the first round(fraction * n), at least
+    one, of a permutation seeded by ``seed`` and ``label``."""
+    order = np.random.default_rng(derive_seed(seed, label)).permutation(n)
+    n_test = max(1, int(round(fraction * n)))
+    return order[:n_test], order[n_test:]
+
+
+def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int = 0,
+              holdout: float = 0.2, topic_epochs: Optional[int] = None,
+              sentiment_epochs: Optional[int] = None) -> NlpModels:
+    """The topic model trained on the corpus's weak labels and the sentiment models
+    on the seed records, each scored on a seeded held-out fraction. The configs are
+    the defaults with ``seed``; an epoch override sets only epochs and patience."""
+    if not 0.0 < holdout < 1.0:
+        raise ConfigError(f"config key 'holdout_fraction' must lie in (0, 1), got {holdout}")
+    for key, epochs in (("topic_epochs", topic_epochs), ("sentiment_epochs", sentiment_epochs)):
+        if epochs is not None and epochs < 1:
+            raise ConfigError(f"config key {key!r} must be positive, got {epochs}")
+    encoder = HashingEncoder()
+
+    X, Y = weak_label(corpus, lexicon, encoder)
+    test_idx, train_idx = _holdout(len(X), holdout, seed, "topic-holdout")
+    if topic_epochs is None:
+        topic_cfg = topic_config(len(train_idx), seed=seed)
+    else:
+        topic_cfg = replace(DEFAULT_TOPIC_CONFIG, epochs=topic_epochs, patience=topic_epochs,
+                            seed=seed)
+    topic = train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
+    pred = predict_domains(topic, X[test_idx])
+    micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
+
+    sent_cfg = replace(DEFAULT_SENTIMENT_CONFIG, seed=seed)
+    if sentiment_epochs is not None:
+        sent_cfg = replace(sent_cfg, epochs=sentiment_epochs, patience=sentiment_epochs)
+    test_idx, train_idx = _holdout(len(records), holdout, seed, "sent-holdout")
+    sentiment = train_sentiment_models([records[i] for i in train_idx], encoder, sent_cfg)
+    accuracy: dict[str, Optional[float]] = {}
+    for domain in RISK_DOMAINS:
+        recs = [records[i] for i in test_idx if records[i].domain == domain]
+        if not recs:
+            accuracy[domain] = None
+            continue
+        X_d = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
+        pred_pol = np.argmax(neural.predict(sentiment[domain], X_d), axis=1)
+        true_pol = np.array([POLARITIES.index(r.label) for r in recs])
+        accuracy[domain] = float(np.mean(pred_pol == true_pol))
+    return NlpModels(topic, sentiment,
+                     {"topic_micro_f1": micro_f1, "sentiment_accuracy": accuracy})
 
 
 def scalar_sentiment(dist):

@@ -14,11 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import textproc
+from . import domains, textproc
 from .corpus import (GENDERS, MARITAL_STATUSES, RACES, YES_NO_UNKNOWN,
                      Admission, Corpus, Patient, age_at)
 from .domains import RISK_DOMAINS, AdmissionDomainSummary, domain_key
 from .errors import DataError
+from .neural import HashingEncoder, MLPModel
 from .textproc import COMPLIANCE_LEVELS, INSIGHT_LEVELS, StructuredFields
 
 YES_NO = ("Yes", "No")
@@ -361,6 +362,15 @@ def encode_features(rows: Sequence[AdmissionFeatures]) -> FeatureMatrix:
         admission_ids=tuple(r.admission_id for r in rows),
         patient_ids=tuple(r.patient_id for r in rows),
     )
+
+
+def extract(corp: Corpus, topic: MLPModel, sentiment: dict[str, MLPModel]) -> FeatureMatrix:
+    """The corpus's encoded feature matrix, as ``readmit extract`` writes it,
+    with the domain features from the trained topic and sentiment models."""
+    encoder = HashingEncoder(dim=topic.spec.input_dim)
+    summaries = {a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
+                 for a in corp.admissions}
+    return encode_features(build_features(corp, summaries))
 
 
 def write_csv(matrix: FeatureMatrix, path) -> None:

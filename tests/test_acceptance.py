@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from readmit import domains, evaluate, features, neural, syngen
-from readmit.classifiers import ModelSpec, train
+from readmit.classifiers import ModelSpec, f1_score, train
 from readmit.cli import main as cli_main
 from readmit.evaluate import auc_score, consensus_elimination, metrics, rfe
 from readmit.features import Column, FeatureMatrix, FeatureSchema
@@ -47,20 +47,11 @@ def planted_pipeline():
     test_idx, train_idx = order[:n_test], order[n_test:]
     topic = domains.train_topic_model(X[train_idx], Y[train_idx])
     pred = domains.predict_domains(topic, X[test_idx])
-    truth_bits = Y[test_idx] > 0.5
-    tp = float(np.sum(pred & truth_bits))
-    fp = float(np.sum(pred & ~truth_bits))
-    fn = float(np.sum(~pred & truth_bits))
-    topic_micro_f1 = 2 * tp / (2 * tp + fp + fn)
+    topic_micro_f1 = f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
 
     sentiment = domains.train_sentiment_models(
         syngen.make_sentiment_seed(config, 3500), encoder)
-    summaries = {
-        a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
-        for a in corpus.admissions
-    }
-    rows = features.build_features(corpus, summaries)
-    matrix = features.encode_features(rows)
+    matrix = features.extract(corpus, topic, sentiment)
     prep_seconds = time.time() - t0
     return {
         "config": config, "corpus": corpus, "truth": truth, "encoder": encoder,
@@ -84,11 +75,7 @@ def null_matrix():
     sentiment = domains.train_sentiment_models(
         syngen.make_sentiment_seed(config, 1400), encoder,
         TrainConfig(learning_rate=0.15, batch_size=32, epochs=60, patience=60))
-    summaries = {
-        a.admission_id: domains.summarize_admission(a, topic, sentiment, encoder)
-        for a in corpus.admissions
-    }
-    return features.encode_features(features.build_features(corpus, summaries))
+    return features.extract(corpus, topic, sentiment)
 
 
 def test_criterion_1_metric_oracle():

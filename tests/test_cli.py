@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from readmit import domains, neural
+from readmit import domains, features, neural
 from readmit.cli import main
 from readmit.corpus import derive_labels, load_corpus
 from readmit.domains import RISK_DOMAINS, domain_key
-from readmit.features import read_csv
+from readmit.features import read_csv, write_csv
 from readmit.neural import HashingEncoder, TrainConfig
 from readmit.seeding import derive_seed
 
@@ -96,6 +96,29 @@ def test_train_nlp_prints_heldout_metrics(pipeline_dirs, capsys):
     assert (out / "topic_model.json").exists()
     for name in ("appearance", "mood", "substance_use"):
         assert (out / f"sentiment_{name}.json").exists()
+
+
+def test_train_nlp_manifest_records_budget_and_metrics(pipeline_dirs):
+    _, _, models_dir, _ = pipeline_dirs
+    manifest = json.loads((models_dir / "manifest.json").read_text())
+    assert manifest["config"] == {"seed": 0, "holdout_fraction": 0.2,
+                                  "topic_epochs": None, "sentiment_epochs": 40}
+    metrics = manifest["metrics"]
+    assert 0.0 <= metrics["topic_micro_f1"] <= 1.0
+    assert set(metrics["sentiment_accuracy"]) == set(RISK_DOMAINS)
+
+
+def test_train_nlp_heldout_label_rounds(pipeline_dirs, tmp_path, capsys):
+    # int(100 * 0.29) is 28; the label rounds instead
+    _, gen_dir, _, _ = pipeline_dirs
+    out = tmp_path / "m"
+    assert run(["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
+                "--seed-file", gen_dir / "sentiment_seed.jsonl", "--out", out,
+                "--set", "holdout_fraction=0.29", "--set", "topic_epochs=1",
+                "--set", "sentiment_epochs=1"]) == 0
+    assert "topic micro-F1 (held-out 29%): " in capsys.readouterr().out
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["topic_epochs"], config["sentiment_epochs"]) == (1, 1)
 
 
 @pytest.mark.parametrize("setting", [
@@ -188,6 +211,16 @@ def test_extract_features_carry_topic_signal(pipeline_dirs):
             if n.startswith("sentence_fraction_") and not n.endswith("__missing")]
     assert len(cols) == len(RISK_DOMAINS)
     assert np.any(matrix.X[:, cols] != 0)
+
+
+def test_extract_matches_library(pipeline_dirs, tmp_path):
+    _, gen_dir, models_dir, features_csv = pipeline_dirs
+    corpus = derive_labels(load_corpus(gen_dir / "corpus.jsonl"))
+    topic = neural.load_mlp(models_dir / "topic_model.json")
+    sentiment = {d: neural.load_mlp(models_dir / f"sentiment_{domain_key(d)}.json")
+                 for d in RISK_DOMAINS}
+    write_csv(features.extract(corpus, topic, sentiment), tmp_path / "lib.csv")
+    assert features_csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_extract_deterministic(pipeline_dirs, tmp_path):

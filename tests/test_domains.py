@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from readmit import domains, neural, syngen, textproc
+from readmit.classifiers import f1_score
 from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
                              default_lexicon, scalar_sentiment,
                              summarize_admission, train_sentiment_models,
@@ -137,6 +138,28 @@ def test_aggregate_note_stage_weighting():
     assert summary.sentiment_score["Mood"] == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"holdout": 0.0}, "holdout_fraction"), ({"holdout": 1.0}, "holdout_fraction"),
+    ({"topic_epochs": 0}, "topic_epochs"), ({"sentiment_epochs": 0}, "sentiment_epochs"),
+])
+def test_train_nlp_rejects_bad_values(small_gen, kwargs, key):
+    _, corpus, _ = small_gen
+    with pytest.raises(ConfigError, match=key):
+        domains.train_nlp(corpus, [], default_lexicon(), **kwargs)
+
+
+def test_train_nlp_without_heldout_domain_sentences(small_gen):
+    # a holdout this small holds out one seed record, so six domains have none
+    config, corpus, _ = small_gen
+    nlp = domains.train_nlp(corpus, syngen.make_sentiment_seed(config, 700), default_lexicon(),
+                            holdout=1e-6, topic_epochs=1, sentiment_epochs=1)
+    accuracy = nlp.metrics["sentiment_accuracy"]
+    assert list(accuracy) == list(RISK_DOMAINS)
+    assert sum(a is None for a in accuracy.values()) == 6
+    assert all(0.0 <= a <= 1.0 for a in accuracy.values() if a is not None)
+    assert set(nlp.sentiment) == set(RISK_DOMAINS)
+
+
 def _topic_split(n):
     """(held-out rows, training rows) of the ``trained_pipeline`` topic model."""
     order = np.random.default_rng(77).permutation(n)
@@ -155,14 +178,10 @@ def trained_pipeline(small_gen, encoder):
     test_idx, train_idx = _topic_split(len(X))
     topic = train_topic_model(X[train_idx], Y[train_idx])
     pred = domains.predict_domains(topic, X[test_idx])
-    bits = Y[test_idx] > 0.5
-    tp = np.sum(pred & bits)
-    fp = np.sum(pred & ~bits)
-    fn = np.sum(~pred & bits)
-    micro_f1 = 2 * tp / (2 * tp + fp + fn)
+    micro_f1 = f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
     records = syngen.make_sentiment_seed(config, 700)
     sentiment = train_sentiment_models(records, encoder, PIPELINE_SENTIMENT_CONFIG)
-    return topic, sentiment, float(micro_f1)
+    return topic, sentiment, micro_f1
 
 
 def test_topic_model_heldout_micro_f1(trained_pipeline):
