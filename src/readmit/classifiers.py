@@ -14,7 +14,7 @@ import numpy as np
 
 from . import neural
 from .errors import ConfigError, DataError
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 
 KINDS = (
     "sgd_linear",
@@ -105,78 +105,240 @@ class _Tree:
         return self.value[node]
 
 
-def _gini(pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    p = pos / n
-    return 2.0 * p * (1.0 - p)
+# splitmix64's constants, as uint64 so that its arithmetic wraps in uint64
+_PHI = np.uint64(0x9E3779B97F4A7C15)  # the increment, 2**64 / golden ratio
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_U1, _U27, _U30, _U31 = (np.uint64(v) for v in (1, 27, 30, 31))
+
+# Trees are grown in batches whose levels hold at most this many sorted
+# (node, candidate, sample) entries, 2 MB per int64 array. Unbatched, a
+# 100-tree fit on 385x109 whose nodes see every column raised peak RSS by
+# 326 MB; at this size by 22 MB, and no slower.
+_MAX_ENTRIES = 1 << 18
+_NO_TIE = np.iinfo(np.int64).max
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf: int):
-    """Best Gini split over the candidate features; None if no valid split."""
-    n = X.shape[0]
-    sub = X[:, feat_idx]
-    order = np.argsort(sub, axis=0, kind="stable")
-    Xs = np.take_along_axis(sub, order, axis=0)
-    ys = y[order]
-
-    cum_pos = np.cumsum(ys, axis=0)
-    total_pos = cum_pos[-1]
-    left_n = np.arange(1, n, dtype=float)[:, None]
-    right_n = n - left_n
-    left_pos = cum_pos[:-1]
-    right_pos = total_pos - left_pos
-
-    p_all = y.sum() / n
-    parent_gini = 2.0 * p_all * (1.0 - p_all)
-
-    weighted = (left_n * _gini(left_pos, left_n) + right_n * _gini(right_pos, right_n)) / n
-    decrease = parent_gini - weighted
-    valid = (Xs[1:] > Xs[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    decrease[~valid] = -np.inf
-    flat = int(np.argmax(decrease))
-    pos_i, col = np.unravel_index(flat, decrease.shape)
-    if decrease[pos_i, col] <= 0.0 or not np.isfinite(decrease[pos_i, col]):
-        return None
-    threshold = 0.5 * (Xs[pos_i, col] + Xs[pos_i + 1, col])
-    return int(feat_idx[col]), float(threshold), float(decrease[pos_i, col])
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of each entry of a uint64 array, wrapping modulo 2**64."""
+    z = z + _PHI
+    z = (z ^ (z >> _U30)) * _MUL1
+    z = (z ^ (z >> _U27)) * _MUL2
+    return z ^ (z >> _U31)
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: Optional[np.random.Generator],
-               max_depth: Optional[int], min_leaf: int,
-               max_features: Optional[int], n_total_features: int) -> _Tree:
-    importances = np.zeros(n_total_features)
-    n_root = X.shape[0]
-    feature, threshold, left, right, value = [], [], [], [], []
+def _candidates(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
+    """Per node key, the k columns with the smallest ``splitmix64(key ^ col * phi)``,
+    in ascending column order.
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        """Appends the subtree at idx in preorder; returns its root's index."""
-        yn = y[idx]
-        node = len(value)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(yn.mean()))
-        n = len(idx)
-        if (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
-            return node
-        if yn.min() == yn.max():
-            return node
-        if max_features is None:
-            feat_idx = np.arange(n_total_features)
+    One key's hashes are distinct: ``col * phi`` is one-to-one for odd phi,
+    and so are the xor with the key and splitmix64. So there are no ties,
+    and a partition picks the same columns as a full sort.
+    """
+    h = _splitmix64(keys[:, None] ^ (np.arange(n_features, dtype=np.uint64) * _PHI))
+    return np.sort(np.argpartition(h, k - 1, axis=1)[:, :k], axis=1)
+
+
+def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, keys: np.ndarray,
+                max_depth: Optional[int], min_leaf: int,
+                max_features: Optional[int]) -> list[_Tree]:
+    """Grows one CART tree per row of ``rows`` (the rows of X it trains on,
+    repeats allowed), all trees of a batch together, one depth per step.
+
+    A node is a leaf at ``max_depth``, below ``2 * min_leaf`` rows, when pure,
+    or when no split decreases Gini. Otherwise it splits at the midpoint of
+    two adjacent values of a candidate column, taking the largest Gini
+    decrease, then the fewest rows on the left, then the lowest column. The
+    candidates are every column or, with ``max_features``, the columns that
+    ``_candidates`` draws from the node's key: ``keys[t]`` at tree t's root,
+    and ``splitmix64(2 * key + side)`` at a child (side 1 on the right).
+    """
+    n, d = X.shape
+    # Column j's distinct values get codes 0, 1, ... in ascending order;
+    # values[j, c] is the value with code c.
+    order = np.argsort(X, axis=0)
+    Xs = np.take_along_axis(X, order, axis=0)
+    sorted_codes = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(Xs[1:] != Xs[:-1], axis=0, out=sorted_codes[1:])
+    values = np.zeros((d, n))
+    values[np.arange(d), sorted_codes] = Xs
+    code_bits = max(1, int(sorted_codes[-1].max()).bit_length())
+    # low[i, j] is the tail of row i's entry for column j: its code, then its label.
+    low = np.empty_like(sorted_codes)
+    np.put_along_axis(low, order, sorted_codes << 1, axis=0)
+    low |= y.astype(np.int64)[:, None]
+
+    batch = max(1, _MAX_ENTRIES // (rows.shape[1] * (max_features or d)))
+    return [tree for lo in range(0, len(rows), batch)
+            for tree in _grow_batch(X, y, low, values, code_bits, rows[lo:lo + batch],
+                                    keys[lo:lo + batch] if max_features else None,
+                                    max_depth, min_leaf, max_features)]
+
+
+def _grow_batch(X, y, low, values, code_bits, rows, keys, max_depth, min_leaf, max_features):
+    """_grow_trees for one batch, given the columns' codes and values."""
+    n_trees, n_root = rows.shape
+    k = max_features or X.shape[1]
+    side = np.arange(2 * rows.size, dtype=np.uint64) & _U1
+
+    # The frontier is the nodes of one depth. Samples are the (row, node)
+    # pairs of the frontier nodes that may split; those nodes are numbered
+    # 0, 1, ... in frontier order.
+    f_tree = np.arange(n_trees)
+    f_key = keys
+    f_n = np.full(n_trees, n_root)
+    f_pos = y[rows].sum(axis=1)
+    s_row = rows.ravel()
+    s_node = np.arange(n_trees).repeat(n_root)
+    # Per depth: (tree, n, pos) of the frontier, and (node, left child,
+    # feature, threshold, decrease) of its splits, by node number over all depths.
+    levels = []
+    offset = 0  # the number of the frontier's first node
+    depth = 0
+    while True:
+        grow = (f_n >= 2 * min_leaf) & (f_pos > 0) & (f_pos < f_n)
+        if max_depth is not None and depth >= max_depth:
+            grow[:] = False
+        sp = grow.nonzero()[0]
+        if len(sp) < len(grow):
+            keep = grow[s_node].nonzero()[0]
+            s_row = s_row[keep]
+            s_node = (grow.cumsum() - 1)[s_node[keep]]
+        if len(sp):
+            split, feature, threshold, decrease = _best_splits(
+                low, values, code_bits, s_row, s_node,
+                None if f_key is None else _candidates(f_key[sp], X.shape[1], k),
+                f_n[sp], f_pos[sp], k, min_leaf)
         else:
-            feat_idx = rng.permutation(n_total_features)[:max_features]
-        split = _best_split(X[idx], yn, feat_idx, min_leaf)
-        if split is None:
-            return node
-        feature[node], threshold[node], decrease = split
-        importances[feature[node]] += decrease * n / n_root
-        mask = X[idx, feature[node]] < threshold[node]
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
-        return node
+            split = feature = threshold = decrease = sp
+        q = len(split)
+        left = np.arange(0, 2 * q, 2)
+        levels.append((f_tree, f_n, f_pos, offset + sp[split], offset + len(f_tree) + left,
+                       feature, threshold, decrease))
+        if not q:
+            break
+        offset += len(f_tree)
+        # Route: the q-th split sends its samples to children 2q (left) and
+        # 2q + 1; samples of nodes that did not split go to two bins past the end.
+        child = np.full(len(sp), 2 * q)
+        child[split] = left
+        at_feature = np.zeros(len(sp), dtype=np.intp)
+        at_feature[split] = feature
+        at_threshold = np.zeros(len(sp))
+        at_threshold[split] = threshold
+        c = child[s_node] + (X[s_row, at_feature[s_node]] >= at_threshold[s_node])
+        split = sp[split]
+        f_tree = f_tree[split].repeat(2)
+        if f_key is not None:
+            f_key = _splitmix64((f_key[split].repeat(2) << _U1) | side[:2 * q])
+        f_n = np.bincount(c, minlength=2 * q + 2)[:2 * q]
+        f_pos = np.bincount(c, weights=y[s_row], minlength=2 * q + 2)[:2 * q]
+        keep = (c < 2 * q).nonzero()[0]
+        s_row = s_row[keep]
+        s_node = c[keep]
+        depth += 1
+    return _assemble(levels, n_trees, n_root, X.shape[1])
 
-    build(np.arange(n_root), 0)
-    return _Tree(feature, threshold, left, right, value, importances)
+
+def _best_splits(low, values, code_bits, s_row, s_node, cand, n, pos, k, min_leaf):
+    """(nodes, feature, threshold, decrease) of the nodes that split.
+
+    Node i has ``n[i]`` samples, ``pos[i]`` of them positive, and candidate
+    columns ``cand[i]`` (every column when ``cand`` is None). Every (node,
+    candidate) pair is one segment of entries, one per sample, packed as
+    ``segment | code | label`` into an int64 and sorted, so a segment lists
+    its node's samples in the candidate column's value order.
+    """
+    shift = code_bits + 1
+    entry = low[s_row] if cand is None else low[s_row[:, None], cand[s_node]]
+    entry += (s_node * (k << shift))[:, None] + (np.arange(k) << shift)
+    entry = np.sort(entry, axis=None)
+
+    # A split may follow the last entry of each (segment, code) group but a segment's last.
+    group = entry >> 1
+    b = (group[1:] != group[:-1]).nonzero()[0]
+    seg_b = group[b] >> code_bits
+    seg_n = n.repeat(k)
+    seg_start = seg_n.cumsum() - seg_n
+    left_n = b + 1 - seg_start[seg_b]
+    node_n = seg_n[seg_b]
+    ok = ((left_n >= min_leaf) & (node_n - left_n >= min_leaf)).nonzero()[0]
+    if not len(ok):
+        return ok, ok, ok, ok
+    b, seg_b, left_n, node_n = b[ok], seg_b[ok], left_n[ok], node_n[ok]
+    cum = (entry & 1).cumsum()
+    lft_pos = cum[b] - (cum[seg_start] - (entry[seg_start] & 1))[seg_b]
+    node_b = seg_b // k
+
+    # The Gini decrease, in the floating-point operations of a per-node search.
+    rgt_n = node_n - left_n
+    rgt_pos = pos[node_b] - lft_pos
+    pl = lft_pos / left_n
+    pr = rgt_pos / rgt_n
+    weighted = (left_n * (2.0 * pl * (1.0 - pl)) + rgt_n * (2.0 * pr * (1.0 - pr))) / node_n
+    p = pos / n
+    dec = (2.0 * p * (1.0 - p))[node_b] - weighted
+
+    # Per node: largest decrease, then fewest rows on the left, then lowest candidate.
+    first = np.empty(len(b), dtype=bool)
+    first[0] = True
+    np.not_equal(node_b[1:], node_b[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    at = first.cumsum() - 1
+    best = np.maximum.reduceat(dec, starts)
+    tie = left_n * k + seg_b % k
+    tie[dec != best[at]] = _NO_TIE
+    chosen = (tie == np.minimum.reduceat(tie, starts)[at]).nonzero()[0]
+    chosen = chosen[best > 0]
+    s = node_b[chosen]
+    f = seg_b[chosen] % k
+    if cand is not None:
+        f = cand[s, f]
+    code_mask = (1 << code_bits) - 1
+    lo = values[f, group[b[chosen]] & code_mask]
+    hi = values[f, group[b[chosen] + 1] & code_mask]
+    thr = 0.5 * (lo + hi)
+    # Between adjacent floats the midpoint can round down to lo, which would
+    # send every row right; hi separates the two values.
+    return s, f, np.where(thr > lo, thr, hi), dec[chosen]
+
+
+def _assemble(levels, n_trees: int, n_root: int, n_features: int) -> list[_Tree]:
+    """Numbers each tree's nodes in preorder, and adds the split importances
+    in that order, as a depth-first grower would."""
+    tree, n, pos = (np.concatenate(a) for a in zip(*(lv[:3] for lv in levels)))
+    size = np.ones(len(tree), dtype=np.intp)
+    for lv in reversed(levels):
+        size[lv[3]] += size[lv[4]] + size[lv[4] + 1]
+    pre = np.zeros(len(tree), dtype=np.intp)
+    for lv in levels:
+        pre[lv[4]] = pre[lv[3]] + 1
+        pre[lv[4] + 1] = pre[lv[4]] + size[lv[4]]
+    tree_start = np.cumsum(size[:n_trees]) - size[:n_trees]
+    place = tree_start[tree] + pre  # trees one after another, each in preorder
+
+    split, left, feature, threshold, decrease = (np.concatenate(a)
+                                                 for a in zip(*(lv[3:] for lv in levels)))
+    at = place[split]
+    node_feature = np.full(len(tree), -1)
+    node_feature[at] = feature
+    node_threshold = np.zeros(len(tree))
+    node_threshold[at] = threshold
+    node_left = np.full(len(tree), -1)
+    node_left[at] = pre[left]
+    node_right = np.full(len(tree), -1)
+    node_right[at] = pre[left + 1]
+    value = np.empty(len(tree))
+    value[place] = pos / n
+
+    order = np.argsort(at)
+    imp = np.bincount((tree[split] * n_features + feature)[order],
+                      weights=(decrease * n[split] / n_root)[order],
+                      minlength=n_trees * n_features).reshape(n_trees, n_features)
+    bounds = np.append(tree_start, len(tree))
+    return [_Tree(node_feature[a:b], node_threshold[a:b], node_left[a:b], node_right[a:b],
+                  value[a:b], imp[t])
+            for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def _resolve_max_features(setting, n_features: int) -> Optional[int]:
@@ -308,20 +470,18 @@ def train(spec: ModelSpec, X, y) -> TrainedClassifier:
     elif kind in _TREE_KINDS:
         # A decision tree is grown exactly like a forest's one tree without bootstrap.
         forest = kind == "random_forest"
-        max_feats = _resolve_max_features(hyper["max_features"], X.shape[1])
-        trees = []
-        for t in range(hyper["n_trees"] if forest else 1):
-            rng = rng_for(spec.seed, "tree", t)
-            if forest and hyper["bootstrap"]:
-                idx = rng.integers(0, X.shape[0], X.shape[0])
-                Xt, yt = X[idx], y[idx]
-                if yt.min() == yt.max():  # degenerate bootstrap: keep original
-                    Xt, yt = X, y
-            else:
-                Xt, yt = X, y
-            trees.append(_grow_tree(Xt, yt, rng, hyper["max_depth"],
-                                    hyper["min_samples_leaf"], max_feats, X.shape[1]))
-        clf.trees = trees
+        n = X.shape[0]
+        n_trees = hyper["n_trees"] if forest else 1
+        keys = np.array([derive_seed(spec.seed, "tree", t) for t in range(n_trees)],
+                        dtype=np.uint64)
+        rows = np.tile(np.arange(n), (n_trees, 1))
+        if forest and hyper["bootstrap"]:
+            for t in range(n_trees):
+                idx = rng_for(spec.seed, "tree", t).integers(0, n, n)
+                if y[idx].min() != y[idx].max():  # degenerate bootstrap: keep original
+                    rows[t] = idx
+        clf.trees = _grow_trees(X, y, rows, keys, hyper["max_depth"], hyper["min_samples_leaf"],
+                                _resolve_max_features(hyper["max_features"], X.shape[1]))
     else:  # mlp
         clf.standardizer = _Standardizer.fit(X)
         Z = clf.standardizer.transform(X)
@@ -367,17 +527,22 @@ def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     if clf.spec.kind in _LINEAR_KINDS:
         return _normalize(np.abs(clf.weights))
 
-    X = np.asarray(X, dtype=float)
+    # Standardizing is elementwise per column, so shuffling a standardized
+    # column gives the same matrix as standardizing a shuffled one.
+    Z = clf.standardizer.transform(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    base = f1_score(y, clf.predict(X))
-    drops = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
-        col = X[:, j].copy()
+
+    def f1_on(Z):
+        return f1_score(y, (neural.predict(clf.mlp, Z)[:, 1] >= 0.5).astype(float))
+
+    base = f1_on(Z)
+    drops = np.zeros(Z.shape[1])
+    for j in range(Z.shape[1]):
+        col = Z[:, j].copy()
         for r in range(_N_PERMUTATIONS):
-            rng = rng_for(seed, "perm", j, r)
-            Xp = X.copy()
-            Xp[:, j] = col[rng.permutation(len(col))]
-            drops[j] += base - f1_score(y, clf.predict(Xp))
+            Z[:, j] = col[rng_for(seed, "perm", j, r).permutation(len(col))]
+            drops[j] += base - f1_on(Z)
+        Z[:, j] = col
     drops = np.maximum(drops / _N_PERMUTATIONS, 0.0)
     return _normalize(drops)
 

@@ -50,18 +50,11 @@ class MetricSet:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)  # average of ranks i+1 .. j
-        i = j
-    return ranks
+    """1-based ranks; a group of tied scores shares the mean of its ranks."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    end = np.cumsum(counts)  # the highest rank in each group
+    return (end - (counts - 1) / 2.0)[inverse]
 
 
 def auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
@@ -198,43 +191,40 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
 
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                        "openblas_set_num_threads64_")
+_BLAS_THREAD_FUNCTIONS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                          "openblas_{}_num_threads64_")
 
 # The job of a pool worker; set only in forked children, by _start_worker.
 _worker_job = None
 
 
-def _one_blas_thread() -> None:
-    """Cap the OpenBLAS this process has loaded at one thread; no-op without one.
-
-    Workers whose BLAS each spreads over every CPU oversubscribe the
-    machine: uncapped, an MLP eval on two workers ran slower than on one.
-    """
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS this process has loaded;
+    None without one."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return
+        return None
     paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
+        for name in _BLAS_THREAD_FUNCTIONS:
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def _start_worker(job) -> None:
     global _worker_job
     _worker_job = job
-    _one_blas_thread()
 
 
 def _run_job(i: int):
@@ -247,18 +237,32 @@ def _map(job, n: int, workers: int) -> list:
     Forking hands each worker the job closure, and the matrix it holds,
     without pickling. Only the index goes out and the result comes back,
     in index order, so outputs match a sequential run byte for byte.
+
+    While the pool runs, the parent's OpenBLAS is held at one thread, and
+    the workers inherit that. Workers whose BLAS each spreads over every CPU
+    oversubscribe the machine (uncapped, an MLP eval on two workers ran
+    slower than on one), and forking a parent with BLAS threads running
+    costs more than forking one without.
     """
     if workers < 2 or n < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [job(i) for i in range(n)]
-    pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
+    blas = _openblas_threads()
+    if blas is not None:
+        threads = blas[0]()
+        blas[1](1)
     try:
-        return pool.map(_run_job, range(n), chunksize=1)
-    except BaseException:
-        pool.terminate()  # stop the runs still queued behind the failure
-        raise
+        pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
+        try:
+            return pool.map(_run_job, range(n), chunksize=1)
+        except BaseException:
+            pool.terminate()  # stop the runs still queued behind the failure
+            raise
+        finally:
+            pool.close()
+            pool.join()
     finally:
-        pool.close()
-        pool.join()
+        if blas is not None:
+            blas[1](threads)
 
 
 def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,

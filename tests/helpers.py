@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from readmit import neural
-from readmit.classifiers import _best_split
+from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
+from readmit.seeding import rng_for
 from readmit.textproc import (TokenizedSentence, _block_spans,
                               default_abbreviations, tokenize)
 
@@ -121,6 +122,67 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
     return worst
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_splitmix64(x: int) -> int:
+    """splitmix64 on a Python int, masked to 64 bits after every step."""
+    z = (x + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_candidates(key: int, n_features: int, k: int) -> np.ndarray:
+    """The k columns with the smallest splitmix64(key ^ col * phi), ascending."""
+    hashed = sorted((reference_splitmix64(key ^ ((col * _GOLDEN) & _MASK64)), col)
+                    for col in range(n_features))
+    return np.array(sorted(col for _, col in hashed[:k]))
+
+
+def _reference_gini(pos, n):
+    p = pos / n
+    return 2.0 * p * (1.0 - p)
+
+
+def reference_best_split(X, y, feat_idx, min_leaf):
+    """Best Gini split of one node over the candidate columns; None if none is valid.
+
+    Ties go to the fewest rows on the left, then to the earlier candidate.
+    """
+    n = X.shape[0]
+    sub = X[:, feat_idx]
+    order = np.argsort(sub, axis=0, kind="stable")
+    Xs = np.take_along_axis(sub, order, axis=0)
+    ys = y[order]
+
+    cum_pos = np.cumsum(ys, axis=0)
+    total_pos = cum_pos[-1]
+    left_n = np.arange(1, n, dtype=float)[:, None]
+    right_n = n - left_n
+    left_pos = cum_pos[:-1]
+    right_pos = total_pos - left_pos
+
+    p_all = y.sum() / n
+    parent_gini = 2.0 * p_all * (1.0 - p_all)
+
+    weighted = (left_n * _reference_gini(left_pos, left_n)
+                + right_n * _reference_gini(right_pos, right_n)) / n
+    decrease = parent_gini - weighted
+    valid = (Xs[1:] > Xs[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    decrease[~valid] = -np.inf
+    flat = int(np.argmax(decrease))
+    pos_i, col = np.unravel_index(flat, decrease.shape)
+    if decrease[pos_i, col] <= 0.0 or not np.isfinite(decrease[pos_i, col]):
+        return None
+    lo, hi = Xs[pos_i, col], Xs[pos_i + 1, col]
+    threshold = 0.5 * (lo + hi)
+    if threshold <= lo:  # the midpoint of adjacent floats rounded down
+        threshold = hi
+    return int(feat_idx[col]), float(threshold), float(decrease[pos_i, col])
+
+
 class ReferenceNode:
     """Node of the reference tree: leaves have left is None."""
 
@@ -132,16 +194,18 @@ class ReferenceNode:
         self.value = value
 
 
-def reference_grow_tree(X, y, rng, max_depth, min_leaf, max_features, n_total_features):
-    """Linked-node CART grower, the reference for the array tree.
+def reference_grow_tree(X, y, key, max_depth, min_leaf, max_features, n_total_features):
+    """Recursive linked-node CART grower, the reference for the level-wise one.
 
-    Same split search and random draws as the production grower, so on any
-    input it must yield the same tree. Returns (root, importances).
+    A node with key ``key`` draws its candidate columns with
+    ``reference_candidates``; its children's keys are
+    ``splitmix64(2 * key + side)``, side 0 on the left. Importances are
+    added in preorder. Returns (root, importances).
     """
     importances = np.zeros(n_total_features)
     n_root = X.shape[0]
 
-    def build(idx, depth):
+    def build(idx, depth, key):
         yn = y[idx]
         node = ReferenceNode(float(yn.mean()))
         n = len(idx)
@@ -152,8 +216,8 @@ def reference_grow_tree(X, y, rng, max_depth, min_leaf, max_features, n_total_fe
         if max_features is None:
             feat_idx = np.arange(n_total_features)
         else:
-            feat_idx = rng.permutation(n_total_features)[:max_features]
-        split = _best_split(X[idx], yn, feat_idx, min_leaf)
+            feat_idx = reference_candidates(key, n_total_features, max_features)
+        split = reference_best_split(X[idx], yn, feat_idx, min_leaf)
         if split is None:
             return node
         feature, threshold, decrease = split
@@ -161,11 +225,17 @@ def reference_grow_tree(X, y, rng, max_depth, min_leaf, max_features, n_total_fe
         mask = X[idx, feature] < threshold
         node.feature = feature
         node.threshold = threshold
-        node.left = build(idx[mask], depth + 1)
-        node.right = build(idx[~mask], depth + 1)
+        node.left = build(idx[mask], depth + 1, reference_splitmix64((2 * key) & _MASK64))
+        node.right = build(idx[~mask], depth + 1, reference_splitmix64((2 * key + 1) & _MASK64))
         return node
 
-    return build(np.arange(n_root), 0), importances
+    return build(np.arange(n_root), 0, key), importances
+
+
+def reference_tree_depth(root) -> int:
+    if root.left is None:
+        return 0
+    return 1 + max(reference_tree_depth(root.left), reference_tree_depth(root.right))
 
 
 def reference_tree_predict(root, X):
@@ -177,6 +247,23 @@ def reference_tree_predict(root, X):
             node = node.left if X[i, node.feature] < node.threshold else node.right
         out[i] = node.value
     return out
+
+
+def reference_permutation_importance(clf, X, y, seed, n_permutations=3):
+    """The MLP's permutation importance by shuffling raw columns and calling
+    ``clf.predict`` on each shuffled copy."""
+    base = f1_score(y, clf.predict(X))
+    drops = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        col = X[:, j].copy()
+        for r in range(n_permutations):
+            rng = rng_for(seed, "perm", j, r)
+            Xp = X.copy()
+            Xp[:, j] = col[rng.permutation(len(col))]
+            drops[j] += base - f1_score(y, clf.predict(Xp))
+    drops = np.maximum(drops / n_permutations, 0.0)
+    total = drops.sum()
+    return drops / total if total > 0 else drops
 
 
 _PUNCT_RUN_RE = re.compile(r"[.!?]+")

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import readmit
-from readmit.classifiers import KINDS, ModelSpec, _grow_tree, importances, train
+from readmit import classifiers
+from readmit.classifiers import KINDS, ModelSpec, _grow_trees, importances, train
 from readmit.errors import ConfigError, DataError
 from readmit.evaluate import metrics
-from readmit.seeding import rng_for
+from readmit.seeding import derive_seed, rng_for
 
-from helpers import reference_grow_tree, reference_tree_predict
+from helpers import (reference_candidates, reference_grow_tree, reference_permutation_importance,
+                     reference_tree_depth, reference_tree_predict)
 
 KIND_HYPER = {
     "sgd_linear": {},
@@ -77,26 +79,127 @@ def test_tree_perfect_binary_column():
     assert np.array_equal(clf.predict(X), y)
 
 
+def _assert_trees_match_reference(X, y, rows, keys, max_depth, min_leaf, max_features):
+    """Grows the trees of ``rows`` in one call and checks each against the
+    recursive reference; returns the reference trees' depths."""
+    d = X.shape[1]
+    trees = _grow_trees(X, y, rows, keys, max_depth, min_leaf, max_features)
+    assert len(trees) == len(rows)
+    Xte = np.vstack([X, np.random.default_rng(0).normal(0, 1, (60, d))])
+    depths = []
+    for t, tree in enumerate(trees):
+        root, imp = reference_grow_tree(X[rows[t]], y[rows[t]], int(keys[t]), max_depth,
+                                        min_leaf, max_features, d)
+        assert np.array_equal(tree.predict_proba(Xte), reference_tree_predict(root, Xte))
+        assert np.array_equal(tree.importances, imp)
+        depths.append(reference_tree_depth(root))
+    return depths
+
+
+def _tree_problem(rng, n, d):
+    X = rng.normal(0, 1, (n, d))
+    X[:, : d // 3] = np.round(X[:, : d // 3])  # columns with tied values
+    y = (rng.random(n) < 1 / (1 + np.exp(-2.0 * X[:, -1]))).astype(float)
+    if y.min() == y.max():
+        y[0] = 1.0 - y[0]
+    return X, y
+
+
+def _keys(seed, n_trees):
+    return np.array([derive_seed(seed, "tree", t) for t in range(n_trees)], dtype=np.uint64)
+
+
 def test_array_tree_matches_reference_tree():
     rng = np.random.default_rng(40)
+    mixed_depths = 0
     for k in range(40):
         n = int(rng.integers(10, 400))
         d = int(rng.integers(1, 110)) if k % 4 == 0 else int(rng.integers(1, 20))
-        X = rng.normal(0, 1, (n, d))
-        X[:, : d // 3] = np.round(X[:, : d // 3])  # columns with tied values
-        y = (rng.random(n) < 1 / (1 + np.exp(-2.0 * X[:, -1]))).astype(float)
-        if y.min() == y.max():
-            y[0] = 1.0 - y[0]
+        X, y = _tree_problem(rng, n, d)
+        n_trees = 1 + k % 4
+        rows = np.tile(np.arange(n), (n_trees, 1))
+        if k % 5 < 2:  # bootstrap rows, with repeats
+            rows = rng.integers(0, n, (n_trees, n))
+            rows[:, :2] = np.flatnonzero(y == 0)[0], np.flatnonzero(y == 1)[0]
         max_depth = (None, 3, 8)[k % 3]
         min_leaf = 1 + k % 3
         max_features = None if k % 2 else max(1, int(np.sqrt(d)))
-        args = (max_depth, min_leaf, max_features, d)
-        tree = _grow_tree(X, y, rng_for(k, "tree", 0), *args)
-        root, imp = reference_grow_tree(X, y, rng_for(k, "tree", 0), *args)
+        depths = _assert_trees_match_reference(X, y, rows, _keys(k, n_trees), max_depth,
+                                               min_leaf, max_features)
+        mixed_depths += len(set(depths)) > 1
+    assert mixed_depths >= 3  # batches whose trees stop at different depths
 
-        Xte = np.vstack([X, rng.normal(0, 1, (60, d))])
+
+def test_grower_edge_cases_match_reference(monkeypatch):
+    rng = np.random.default_rng(41)
+    X, y = _tree_problem(rng, 60, 7)
+    boot = rng.integers(0, 60, (3, 60))
+    boot[:, :2] = np.flatnonzero(y == 0)[0], np.flatnonzero(y == 1)[0]
+    keys = _keys(41, 3)
+    for max_features in (None, 2):
+        # max_depth 0: every tree is one leaf
+        _assert_trees_match_reference(X, y, boot, keys, 0, 1, max_features)
+        trees = _grow_trees(X, y, boot, keys, 0, 1, max_features)
+        assert [len(t.feature) for t in trees] == [1, 1, 1]
+        # min_samples_leaf above half the rows: the root cannot split
+        _assert_trees_match_reference(X, y, boot, keys, None, 31, max_features)
+        assert all(len(t.feature) == 1 for t in _grow_trees(X, y, boot, keys, None, 31,
+                                                            max_features))
+
+    # A 385-row problem grown without a depth limit, one tree per batch.
+    X, y = _tree_problem(rng, 385, 12)
+    rows = np.vstack([np.arange(385), rng.integers(0, 385, (2, 385))])
+    monkeypatch.setattr(classifiers, "_MAX_ENTRIES", 1)
+    assert max(_assert_trees_match_reference(X, y, rows, _keys(42, 3), None, 1, 3)) > 8
+
+
+def test_node_with_constant_candidates_is_a_leaf():
+    # Only column 0 varies; a node whose one candidate is another column is a leaf.
+    rng = np.random.default_rng(43)
+    X = np.ones((40, 6))
+    X[:, 0] = rng.normal(0, 1, 40)
+    y = (X[:, 0] > 0).astype(float)
+    seeds = [s for s in range(50) if reference_candidates(derive_seed(s, "tree", 0), 6, 1)[0] != 0]
+    keys = np.array([derive_seed(s, "tree", 0) for s in seeds[:4]], dtype=np.uint64)
+    rows = np.tile(np.arange(40), (len(keys), 1))
+    _assert_trees_match_reference(X, y, rows, keys, None, 1, 1)
+    assert all(len(t.feature) == 1 for t in _grow_trees(X, y, rows, keys, None, 1, 1))
+    clf = train(ModelSpec("random_forest", {"n_trees": 4, "max_features": 1, "bootstrap": False},
+                          seed=seeds[0]), X, y)
+    assert len(clf.trees[0].feature) == 1 and clf.trees[0].value[0] == y.mean()
+
+
+def test_single_class_bootstrap_trains_on_all_rows():
+    # One positive in 30 rows: about a third of the bootstraps miss it, and
+    # those trees train on the original rows instead.
+    rng = np.random.default_rng(44)
+    X = rng.normal(0, 1, (30, 4))
+    y = np.zeros(30)
+    y[7] = 1.0
+    spec = ModelSpec("random_forest", {"n_trees": 12, "max_features": 2}, seed=3)
+    rows = [rng_for(3, "tree", t).integers(0, 30, 30) for t in range(12)]
+    missed = [t for t in range(12) if y[rows[t]].max() == 0.0]
+    assert len(missed) >= 2
+    for t in missed:
+        rows[t] = np.arange(30)
+    clf = train(spec, X, y)
+    Xte = np.vstack([X, rng.normal(0, 1, (40, 4))])
+    for t, tree in enumerate(clf.trees):
+        root, imp = reference_grow_tree(X[rows[t]], y[rows[t]], derive_seed(3, "tree", t),
+                                        None, 1, 2, 4)
         assert np.array_equal(tree.predict_proba(Xte), reference_tree_predict(root, Xte))
         assert np.array_equal(tree.importances, imp)
+
+
+def test_tree_splits_between_adjacent_floats():
+    # The midpoint of 1 and the next float rounds to 1, which would send
+    # every row right; the split must still separate the two values.
+    a, b = 1.0, np.nextafter(1.0, 2.0)
+    X = np.array([[a]] * 5 + [[b]] * 5)
+    y = np.array([0.0] * 5 + [1.0] * 5)
+    clf = train(ModelSpec("decision_tree", {"max_depth": None}), X, y)
+    assert clf.trees[0].threshold[0] == b
+    assert np.array_equal(clf.predict_proba(X), y)
 
 
 def test_forest_single_tree_equals_decision_tree():
@@ -146,6 +249,16 @@ def test_permutation_importance_constant_column_zero():
     imp = importances(clf, X, y)
     assert imp[4] == 0.0
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_permutation_importance_matches_reference_loop(d):
+    X, y = _linear_problem(seed=d, n=90, d=d)
+    X[:, 0] *= 50.0  # a column far from standardized
+    clf = train(ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}, seed=d), X, y)
+    for seed in (0, 1, 7):
+        assert np.array_equal(importances(clf, X, y, seed=seed),
+                              reference_permutation_importance(clf, X, y, seed))
 
 
 def test_informative_column_ranks_first_in_forest():

@@ -119,6 +119,8 @@ def test_auc_matches_brute_force_with_ties():
             y[0] = 1 - y[0]
         scores = np.round(rng.random(n), 1)  # coarse grid forces ties
         assert abs(auc_score(y, scores) - brute_force_auc(y, scores)) <= 1e-12
+        for scores in (np.full(n, 0.3), rng.choice([0.2, 0.9], n)):  # all tied; two values
+            assert abs(auc_score(y, scores) - brute_force_auc(y, scores)) <= 1e-12
 
 
 def test_auc_invariant_to_monotone_score_transform():
@@ -218,6 +220,21 @@ def test_rfe_worker_invariant(kind):
     b = rfe(matrix, SMALL_SPECS[kind], folds=3, repeats=2, master_seed=3, workers=2)
     assert _dump(evaluate.rfe_outcome_obj(a)) == _dump(evaluate.rfe_outcome_obj(b))
     assert multiprocessing.active_children() == []
+
+
+def test_map_holds_blas_at_one_thread_and_restores_it():
+    blas = evaluate._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS with thread-count functions is loaded")
+    get, set_threads = blas
+    before = get()
+    set_threads(2)
+    try:
+        threads = get()
+        assert evaluate._map(lambda i: get(), 3, workers=2) == [1, 1, 1]
+        assert get() == threads
+    finally:
+        set_threads(before)
 
 
 # Runs in a child interpreter, so a pool that hangs fails the test on its
