@@ -9,13 +9,14 @@ distribution over (positive, neutral, negative), collapsed to a scalar in
 """
 
 import json
+import mmap
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import classifiers, neural, textproc
+from . import classifiers, neural, pool, textproc
 from .errors import ConfigError, DataError
 from .neural import HashingEncoder, MLPModel, MLPSpec, TrainConfig
 from .seeding import derive_seed
@@ -206,16 +207,30 @@ def write_seed_file(records: Sequence[SeedRecord], path) -> None:
             fh.write("\n")
 
 
+def _parameter_views(buf, shapes, dtype) -> list[np.ndarray]:
+    """Arrays of ``shapes`` laid out one after another in ``buf``."""
+    views, offset = [], 0
+    for shape in shapes:
+        view = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
+        views.append(view)
+        offset += view.nbytes
+    return views
+
+
 def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncoder,
                            config: Optional[TrainConfig] = None) -> dict[str, MLPModel]:
-    """One 3-class sentiment MLP per domain, trained only on its sentences."""
+    """One 3-class sentiment MLP per domain, trained only on its sentences.
+
+    Every domain is checked before any model trains. The models train on a
+    process pool, one job per domain, on every CPU this process may use;
+    each is the model ``neural.train_mlp`` makes in-process from its rows,
+    whatever the number of workers.
+    """
     config = config or DEFAULT_SENTIMENT_CONFIG
     by_domain: dict[str, list[SeedRecord]] = {d: [] for d in RISK_DOMAINS}
     for r in records:
         by_domain[r.domain].append(r)
-    models: dict[str, MLPModel] = {}
-    for domain in RISK_DOMAINS:
-        recs = by_domain[domain]
+    for domain, recs in by_domain.items():
         if len(recs) < MIN_SENTENCES_PER_DOMAIN:
             raise ConfigError(
                 f"domain {domain} has {len(recs)} labeled sentences; "
@@ -223,15 +238,47 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
             )
         if {r.label for r in recs} != set(POLARITIES):
             raise ConfigError(f"domain {domain} is missing at least one polarity")
+    data = []
+    for recs in by_domain.values():
         X = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
         Y = np.zeros((len(recs), 3))
         for i, r in enumerate(recs):
             Y[i, POLARITIES.index(r.label)] = 1.0
-        spec = MLPSpec(
-            input_dim=encoder.dim, hidden_sizes=(256, 64), activation="relu",
-            dropout_rate=SENTIMENT_DROPOUT, output_kind="softmax", n_outputs=3,
-        )
-        models[domain] = neural.train_mlp(spec, X, Y, config)
+        data.append((X, Y))
+    spec = MLPSpec(
+        input_dim=encoder.dim, hidden_sizes=(256, 64), activation="relu",
+        dropout_rate=SENTIMENT_DROPOUT, output_kind="softmax", n_outputs=3,
+    )
+
+    # Each job writes its parameters into a shared mapping the parent made,
+    # one per model, and returns only the training record. Parameters that
+    # come back pickled are unpickled on the pool's result thread, whose heap
+    # arena kept that memory after the pool closed, growing pass after pass.
+    shapes = neural.parameter_shapes(spec)
+    dtype = data[0][0].dtype  # train_mlp trains in the dtype of its rows
+    nbytes = sum(int(np.prod(s)) for s in shapes) * dtype.itemsize
+    buffers = [mmap.mmap(-1, nbytes) for _ in RISK_DOMAINS]
+
+    def train(i: int):
+        model = neural.train_mlp(spec, *data[i], config)
+        for view, param in zip(_parameter_views(buffers[i], shapes, dtype),
+                               model.weights + model.biases):
+            view[...] = param
+        return model.epochs_run, model.final_loss, model.loss_history
+
+    n_layers = len(shapes) // 2
+    models: dict[str, MLPModel] = {}
+    try:
+        runs = pool.map_jobs(train, len(RISK_DOMAINS), pool.usable_cpus())
+        for domain, buf, (epochs_run, final_loss, history) in zip(RISK_DOMAINS, buffers, runs):
+            params = [view.copy() for view in _parameter_views(buf, shapes, dtype)]
+            buf.close()  # so this process maps one model's buffer at a time
+            models[domain] = MLPModel(spec, params[:n_layers], params[n_layers:],
+                                      seed=config.seed, epochs_run=epochs_run,
+                                      final_loss=final_loss, loss_history=history)
+    finally:
+        for buf in buffers:
+            buf.close()
     return models
 
 

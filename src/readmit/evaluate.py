@@ -5,14 +5,12 @@ Every run, fold and repeat draws its seed from the master seed via
 config) and identical whether work runs sequentially or in parallel.
 """
 
-import ctypes
-import multiprocessing
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import classifiers
+from . import classifiers, pool
 from .classifiers import ModelSpec
 from .errors import ConfigError, DataError, MetricUndefinedError
 from .features import FeatureMatrix, Imputer
@@ -80,8 +78,9 @@ def metrics(y_true, y_score) -> MetricSet:
     y_score = np.asarray(y_score, dtype=float)
     if y_true.shape != y_score.shape:
         raise DataError("y_true and y_score lengths differ")
-    if np.any((y_score < 0) | (y_score > 1)):
-        raise DataError("y_score entries must lie in [0, 1]")
+    # NaN fails both comparisons, so it is rejected with the out-of-range scores
+    if not np.all((y_score >= 0) & (y_score <= 1)):
+        raise DataError("y_score entries must be finite and lie in [0, 1]")
     y_pred = (y_score >= 0.5).astype(float)
     accuracy = float(np.sum(y_pred == y_true)) / len(y_true)
     return MetricSet(accuracy=accuracy, auc=auc_score(y_true, y_score),
@@ -191,80 +190,6 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
 
-_BLAS_THREAD_FUNCTIONS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
-                          "openblas_{}_num_threads64_")
-
-# The job of a pool worker; set only in forked children, by _start_worker.
-_worker_job = None
-
-
-def _openblas_threads():
-    """(get, set) for the thread count of the OpenBLAS this process has loaded;
-    None without one."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return None
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_FUNCTIONS:
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_job(i: int):
-    return _worker_job(i)
-
-
-def _map(job, n: int, workers: int) -> list:
-    """``[job(i) for i in range(n)]``, on ``min(workers, n)`` forked processes.
-
-    Forking hands each worker the job closure, and the matrix it holds,
-    without pickling. Only the index goes out and the result comes back,
-    in index order, so outputs match a sequential run byte for byte.
-
-    While the pool runs, the parent's OpenBLAS is held at one thread, and
-    the workers inherit that. Workers whose BLAS each spreads over every CPU
-    oversubscribe the machine (uncapped, an MLP eval on two workers ran
-    slower than on one), and forking a parent with BLAS threads running
-    costs more than forking one without.
-    """
-    if workers < 2 or n < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [job(i) for i in range(n)]
-    blas = _openblas_threads()
-    if blas is not None:
-        threads = blas[0]()
-        blas[1](1)
-    try:
-        pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
-        try:
-            return pool.map(_run_job, range(n), chunksize=1)
-        except BaseException:
-            pool.terminate()  # stop the runs still queued behind the failure
-            raise
-        finally:
-            pool.close()
-            pool.join()
-    finally:
-        if blas is not None:
-            blas[1](threads)
-
-
 def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,
                   split_config: Optional[SplitConfig] = None,
                   n_runs: int = 100, master_seed: int = 0, workers: int = 1) -> RunsReport:
@@ -276,7 +201,7 @@ def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,
     if n_runs < 1:
         raise ConfigError(f"n_runs must be positive, got {n_runs}")
 
-    results = _map(lambda r: _one_run(matrix, spec, split_config, master_seed, r),
+    results = pool.map_jobs(lambda r: _one_run(matrix, spec, split_config, master_seed, r),
                    n_runs, workers)
 
     runs = [r for r, _ in results]
@@ -437,7 +362,7 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
             best_score=scores[best_pos],
         )
 
-    details = _map(one_repeat, repeats, workers)
+    details = pool.map_jobs(one_repeat, repeats, workers)
     best_repeat = int(np.argmax([d.best_score for d in details]))
     return RfeOutcome(
         model_kind=spec.kind, folds=folds, repeats=repeats, master_seed=master_seed,

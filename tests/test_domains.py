@@ -1,17 +1,24 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from readmit import domains, neural, syngen, textproc
+from readmit import domains, neural, pool, syngen, textproc
 from readmit.classifiers import f1_score
 from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
                              default_lexicon, scalar_sentiment,
                              summarize_admission, train_sentiment_models,
                              train_topic_model, weak_label)
-from readmit.errors import ConfigError, DataError
-from readmit.neural import TrainConfig
+from readmit.errors import ConfigError, DataError, TrainingDivergedError
+from readmit.neural import MLPSpec, TrainConfig
 
 from helpers import mlp_as_dtype
 
@@ -223,18 +230,25 @@ def test_sentiment_models_beat_chance(small_gen, encoder, trained_pipeline):
         assert float(np.mean(pred == truth)) > 1 / 3
 
 
-def test_sentiment_training_requires_min_sentences(small_gen, encoder):
+def test_sentiment_training_requires_min_sentences(small_gen, encoder, monkeypatch):
+    # every domain is checked before any model trains
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before every domain was checked")
+    monkeypatch.setattr(neural, "train_mlp", no_training)
     # a domain absent from the seed file is reported by name
     records = [domains.SeedRecord("Mood", "Feels sad today.", "negative")] * 60
     with pytest.raises(ConfigError, match="Appearance"):
         train_sentiment_models(records, encoder)
-    # a present but undersized domain is reported by name too
+    # a present but undersized domain is reported by name too, even the last one
     config, _, _ = small_gen
     full = syngen.make_sentiment_seed(config, 700)
     thinned = [r for r in full if r.domain != "Mood"] + \
               [r for r in full if r.domain == "Mood"][:10]
     with pytest.raises(ConfigError, match="Mood"):
         train_sentiment_models(thinned, encoder)
+    one_sided = [r for r in full if r.domain != "Mood" or r.label != "negative"]
+    with pytest.raises(ConfigError, match="Mood is missing"):
+        train_sentiment_models(one_sided, encoder)
 
 
 def test_sentiment_training_deterministic(small_gen, encoder):
@@ -245,6 +259,99 @@ def test_sentiment_training_deterministic(small_gen, encoder):
     m2 = train_sentiment_models(seed_records, encoder, cfg)["Mood"]
     for w1, w2 in zip(m1.weights, m2.weights):
         assert np.array_equal(w1, w2)
+
+
+SHORT_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs=3, patience=3,
+                                     seed=5)
+
+
+def _model_bytes(models, directory) -> dict[str, bytes]:
+    """Each model's saved file, written under ``directory``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    out = {}
+    for domain, model in models.items():
+        path = directory / f"{domain}.json"
+        neural.save_mlp(model, path)
+        out[domain] = path.read_bytes()
+    return out
+
+
+def test_pooled_sentiment_models_match_in_process_training(small_gen, encoder, tmp_path):
+    # the reference: neural.train_mlp in this process on each domain's rows
+    config, _, _ = small_gen
+    records = syngen.make_sentiment_seed(config, 700)
+    pooled = train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG)
+    assert multiprocessing.active_children() == []
+    spec = MLPSpec(input_dim=encoder.dim, hidden_sizes=(256, 64), activation="relu",
+                   dropout_rate=domains.SENTIMENT_DROPOUT, output_kind="softmax", n_outputs=3)
+    reference = {}
+    for domain in RISK_DOMAINS:
+        recs = [r for r in records if r.domain == domain]
+        X = neural.encode_rows(encoder, [textproc.tokenize(r.text) for r in recs])
+        Y = np.eye(3)[[domains.POLARITIES.index(r.label) for r in recs]]
+        reference[domain] = neural.train_mlp(spec, X, Y, SHORT_SENTIMENT_CONFIG)
+    assert list(pooled) == list(RISK_DOMAINS)
+    assert _model_bytes(pooled, tmp_path / "pooled") == _model_bytes(reference, tmp_path / "ref")
+
+
+# Trains in a child interpreter held to one CPU, so the models come from
+# one in-process loop, and saves them under argv[2].
+_ONE_CPU_SCRIPT = textwrap.dedent("""
+    import os, sys
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    from readmit import domains, neural, pool
+    from readmit.neural import HashingEncoder, TrainConfig
+    assert pool.usable_cpus() == 1
+    config = TrainConfig(learning_rate=0.15, batch_size=32, epochs=3, patience=3, seed=5)
+    models = domains.train_sentiment_models(domains.read_seed_file(sys.argv[1]),
+                                            HashingEncoder(), config)
+    for domain, model in models.items():
+        neural.save_mlp(model, os.path.join(sys.argv[2], domain + ".json"))
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_sentiment_models_do_not_depend_on_cpu_count(small_gen, encoder, tmp_path):
+    config, _, _ = small_gen
+    records = syngen.make_sentiment_seed(config, 700)
+    seed_file = tmp_path / "seed.jsonl"
+    domains.write_seed_file(records, seed_file)
+    (tmp_path / "one_cpu").mkdir()
+    pooled = _model_bytes(train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG),
+                          tmp_path / "pooled")
+    src = str(Path(domains.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _ONE_CPU_SCRIPT, str(seed_file),
+                             str(tmp_path / "one_cpu")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    one_cpu = {d: (tmp_path / "one_cpu" / f"{d}.json").read_bytes() for d in RISK_DOMAINS}
+    assert one_cpu == pooled
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sentiment_divergence_reaches_caller(small_gen, encoder):
+    config, _, _ = small_gen
+    records = syngen.make_sentiment_seed(config, 700)
+    with pytest.raises(TrainingDivergedError):
+        train_sentiment_models(records, encoder, replace(SHORT_SENTIMENT_CONFIG,
+                                                         learning_rate=1e3))
+    assert multiprocessing.active_children() == []
+
+
+def test_sentiment_training_inside_a_pool_worker(small_gen, encoder, tmp_path):
+    # a pool worker is daemonic and may not fork; its sentiment models train in-process
+    config, _, _ = small_gen
+    records = syngen.make_sentiment_seed(config, 700)
+    direct = _model_bytes(train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG),
+                          tmp_path)
+    nested = pool.map_jobs(
+        lambda i: _model_bytes(train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG),
+                               tmp_path / str(i)),
+        2, workers=2)
+    assert nested == [direct, direct]
+    assert multiprocessing.active_children() == []
 
 
 def test_summarize_lexicon_mode_matches_truth(small_gen, encoder, trained_pipeline):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from readmit import classifiers, evaluate
+from readmit import classifiers, evaluate, pool
 from readmit.classifiers import ModelSpec
 from readmit.errors import ConfigError, DataError, MetricUndefinedError
 from readmit.evaluate import (SplitConfig, ablation, ablation_column_sets,
@@ -108,6 +108,14 @@ def test_metrics_single_class_error():
 def test_metrics_score_range_checked():
     with pytest.raises(DataError):
         metrics([1, 0], [1.5, 0.2])
+
+
+def test_metrics_non_finite_score_rejected():
+    # NaN compares false with both ends of [0, 1]; it used to pass as AUC 0.75
+    with pytest.raises(DataError, match="finite"):
+        metrics([0, 1, 0, 1], [np.nan, 0.7, 0.2, np.nan])
+    with pytest.raises(DataError, match="finite"):
+        metrics([0, 1], [0.2, np.inf])
 
 
 def test_auc_matches_brute_force_with_ties():
@@ -223,7 +231,7 @@ def test_rfe_worker_invariant(kind):
 
 
 def test_map_holds_blas_at_one_thread_and_restores_it():
-    blas = evaluate._openblas_threads()
+    blas = pool.openblas_threads()
     if blas is None:
         pytest.skip("no OpenBLAS with thread-count functions is loaded")
     get, set_threads = blas
@@ -231,7 +239,7 @@ def test_map_holds_blas_at_one_thread_and_restores_it():
     set_threads(2)
     try:
         threads = get()
-        assert evaluate._map(lambda i: get(), 3, workers=2) == [1, 1, 1]
+        assert pool.map_jobs(lambda i: get(), 3, workers=2) == [1, 1, 1]
         assert get() == threads
     finally:
         set_threads(before)
