@@ -77,32 +77,38 @@ class _Standardizer:
 
 # ------------------------------------------------------------------ trees
 
-class _Tree:
-    """A binary tree as five parallel arrays, nodes in preorder (root at 0).
+@dataclass(frozen=True)
+class _Forest:
+    """Every tree of a fit as one set of flat node arrays.
 
-    Node i sends a row left when ``X[row, feature[i]] < threshold[i]``.
-    Leaves have ``left == right == -1`` (and feature -1, threshold 0);
-    ``value`` is the positive-class fraction of the training rows at a node.
+    Tree t's nodes start at ``roots[t]`` and run in preorder, so an internal
+    node i has its left child at i + 1 and its right child at ``i + skip[i]``.
+    Node i sends a row left when ``X[row, feature[i]] < threshold[i]``; it is
+    a leaf when ``feature[i] < 0`` (threshold 0, skip 0). ``value`` is the
+    positive-class fraction of the training rows at a node, and
+    ``importances[t]`` is tree t's Gini decrease per column.
     """
 
-    def __init__(self, feature, threshold, left, right, value, importances: np.ndarray):
-        self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=float)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
-        self.value = np.asarray(value, dtype=float)
-        self.importances = importances
+    feature: np.ndarray
+    threshold: np.ndarray
+    skip: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    importances: np.ndarray
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Moves every row still at an internal node down one level per step."""
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        active = np.flatnonzero(self.left[node] >= 0)
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) leaf values; every (tree, row) pair still at an
+        internal node moves down one level per step."""
+        n = X.shape[0]
+        node = self.roots.repeat(n)
+        row = np.tile(np.arange(n), len(self.roots))
+        active = np.flatnonzero(self.feature[node] >= 0)
         while len(active):
             at = node[active]
-            go_left = X[active, self.feature[at]] < self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.left[node[active]] >= 0]
-        return self.value[node]
+            go_left = X[row[active], self.feature[at]] < self.threshold[at]
+            node[active] = at + np.where(go_left, 1, self.skip[at])
+            active = active[self.feature[node[active]] >= 0]
+        return self.value[node].reshape(len(self.roots), n)
 
 
 # splitmix64's constants, as uint64 so that its arithmetic wraps in uint64
@@ -141,7 +147,7 @@ def _candidates(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, keys: np.ndarray,
                 max_depth: Optional[int], min_leaf: int,
-                max_features: Optional[int]) -> list[_Tree]:
+                max_features: Optional[int]) -> _Forest:
     """Grows one CART tree per row of ``rows`` (the rows of X it trains on,
     repeats allowed), all trees of a batch together, one depth per step.
 
@@ -169,10 +175,12 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, keys: np.ndarray
     low |= y.astype(np.int64)[:, None]
 
     batch = max(1, _MAX_ENTRIES // (rows.shape[1] * (max_features or d)))
-    return [tree for lo in range(0, len(rows), batch)
-            for tree in _grow_batch(X, y, low, values, code_bits, rows[lo:lo + batch],
-                                    keys[lo:lo + batch] if max_features else None,
-                                    max_depth, min_leaf, max_features)]
+    parts = [_grow_batch(X, y, low, values, code_bits, rows[lo:lo + batch],
+                         keys[lo:lo + batch] if max_features else None,
+                         max_depth, min_leaf, max_features)
+             for lo in range(0, len(rows), batch)]
+    feature, threshold, skip, value, size, imp = (np.concatenate(a) for a in zip(*parts))
+    return _Forest(feature, threshold, skip, value, np.cumsum(size) - size, imp)
 
 
 def _grow_batch(X, y, low, values, code_bits, rows, keys, max_depth, min_leaf, max_features):
@@ -303,9 +311,10 @@ def _best_splits(low, values, code_bits, s_row, s_node, cand, n, pos, k, min_lea
     return s, f, np.where(thr > lo, thr, hi), dec[chosen]
 
 
-def _assemble(levels, n_trees: int, n_root: int, n_features: int) -> list[_Tree]:
-    """Numbers each tree's nodes in preorder, and adds the split importances
-    in that order, as a depth-first grower would."""
+def _assemble(levels, n_trees: int, n_root: int, n_features: int):
+    """One batch's (feature, threshold, skip, value, tree sizes, importances),
+    each tree's nodes in preorder, with the split importances added in that
+    order, as a depth-first grower would."""
     tree, n, pos = (np.concatenate(a) for a in zip(*(lv[:3] for lv in levels)))
     size = np.ones(len(tree), dtype=np.intp)
     for lv in reversed(levels):
@@ -314,8 +323,7 @@ def _assemble(levels, n_trees: int, n_root: int, n_features: int) -> list[_Tree]
     for lv in levels:
         pre[lv[4]] = pre[lv[3]] + 1
         pre[lv[4] + 1] = pre[lv[4]] + size[lv[4]]
-    tree_start = np.cumsum(size[:n_trees]) - size[:n_trees]
-    place = tree_start[tree] + pre  # trees one after another, each in preorder
+    place = (np.cumsum(size[:n_trees]) - size[:n_trees])[tree] + pre
 
     split, left, feature, threshold, decrease = (np.concatenate(a)
                                                  for a in zip(*(lv[3:] for lv in levels)))
@@ -324,10 +332,8 @@ def _assemble(levels, n_trees: int, n_root: int, n_features: int) -> list[_Tree]
     node_feature[at] = feature
     node_threshold = np.zeros(len(tree))
     node_threshold[at] = threshold
-    node_left = np.full(len(tree), -1)
-    node_left[at] = pre[left]
-    node_right = np.full(len(tree), -1)
-    node_right[at] = pre[left + 1]
+    skip = np.zeros(len(tree), dtype=np.intp)
+    skip[at] = 1 + size[left]
     value = np.empty(len(tree))
     value[place] = pos / n
 
@@ -335,10 +341,7 @@ def _assemble(levels, n_trees: int, n_root: int, n_features: int) -> list[_Tree]
     imp = np.bincount((tree[split] * n_features + feature)[order],
                       weights=(decrease * n[split] / n_root)[order],
                       minlength=n_trees * n_features).reshape(n_trees, n_features)
-    bounds = np.append(tree_start, len(tree))
-    return [_Tree(node_feature[a:b], node_threshold[a:b], node_left[a:b], node_right[a:b],
-                  value[a:b], imp[t])
-            for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    return node_feature, node_threshold, skip, value, size[:n_trees], imp
 
 
 def _resolve_max_features(setting, n_features: int) -> Optional[int]:
@@ -421,7 +424,7 @@ class TrainedClassifier:
     standardizer: Optional[_Standardizer] = None
     weights: Optional[np.ndarray] = None
     bias: float = 0.0
-    trees: Optional[list[_Tree]] = None
+    forest: Optional[_Forest] = None
     mlp: Optional[neural.MLPModel] = None
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -434,7 +437,7 @@ class TrainedClassifier:
             Z = self.standardizer.transform(X)
             return neural.sigmoid(Z @ self.weights + self.bias)
         if kind in _TREE_KINDS:
-            return np.mean([t.predict_proba(X) for t in self.trees], axis=0)
+            return self.forest.leaf_values(X).mean(axis=0)
         Z = self.standardizer.transform(X)
         return neural.predict(self.mlp, Z)[:, 1]
 
@@ -480,8 +483,8 @@ def train(spec: ModelSpec, X, y) -> TrainedClassifier:
                 idx = rng_for(spec.seed, "tree", t).integers(0, n, n)
                 if y[idx].min() != y[idx].max():  # degenerate bootstrap: keep original
                     rows[t] = idx
-        clf.trees = _grow_trees(X, y, rows, keys, hyper["max_depth"], hyper["min_samples_leaf"],
-                                _resolve_max_features(hyper["max_features"], X.shape[1]))
+        clf.forest = _grow_trees(X, y, rows, keys, hyper["max_depth"], hyper["min_samples_leaf"],
+                                 _resolve_max_features(hyper["max_features"], X.shape[1]))
     else:  # mlp
         clf.standardizer = _Standardizer.fit(X)
         Z = clf.standardizer.transform(X)
@@ -522,8 +525,9 @@ def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     clamped to 0.
     """
     if clf.spec.kind in _TREE_KINDS:
-        per_tree = [_normalize(t.importances.copy()) for t in clf.trees]
-        return _normalize(np.mean(per_tree, axis=0))
+        imp = clf.forest.importances
+        total = imp.sum(axis=1, keepdims=True)
+        return _normalize((imp / np.where(total > 0, total, 1.0)).mean(axis=0))
     if clf.spec.kind in _LINEAR_KINDS:
         return _normalize(np.abs(clf.weights))
 

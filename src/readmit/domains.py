@@ -370,35 +370,25 @@ class AdmissionDomainSummary:
     sentiment_score: dict[str, float]
 
 
-def summarize_admission(admission, topic_model: Optional[MLPModel],
+def summarize_admission(admission, topic_model: MLPModel,
                         sentiment_models: Mapping[str, MLPModel],
-                        encoder: HashingEncoder,
-                        lexicon: Optional[Lexicon] = None) -> AdmissionDomainSummary:
+                        encoder: HashingEncoder) -> AdmissionDomainSummary:
     """Tag every sentence and aggregate per-domain signals.
 
-    Sentences are tagged by direct pattern matching when a lexicon is given
-    (useful for testing against generators), else by the topic model at
-    threshold 0.5. Per note, a domain's score is the mean scalar sentiment
-    over that note's sentences tagged with the domain; the admission score
-    is the mean of per-note scores over notes with at least one such sentence.
+    Sentences are tagged by the topic model at threshold 0.5. Per note, a
+    domain's score is the mean scalar sentiment over that note's sentences
+    tagged with the domain; the admission score is the mean of per-note
+    scores over notes with at least one such sentence.
     """
     sents_per_note = [textproc.split_sentences(n.text) for n in admission.notes]
     all_sents = [s for sents in sents_per_note for s in sents]
-    total = len(all_sents)
-    if total == 0:
+    if not all_sents:
         zeros = {d: 0.0 for d in RISK_DOMAINS}
         return AdmissionDomainSummary(dict(zeros), dict(zeros))
 
     note_of = np.repeat(np.arange(len(sents_per_note)), [len(s) for s in sents_per_note])
     vectors = neural.encode_rows(encoder, [s.tokens for s in all_sents])
-    if lexicon is None:
-        tagged = predict_domains(topic_model, vectors)
-    else:
-        tagged = np.zeros((total, len(RISK_DOMAINS)), dtype=bool)
-        for i, s in enumerate(all_sents):
-            for d in lexicon.match(s.tokens):
-                tagged[i, DOMAIN_INDEX[d]] = True
-
+    tagged = predict_domains(topic_model, vectors)
     sentiments = {}
     for j, domain in enumerate(RISK_DOMAINS):
         rows = np.flatnonzero(tagged[:, j])

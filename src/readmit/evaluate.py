@@ -121,21 +121,14 @@ def split(matrix: FeatureMatrix, config: SplitConfig):
 
 
 def _grouped_split(y, patient_ids, config: SplitConfig, rng):
-    unique = []
-    seen = set()
-    for pid in patient_ids:
-        if pid not in seen:
-            seen.add(pid)
-            unique.append(pid)
+    unique = list(dict.fromkeys(patient_ids))
     order = rng.permutation(len(unique))
     target = round(config.test_fraction * len(y))
     test_rows: list[int] = []
     for k in order:
-        pid = unique[k]
-        rows = np.flatnonzero(patient_ids == pid)
         if len(test_rows) >= target:
             break
-        test_rows.extend(rows.tolist())
+        test_rows.extend(np.flatnonzero(patient_ids == unique[k]).tolist())
     test = np.sort(np.array(test_rows, dtype=int))
     train = np.setdiff1d(np.arange(len(y)), test)
     for side, name in ((train, "train"), (test, "test")):
@@ -281,9 +274,7 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
     assignment = np.empty(len(y), dtype=int)
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for k, row in enumerate(idx):
-            assignment[row] = k % folds
+        assignment[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % folds
     return assignment
 
 

@@ -14,9 +14,10 @@ import numpy as np
 from readmit import neural
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
+from readmit.domains import RISK_DOMAINS
 from readmit.seeding import rng_for
 from readmit.textproc import (TokenizedSentence, _block_spans,
-                              default_abbreviations, tokenize)
+                              default_abbreviations, split_sentences, tokenize)
 
 
 def brute_force_auc(y_true, y_score) -> float:
@@ -238,6 +239,12 @@ def reference_tree_depth(root) -> int:
     return 1 + max(reference_tree_depth(root.left), reference_tree_depth(root.right))
 
 
+def reference_tree_size(root) -> int:
+    if root.left is None:
+        return 1
+    return 1 + reference_tree_size(root.left) + reference_tree_size(root.right)
+
+
 def reference_tree_predict(root, X):
     """Walks each row down the linked tree on its own."""
     out = np.empty(X.shape[0])
@@ -247,6 +254,40 @@ def reference_tree_predict(root, X):
             node = node.left if X[i, node.feature] < node.threshold else node.right
         out[i] = node.value
     return out
+
+
+def lexicon_sentence_fractions(admission, lexicon) -> dict[str, float]:
+    """Per domain, the fraction of the admission's sentences that
+    ``lexicon.match`` tags: the matcher ``domains.weak_label`` labels with."""
+    sents = [s for note in admission.notes for s in split_sentences(note.text)]
+    return {d: sum(d in lexicon.match(s.tokens) for s in sents) / len(sents)
+            for d in RISK_DOMAINS}
+
+
+def reference_stratified_folds(y, folds, rng):
+    """Row by row: within each class, in a permuted order, the k-th row goes to fold k % folds."""
+    assignment = np.empty(len(y), dtype=int)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        for k, row in enumerate(idx[rng.permutation(len(idx))]):
+            assignment[row] = k % folds
+    return assignment
+
+
+def reference_grouped_test_rows(patient_ids, test_fraction, rng):
+    """Whole patients, in first-seen order permuted by ``rng``, join the test
+    side until it holds ``round(test_fraction * rows)`` rows or more."""
+    unique = []
+    for pid in patient_ids:
+        if pid not in unique:
+            unique.append(pid)
+    target = round(test_fraction * len(patient_ids))
+    test = []
+    for k in rng.permutation(len(unique)):
+        if len(test) >= target:
+            break
+        test += [i for i, pid in enumerate(patient_ids) if pid == unique[k]]
+    return sorted(test)
 
 
 def reference_permutation_importance(clf, X, y, seed, n_permutations=3):

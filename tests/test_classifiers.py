@@ -9,7 +9,7 @@ from readmit.evaluate import metrics
 from readmit.seeding import derive_seed, rng_for
 
 from helpers import (reference_candidates, reference_grow_tree, reference_permutation_importance,
-                     reference_tree_depth, reference_tree_predict)
+                     reference_tree_depth, reference_tree_predict, reference_tree_size)
 
 KIND_HYPER = {
     "sgd_linear": {},
@@ -72,10 +72,10 @@ def test_tree_perfect_binary_column():
     X[:, 2] = (rng.random(50) < 0.5).astype(float)
     y = X[:, 2].copy()
     clf = train(ModelSpec("decision_tree"), X, y)
-    tree = clf.trees[0]
-    assert tree.feature[0] == 2
+    forest = clf.forest
+    assert forest.feature[0] == 2
     # depth 1: the root and two leaves, in preorder
-    assert tree.left.tolist() == [1, -1, -1] and tree.right.tolist() == [2, -1, -1]
+    assert forest.skip.tolist() == [2, 0, 0] and forest.roots.tolist() == [0]
     assert np.array_equal(clf.predict(X), y)
 
 
@@ -83,15 +83,18 @@ def _assert_trees_match_reference(X, y, rows, keys, max_depth, min_leaf, max_fea
     """Grows the trees of ``rows`` in one call and checks each against the
     recursive reference; returns the reference trees' depths."""
     d = X.shape[1]
-    trees = _grow_trees(X, y, rows, keys, max_depth, min_leaf, max_features)
-    assert len(trees) == len(rows)
+    forest = _grow_trees(X, y, rows, keys, max_depth, min_leaf, max_features)
+    assert len(forest.roots) == len(rows) and forest.importances.shape == (len(rows), d)
     Xte = np.vstack([X, np.random.default_rng(0).normal(0, 1, (60, d))])
+    leaves = forest.leaf_values(Xte)
+    sizes = np.diff(np.append(forest.roots, len(forest.feature)))
     depths = []
-    for t, tree in enumerate(trees):
+    for t in range(len(rows)):
         root, imp = reference_grow_tree(X[rows[t]], y[rows[t]], int(keys[t]), max_depth,
                                         min_leaf, max_features, d)
-        assert np.array_equal(tree.predict_proba(Xte), reference_tree_predict(root, Xte))
-        assert np.array_equal(tree.importances, imp)
+        assert np.array_equal(leaves[t], reference_tree_predict(root, Xte))
+        assert np.array_equal(forest.importances[t], imp)
+        assert sizes[t] == reference_tree_size(root)
         depths.append(reference_tree_depth(root))
     return depths
 
@@ -139,18 +142,21 @@ def test_grower_edge_cases_match_reference(monkeypatch):
     for max_features in (None, 2):
         # max_depth 0: every tree is one leaf
         _assert_trees_match_reference(X, y, boot, keys, 0, 1, max_features)
-        trees = _grow_trees(X, y, boot, keys, 0, 1, max_features)
-        assert [len(t.feature) for t in trees] == [1, 1, 1]
+        assert _grow_trees(X, y, boot, keys, 0, 1, max_features).roots.tolist() == [0, 1, 2]
         # min_samples_leaf above half the rows: the root cannot split
         _assert_trees_match_reference(X, y, boot, keys, None, 31, max_features)
-        assert all(len(t.feature) == 1 for t in _grow_trees(X, y, boot, keys, None, 31,
-                                                            max_features))
+        forest = _grow_trees(X, y, boot, keys, None, 31, max_features)
+        assert forest.roots.tolist() == [0, 1, 2] and forest.skip.tolist() == [0, 0, 0]
 
-    # A 385-row problem grown without a depth limit, one tree per batch.
+    # A 385-row problem grown without a depth limit, one tree per batch:
+    # the batches' node arrays join with relative skips and shifted roots.
     X, y = _tree_problem(rng, 385, 12)
     rows = np.vstack([np.arange(385), rng.integers(0, 385, (2, 385))])
     monkeypatch.setattr(classifiers, "_MAX_ENTRIES", 1)
     assert max(_assert_trees_match_reference(X, y, rows, _keys(42, 3), None, 1, 3)) > 8
+    forest = _grow_trees(X, y, rows, _keys(42, 3), None, 1, 3)
+    leaf = forest.feature < 0
+    assert np.all(forest.skip[leaf] == 0) and np.all(forest.skip[~leaf] >= 2)
 
 
 def test_node_with_constant_candidates_is_a_leaf():
@@ -163,10 +169,10 @@ def test_node_with_constant_candidates_is_a_leaf():
     keys = np.array([derive_seed(s, "tree", 0) for s in seeds[:4]], dtype=np.uint64)
     rows = np.tile(np.arange(40), (len(keys), 1))
     _assert_trees_match_reference(X, y, rows, keys, None, 1, 1)
-    assert all(len(t.feature) == 1 for t in _grow_trees(X, y, rows, keys, None, 1, 1))
+    assert _grow_trees(X, y, rows, keys, None, 1, 1).roots.tolist() == [0, 1, 2, 3]
     clf = train(ModelSpec("random_forest", {"n_trees": 4, "max_features": 1, "bootstrap": False},
                           seed=seeds[0]), X, y)
-    assert len(clf.trees[0].feature) == 1 and clf.trees[0].value[0] == y.mean()
+    assert clf.forest.roots[1] == 1 and clf.forest.value[0] == y.mean()
 
 
 def test_single_class_bootstrap_trains_on_all_rows():
@@ -184,11 +190,17 @@ def test_single_class_bootstrap_trains_on_all_rows():
         rows[t] = np.arange(30)
     clf = train(spec, X, y)
     Xte = np.vstack([X, rng.normal(0, 1, (40, 4))])
-    for t, tree in enumerate(clf.trees):
+    leaves = clf.forest.leaf_values(Xte)
+    per_tree = []
+    for t in range(12):
         root, imp = reference_grow_tree(X[rows[t]], y[rows[t]], derive_seed(3, "tree", t),
                                         None, 1, 2, 4)
-        assert np.array_equal(tree.predict_proba(Xte), reference_tree_predict(root, Xte))
-        assert np.array_equal(tree.importances, imp)
+        assert np.array_equal(leaves[t], reference_tree_predict(root, Xte))
+        assert np.array_equal(clf.forest.importances[t], imp)
+        per_tree.append(imp / imp.sum())
+    # The forest's importance is the mean of the trees' normalized ones.
+    mean = np.mean(per_tree, axis=0)
+    assert np.array_equal(importances(clf, X, y), mean / mean.sum())
 
 
 def test_tree_splits_between_adjacent_floats():
@@ -198,7 +210,7 @@ def test_tree_splits_between_adjacent_floats():
     X = np.array([[a]] * 5 + [[b]] * 5)
     y = np.array([0.0] * 5 + [1.0] * 5)
     clf = train(ModelSpec("decision_tree", {"max_depth": None}), X, y)
-    assert clf.trees[0].threshold[0] == b
+    assert clf.forest.threshold[0] == b
     assert np.array_equal(clf.predict_proba(X), y)
 
 

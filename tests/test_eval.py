@@ -19,7 +19,8 @@ from readmit.evaluate import (SplitConfig, ablation, ablation_column_sets,
 from readmit.features import Column, FeatureMatrix, FeatureSchema, Imputer
 from readmit.seeding import derive_seed
 
-from helpers import brute_force_auc, confusion_tally
+from helpers import (brute_force_auc, confusion_tally, reference_grouped_test_rows,
+                     reference_stratified_folds)
 
 
 def _matrix(seed=0, n=60, d=6, names=None, signal=1.8):
@@ -70,6 +71,24 @@ def test_split_patient_grouped_never_straddles():
     train_p = {m.patient_ids[i] for i in train}
     test_p = {m.patient_ids[i] for i in test}
     assert not (train_p & test_p)
+
+
+def test_folds_and_grouped_split_match_reference_loops():
+    rng = np.random.default_rng(66)
+    for s in range(20):
+        n = int(rng.integers(40, 200))
+        y = (rng.random(n) < 0.4).astype(float)
+        folds = int(rng.integers(2, 6))
+        assert np.array_equal(evaluate._stratified_folds(y, folds, np.random.default_rng(s)),
+                              reference_stratified_folds(y, folds, np.random.default_rng(s)))
+        pids = rng.integers(0, n // 3, n)
+        if s % 2:
+            pids = np.array([f"p{v}" for v in pids])
+        cfg = SplitConfig(test_fraction=0.3, grouping="patient_grouped")
+        train, test = evaluate._grouped_split(y, pids, cfg, np.random.default_rng(s))
+        assert test.tolist() == reference_grouped_test_rows(pids.tolist(), 0.3,
+                                                            np.random.default_rng(s))
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
 
 
 def test_split_validation():
