@@ -432,6 +432,8 @@ class TrainedClassifier:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DataError(
                 f"row width {X.shape[1] if X.ndim == 2 else '?'} != trained width {self.n_features}")
+        if not np.all(np.isfinite(X)):
+            raise DataError("feature rows contain non-finite entries; impute first")
         kind = self.spec.kind
         if kind in _LINEAR_KINDS:
             Z = self.standardizer.transform(X)

@@ -27,30 +27,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 
-_GEN_KEYS = {
-    "seed": int,
-    "n_patients": int,
-    "admissions_per_patient": "range",
-    "notes_per_admission": "range",
-    "tokens_per_note": "range",
-    "target_readmission_rate": float,
-    "noise_sd": float,
-    "missing_field_rate": float,
-    "seed_sentences": int,
-}
-
-_EVAL_KEYS = {
-    "master_seed": int,
-    "n_runs": int,
-    "test_fraction": float,
-    "stratified": "bool",
-    "grouping": str,
-    "rfe_folds": int,
-    "rfe_repeats": int,
-    "model.kind": str,
-    "model.seed": int,
-}
-
 EVAL_DEFAULTS = {
     "master_seed": 0,
     "n_runs": 100,
@@ -63,28 +39,34 @@ EVAL_DEFAULTS = {
     "model.seed": 0,
 }
 
+# An unset epoch budget (None) leaves the count to the training protocol.
+TRAIN_NLP_DEFAULTS = {
+    "seed": 0,
+    "holdout_fraction": 0.2,
+    "topic_epochs": None,
+    "sentiment_epochs": None,
+}
+
 
 class _CliConfigError(ReadmitError):
     pass
 
 
-def _coerce(key: str, raw: str, kind):
+def _coerce(key: str, raw: str, default):
+    """Parses ``raw`` as the type of the key's default (None parses as int)."""
+    kind = int if default is None else type(default)
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
+        if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        if kind == "range":
+        if kind is tuple:
             lo, _, hi = raw.partition(":")
             return (int(lo), int(hi))
-        return raw
+        return kind(raw)
     except ValueError:
         raise _CliConfigError(f"config key {key!r}: cannot parse value {raw!r}") from None
 
@@ -114,30 +96,29 @@ def _collect_settings(config_path, overrides) -> dict[str, str]:
 
 
 def _gen_config_from_settings(settings: dict[str, str]) -> tuple[GenConfig, int]:
-    kwargs = {}
-    weights = dict(syngen.DEFAULT_EFFECT_WEIGHTS)
-    seed_sentences = 3500
+    defaults = _config_echo_gen(GenConfig(), 3500)
+    weights = defaults.pop("effect_weights")
+    values = {}
     for key, raw in settings.items():
         if key.startswith("effect_weights."):
             name = key.split(".", 1)[1]
             if name not in syngen.EFFECT_NAMES:
                 raise _CliConfigError(f"config key {key!r}: unknown effect name {name!r}")
-            weights[name] = _coerce(key, raw, float)
-        elif key == "seed_sentences":
-            seed_sentences = _coerce(key, raw, int)
-        elif key in _GEN_KEYS:
-            kwargs[key] = _coerce(key, raw, _GEN_KEYS[key])
+            weights[name] = _coerce(key, raw, weights[name])
+        elif key in defaults:
+            values[key] = _coerce(key, raw, defaults[key])
         else:
             raise _CliConfigError(f"unknown generator config key {key!r}")
-    return GenConfig(effect_weights=weights, **kwargs), seed_sentences
+    seed_sentences = values.pop("seed_sentences", defaults["seed_sentences"])
+    return GenConfig(effect_weights=weights, **values), seed_sentences
 
 
 def _eval_settings(settings: dict[str, str]) -> dict:
     out = dict(EVAL_DEFAULTS)
     hyper: dict = {}
     for key, raw in settings.items():
-        if key in _EVAL_KEYS:
-            out[key] = _coerce(key, raw, _EVAL_KEYS[key])
+        if key in EVAL_DEFAULTS:
+            out[key] = _coerce(key, raw, EVAL_DEFAULTS[key])
         elif key.startswith("model."):
             hyper[key.split(".", 1)[1]] = _parse_literal(raw)
         else:
@@ -186,9 +167,7 @@ def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outp
     }
     if metrics is not None:
         manifest["metrics"] = metrics
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(manifest, out_dir / "manifest.json")
 
 
 def _config_echo_gen(config: GenConfig, seed_sentences: int) -> dict:
@@ -218,11 +197,8 @@ def cmd_gen(args) -> int:
 def cmd_train_nlp(args) -> int:
     started = time.time()
     settings = _collect_settings(args.config, args.set)
-    config = {"seed": _coerce("seed", settings.pop("seed", "0"), int),
-              "holdout_fraction": _coerce("holdout_fraction",
-                                          settings.pop("holdout_fraction", "0.2"), float)}
-    for key in ("topic_epochs", "sentiment_epochs"):
-        config[key] = _coerce(key, settings.pop(key), int) if key in settings else None
+    config = {key: _coerce(key, settings.pop(key), default) if key in settings else default
+              for key, default in TRAIN_NLP_DEFAULTS.items()}
     if settings:
         raise _CliConfigError(f"unknown train-nlp config keys {sorted(settings)}")
 
@@ -378,9 +354,10 @@ def cmd_defaults(args) -> int:
             print(f"{key} = {value[0]}:{value[1]}")
         else:
             print(f"{key} = {value}")
-    print("# eval defaults")
-    for key, value in EVAL_DEFAULTS.items():
-        print(f"{key} = {value}")
+    for command, table in (("train-nlp", TRAIN_NLP_DEFAULTS), ("eval", EVAL_DEFAULTS)):
+        print(f"# {command} defaults")
+        for key, value in table.items():
+            print(f"{key} = {value}")
     print("# model hyperparameter defaults")
     for kind, hyper in classifiers.DEFAULT_HYPERPARAMETERS.items():
         for name, value in hyper.items():

@@ -25,8 +25,9 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import textproc
 from .corpus import Admission, Corpus, Note, Patient
-from .domains import RISK_DOMAINS, Lexicon, SeedRecord, default_lexicon
+from .domains import POLARITIES, RISK_DOMAINS, Lexicon, SeedRecord, default_lexicon
 from .errors import ConfigError
+from .neural import sigmoid
 from .seeding import rng_for
 
 EFFECT_NAMES = (
@@ -101,11 +102,7 @@ class GenConfig:
 def paper_scale_config(seed: int = 12345, **overrides) -> GenConfig:
     """Config sized like the real cohort the default targets are drawn from
     (183 patients, roughly 550 admissions, ~1000 tokens per note)."""
-    kwargs = dict(seed=seed, n_patients=183, admissions_per_patient=(2, 21),
-                  notes_per_admission=(2, 7), tokens_per_note=(765, 1255),
-                  target_readmission_rate=0.5)
-    kwargs.update(overrides)
-    return GenConfig(**kwargs)
+    return GenConfig(**{"seed": seed, "tokens_per_note": (765, 1255), **overrides})
 
 
 POSITIVE_SHAPES = (
@@ -351,55 +348,63 @@ def _draw_patient_latent(config: GenConfig, index: int) -> _PatientLatent:
     return _PatientLatent(gender, race, marital, veteran, age, first_offset, admissions)
 
 
-def _signals_for(latent: _AdmLatent, past_labels: list[bool]) -> dict[str, float]:
-    return {
-        "poor_insight": _INSIGHT_SIGNAL[latent.insight],
-        "noncompliance": _COMPLIANCE_SIGNAL[latent.compliance],
-        "low_gaf_discharge": (100 - latent.gaf_discharge) / 99.0,
-        "past_readmission_ratio": (sum(past_labels) / len(past_labels)) if past_labels else 0.5,
-        "negative_mood_sentiment": (1.0 - latent.t[_MOOD_IDX]) / 2.0,
-        "negative_substance_sentiment": (1.0 - latent.t[_SUBSTANCE_IDX]) / 2.0,
-    }
+@dataclass(frozen=True)
+class _LabelInputs:
+    """(patients x admission positions) arrays: admission j sits at column j."""
+
+    present: np.ndarray
+    noise: np.ndarray
+    label_u: np.ndarray
+    signals: dict[str, np.ndarray]  # every effect but past_readmission_ratio
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
+def _label_inputs(patients: list[_PatientLatent]) -> _LabelInputs:
+    cells = [(i, j, latent) for i, patient in enumerate(patients)
+             for j, latent in enumerate(patient.admissions)]
+    rows, cols, adms = zip(*cells)
+    present = np.zeros((len(patients), max(cols) + 1), dtype=bool)
+    present[rows, cols] = True
+
+    def grid(values) -> np.ndarray:
+        out = np.zeros(present.shape)
+        out[rows, cols] = values
+        return out
+
+    return _LabelInputs(present, grid([a.noise for a in adms]), grid([a.label_u for a in adms]), {
+        "poor_insight": grid([_INSIGHT_SIGNAL[a.insight] for a in adms]),
+        "noncompliance": grid([_COMPLIANCE_SIGNAL[a.compliance] for a in adms]),
+        "low_gaf_discharge": grid([(100 - a.gaf_discharge) / 99.0 for a in adms]),
+        "negative_mood_sentiment": grid([(1.0 - a.t[_MOOD_IDX]) / 2.0 for a in adms]),
+        "negative_substance_sentiment": grid([(1.0 - a.t[_SUBSTANCE_IDX]) / 2.0 for a in adms]),
+    })
 
 
-def _realize_labels(config: GenConfig, patients: list[_PatientLatent], intercept: float):
-    """Sequential label realization against pre-drawn uniforms."""
-    weights = dict(config.effect_weights)
-    labels: list[list[bool]] = []
-    propensities: list[list[float]] = []
-    signal_maps: list[list[dict[str, float]]] = []
-    for patient in patients:
-        p_labels: list[bool] = []
-        p_props: list[float] = []
-        p_signals: list[dict[str, float]] = []
-        for latent in patient.admissions:
-            signals = _signals_for(latent, p_labels)
-            z = intercept + latent.noise
-            for name, w in weights.items():
-                z += w * (2.0 * signals[name] - 1.0)
-            prop = _sigmoid(z)
-            p_labels.append(latent.label_u < prop)
-            p_props.append(prop)
-            p_signals.append(signals)
-        labels.append(p_labels)
-        propensities.append(p_props)
-        signal_maps.append(p_signals)
-    return labels, propensities, signal_maps
+def _realize_labels(config: GenConfig, inputs: _LabelInputs, intercept: float):
+    """Sequential label realization against pre-drawn uniforms, one admission
+    position at a time for every patient. Returns labels, propensities and
+    all six signals."""
+    labels = np.zeros(inputs.present.shape, dtype=bool)
+    propensities = np.zeros(inputs.present.shape)
+    past = np.full(inputs.present.shape, 0.5)
+    signals = {**inputs.signals, "past_readmission_ratio": past}
+    for j in range(inputs.present.shape[1]):
+        if j:
+            past[:, j] = labels[:, :j].sum(axis=1) / j
+        # One effect at a time, in mapping order: the order of the float
+        # additions is part of the generated bytes.
+        z = intercept + inputs.noise[:, j]
+        for name, w in config.effect_weights.items():
+            z += w * (2.0 * signals[name][:, j] - 1.0)
+        propensities[:, j] = sigmoid(z)
+        labels[:, j] = inputs.present[:, j] & (inputs.label_u[:, j] < propensities[:, j])
+    return labels, propensities, signals
 
 
-def _calibrate_intercept(config: GenConfig, patients: list[_PatientLatent]) -> float:
-    n_total = sum(len(p.admissions) for p in patients)
+def _calibrate_intercept(config: GenConfig, inputs: _LabelInputs) -> float:
+    n_total = int(inputs.present.sum())
 
     def rate_at(b: float) -> float:
-        labels, _, _ = _realize_labels(config, patients, b)
-        return sum(sum(l) for l in labels) / n_total
+        return int(_realize_labels(config, inputs, b)[0].sum()) / n_total
 
     lo, hi = -15.0, 15.0
     target = config.target_readmission_rate
@@ -502,8 +507,9 @@ def generate_with_truth(config: GenConfig) -> tuple[Corpus, GroundTruth]:
     filler = _TemplateFiller(lexicon)
 
     patients_latent = [_draw_patient_latent(config, i) for i in range(config.n_patients)]
-    intercept = _calibrate_intercept(config, patients_latent)
-    labels, propensities, signal_maps = _realize_labels(config, patients_latent, intercept)
+    inputs = _label_inputs(patients_latent)
+    labels, propensities, signals = _realize_labels(
+        config, inputs, _calibrate_intercept(config, inputs))
 
     patients: list[Patient] = []
     admissions: list[Admission] = []
@@ -524,13 +530,12 @@ def generate_with_truth(config: GenConfig) -> tuple[Corpus, GroundTruth]:
         for j, latent in enumerate(latent_p.admissions):
             aid = f"{pid}-A{j:02d}"
             discharge = admit + timedelta(days=latent.los_days)
-            label = labels[pi][j]
+            label = bool(labels[pi, j])
             estimated_los = max(1, latent.los_days + latent.est_los_offset)
 
             notes, counts, sent_counts = _build_notes(
                 text_rng, filler, latent, aid, admit, discharge, estimated_los)
 
-            label = bool(label)
             admissions.append(Admission(
                 admission_id=aid, patient_id=pid, admit_date=admit,
                 discharge_date=discharge, suicide_risk=latent.suicide_risk,
@@ -539,8 +544,8 @@ def generate_with_truth(config: GenConfig) -> tuple[Corpus, GroundTruth]:
             m = latent.missing
             records[aid] = GroundTruthRecord(
                 admission_id=aid, patient_id=pid,
-                propensity=propensities[pi][j], label=label,
-                signals=signal_maps[pi][j],
+                propensity=float(propensities[pi, j]), label=label,
+                signals={name: float(signals[name][pi, j]) for name in EFFECT_NAMES},
                 domain_sentiment={d: float(latent.t[k]) for k, d in enumerate(RISK_DOMAINS)},
                 domain_sentence_counts={d: int(counts[k]) for k, d in enumerate(RISK_DOMAINS)},
                 n_sentences=int(sum(sent_counts)),
@@ -621,16 +626,13 @@ def make_sentiment_seed(config: GenConfig, n_sentences: int = 3500) -> list[Seed
     for di, domain in enumerate(RISK_DOMAINS):
         count = quota + (1 if di < remainder else 0)
         for _ in range(count):
-            polarity = POLARITY_ORDER[int(rng.integers(0, 3))]
+            polarity = POLARITIES[int(rng.integers(0, 3))]
             shape_i = int(rng.integers(0, len(_SHAPES[polarity])))
             kw_i = int(rng.integers(0, len(filler.kw[domain])))
             adv_i = int(rng.integers(0, len(ADVERBIALS)))
             text, _ = filler.render(domain, polarity, shape_i, kw_i, adv_i)
             records.append(SeedRecord(domain=domain, text=text, label=polarity))
     return records
-
-
-POLARITY_ORDER = ("positive", "neutral", "negative")
 
 
 def write_ground_truth(truth: GroundTruth, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from readmit import neural
+from readmit import neural, syngen
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
@@ -288,6 +288,41 @@ def reference_grouped_test_rows(patient_ids, test_fraction, rng):
             break
         test += [i for i, pid in enumerate(patient_ids) if pid == unique[k]]
     return sorted(test)
+
+
+def _reference_sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
+
+
+def reference_realize_labels(config, patients, intercept):
+    """The generator's labels admission by admission, with a scalar sigmoid:
+    per patient, lists of labels, propensities and signal dicts."""
+    labels, propensities, signal_maps = [], [], []
+    for patient in patients:
+        p_labels, p_props, p_signals = [], [], []
+        for latent in patient.admissions:
+            signals = {
+                "poor_insight": syngen._INSIGHT_SIGNAL[latent.insight],
+                "noncompliance": syngen._COMPLIANCE_SIGNAL[latent.compliance],
+                "low_gaf_discharge": (100 - latent.gaf_discharge) / 99.0,
+                "past_readmission_ratio": sum(p_labels) / len(p_labels) if p_labels else 0.5,
+                "negative_mood_sentiment": (1.0 - latent.t[syngen._MOOD_IDX]) / 2.0,
+                "negative_substance_sentiment": (1.0 - latent.t[syngen._SUBSTANCE_IDX]) / 2.0,
+            }
+            z = intercept + latent.noise
+            for name, w in config.effect_weights.items():
+                z += w * (2.0 * signals[name] - 1.0)
+            prop = _reference_sigmoid(z)
+            p_labels.append(latent.label_u < prop)
+            p_props.append(prop)
+            p_signals.append(signals)
+        labels.append(p_labels)
+        propensities.append(p_props)
+        signal_maps.append(p_signals)
+    return labels, propensities, signal_maps
 
 
 def reference_permutation_importance(clf, X, y, seed, n_permutations=3):

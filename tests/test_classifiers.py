@@ -59,6 +59,20 @@ def test_non_finite_matrix_error():
         train(ModelSpec("logistic_regression"), X, y)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    # A tree routes NaN or inf past every threshold, and the linear kinds
+    # and the MLP return NaN: every kind must refuse such a row instead.
+    X, y = _linear_problem(n=60, d=3)
+    rows = np.zeros((2, 3))
+    rows[1, 0] = bad
+    for kind in KINDS:
+        clf = train(ModelSpec(kind, KIND_HYPER[kind], seed=0), X, y)
+        assert clf.predict_proba(rows[:1]).shape == (1,)
+        with pytest.raises(DataError, match="impute first"):
+            clf.predict_proba(rows)
+
+
 def test_width_mismatch_error():
     X, y = _linear_problem(n=40, d=4)
     clf = train(ModelSpec("decision_tree"), X, y)

@@ -379,6 +379,7 @@ def test_defaults_lists_keys(capsys):
     stdout = capsys.readouterr().out
     assert "target_readmission_rate = 0.5" in stdout
     assert "effect_weights.poor_insight" in stdout
+    assert "holdout_fraction = 0.2" in stdout
     assert "model.kind = random_forest" in stdout
 
 

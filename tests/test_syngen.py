@@ -4,12 +4,12 @@ import pytest
 from readmit import corpus as corpus_mod
 from readmit import domains, evaluate, syngen, textproc
 from readmit.errors import ConfigError
-from readmit.syngen import (ADVERBIALS, FILLER_SENTENCES, GenConfig,
+from readmit.syngen import (ADVERBIALS, EFFECT_NAMES, FILLER_SENTENCES, GenConfig,
                             _SHAPES, _TemplateFiller, generate,
                             generate_with_truth,
                             make_sentiment_seed, paper_scale_config)
 
-from helpers import brute_force_auc
+from helpers import brute_force_auc, reference_realize_labels
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -74,6 +74,32 @@ def test_ground_truth_matches_corpus(small_gen):
     assert again.records.keys() == truth.records.keys()
     for aid, rec in truth.records.items():
         assert again.records[aid] == rec
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    # Mapping order differs from EFFECT_NAMES, so summing in another order shows.
+    {"effect_weights": {"negative_mood_sentiment": 1.6, "poor_insight": 0.9,
+                        "past_readmission_ratio": 0.6}},
+    {"noise_sd": 0.0},
+    {"admissions_per_patient": (1, 1)},
+    {"admissions_per_patient": (2, 21), "n_patients": 150},
+])
+def test_realize_labels_matches_reference_loop(overrides):
+    config = GenConfig(**{"seed": 41, "n_patients": 40, **overrides})
+    patients = [syngen._draw_patient_latent(config, i) for i in range(config.n_patients)]
+    inputs = syngen._label_inputs(patients)
+    n_adm = [len(p.admissions) for p in patients]
+    assert inputs.present.sum(axis=1).tolist() == n_adm
+    for intercept in (-15.0, 0.0, 15.0, syngen._calibrate_intercept(config, inputs)):
+        labels, props, signals = syngen._realize_labels(config, inputs, intercept)
+        ref_labels, ref_props, ref_signals = reference_realize_labels(config, patients, intercept)
+        assert not labels[~inputs.present].any()
+        for i, n in enumerate(n_adm):
+            assert labels[i, :n].tolist() == ref_labels[i]
+            assert props[i, :n].tolist() == ref_props[i]
+            for j in range(n):
+                assert {k: float(signals[k][i, j]) for k in EFFECT_NAMES} == ref_signals[i][j]
 
 
 def test_planted_poor_insight_signal(small_gen):
