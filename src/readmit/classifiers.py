@@ -49,13 +49,29 @@ class ModelSpec:
     seed: int = 0
 
     def resolved(self) -> dict:
+        """The kind's defaults with ``hyper`` applied, each value of its
+        default's type: an int also passes for a float, and a single int for
+        a tuple as a one-element tuple; ``max_depth`` also takes None, and
+        ``max_features`` None, "sqrt" or an int."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
         merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
         unknown = set(self.hyper) - set(merged)
         if unknown:
             raise ConfigError(f"{self.kind}: unknown hyperparameters {sorted(unknown)}")
-        merged.update(self.hyper)
+        for key, value in self.hyper.items():
+            default = merged[key]
+            if isinstance(default, tuple) and type(value) is int:
+                value = (value,)
+            if key in ("max_depth", "max_features"):
+                ok = value is None or type(value) is int or (key, value) == ("max_features", "sqrt")
+            elif isinstance(default, tuple):
+                ok = type(value) is tuple and all(type(v) is int for v in value)
+            else:
+                ok = type(value) is type(default) or type(value) is int and type(default) is float
+            if not ok:
+                raise ConfigError(f"{self.kind}: hyperparameter {key!r} cannot be {value!r}")
+            merged[key] = value
         return merged
 
 

@@ -48,12 +48,28 @@ TRAIN_NLP_DEFAULTS = {
 }
 
 
+def _gen_defaults() -> dict:
+    """GenConfig's fields in order, ``effect_weights`` as one key per effect."""
+    table = {}
+    for key, value in asdict(GenConfig()).items():
+        if key == "effect_weights":
+            table.update({f"{key}.{name}": w for name, w in value.items()})
+        else:
+            table[key] = value
+    return {**table, "seed_sentences": 3500}
+
+
+GEN_DEFAULTS = _gen_defaults()
+
+
 class _CliConfigError(ReadmitError):
     pass
 
 
 def _coerce(key: str, raw: str, default):
-    """Parses ``raw`` as the type of the key's default (None parses as int)."""
+    """Parses ``raw`` as the type of the key's default (None parses as None or int)."""
+    if default is None and raw.strip().lower() == "none":
+        return None
     kind = int if default is None else type(default)
     try:
         if kind is bool:
@@ -71,6 +87,13 @@ def _coerce(key: str, raw: str, default):
         raise _CliConfigError(f"config key {key!r}: cannot parse value {raw!r}") from None
 
 
+def _format(value, sep: str) -> str:
+    """The inverse of ``_coerce`` (and, with ``sep=","``, of ``_parse_literal``)."""
+    if isinstance(value, tuple):
+        return sep.join(str(v) for v in value)
+    return str(value)
+
+
 def _read_flat_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -85,46 +108,29 @@ def _read_flat_config(path) -> dict[str, str]:
     return out
 
 
-def _collect_settings(config_path, overrides) -> dict[str, str]:
-    settings = _read_flat_config(config_path) if config_path else {}
-    for item in overrides or ():
+def _settings(command: str, defaults: dict, args) -> dict:
+    """``defaults`` with ``--config``, then each ``--set``, applied on top.
+
+    For eval, any ``model.<name>`` key outside the table is a classifier
+    hyperparameter and goes to ``model.hyper``.
+    """
+    raw = _read_flat_config(args.config) if args.config else {}
+    for item in args.set or ():
         key, eq, value = item.partition("=")
         if not eq:
             raise _CliConfigError(f"--set {item!r}: expected key=value")
-        settings[key.strip()] = value.strip()
+        raw[key.strip()] = value.strip()
+    settings = dict(defaults)
+    if command == "eval":
+        settings["model.hyper"] = {}
+    for key, value in raw.items():
+        if key in defaults:
+            settings[key] = _coerce(key, value, defaults[key])
+        elif command == "eval" and key.startswith("model."):
+            settings["model.hyper"][key.split(".", 1)[1]] = _parse_literal(value)
+        else:
+            raise _CliConfigError(f"unknown {command} config key {key!r}")
     return settings
-
-
-def _gen_config_from_settings(settings: dict[str, str]) -> tuple[GenConfig, int]:
-    defaults = _config_echo_gen(GenConfig(), 3500)
-    weights = defaults.pop("effect_weights")
-    values = {}
-    for key, raw in settings.items():
-        if key.startswith("effect_weights."):
-            name = key.split(".", 1)[1]
-            if name not in syngen.EFFECT_NAMES:
-                raise _CliConfigError(f"config key {key!r}: unknown effect name {name!r}")
-            weights[name] = _coerce(key, raw, weights[name])
-        elif key in defaults:
-            values[key] = _coerce(key, raw, defaults[key])
-        else:
-            raise _CliConfigError(f"unknown generator config key {key!r}")
-    seed_sentences = values.pop("seed_sentences", defaults["seed_sentences"])
-    return GenConfig(effect_weights=weights, **values), seed_sentences
-
-
-def _eval_settings(settings: dict[str, str]) -> dict:
-    out = dict(EVAL_DEFAULTS)
-    hyper: dict = {}
-    for key, raw in settings.items():
-        if key in EVAL_DEFAULTS:
-            out[key] = _coerce(key, raw, EVAL_DEFAULTS[key])
-        elif key.startswith("model."):
-            hyper[key.split(".", 1)[1]] = _parse_literal(raw)
-        else:
-            raise _CliConfigError(f"unknown eval config key {key!r}")
-    out["model.hyper"] = hyper
-    return out
 
 
 def _parse_literal(raw: str):
@@ -170,13 +176,11 @@ def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outp
     _dump_json(manifest, out_dir / "manifest.json")
 
 
-def _config_echo_gen(config: GenConfig, seed_sentences: int) -> dict:
-    return {**asdict(config), "seed_sentences": seed_sentences}
-
-
 def cmd_gen(args) -> int:
-    config, seed_sentences = _gen_config_from_settings(
-        _collect_settings(args.config, args.set))
+    settings = _settings("gen", GEN_DEFAULTS, args)
+    seed_sentences = settings.pop("seed_sentences")
+    weights = {name: settings.pop(f"effect_weights.{name}") for name in syngen.EFFECT_NAMES}
+    config = GenConfig(effect_weights=weights, **settings)
     started = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,7 +191,7 @@ def cmd_gen(args) -> int:
     corpus_mod.write_corpus(corpus, corpus_path)
     domains.write_seed_file(syngen.make_sentiment_seed(config, seed_sentences), seed_path)
     syngen.write_ground_truth(truth, truth_path)
-    _write_manifest(out, "gen", _config_echo_gen(config, seed_sentences), [],
+    _write_manifest(out, "gen", {**asdict(config), "seed_sentences": seed_sentences}, [],
                     [corpus_path, seed_path, truth_path], config.seed, started)
     print(f"wrote {corpus_path} ({len(corpus.admissions)} admissions, "
           f"{len(corpus.patients)} patients)")
@@ -196,11 +200,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train_nlp(args) -> int:
     started = time.time()
-    settings = _collect_settings(args.config, args.set)
-    config = {key: _coerce(key, settings.pop(key), default) if key in settings else default
-              for key, default in TRAIN_NLP_DEFAULTS.items()}
-    if settings:
-        raise _CliConfigError(f"unknown train-nlp config keys {sorted(settings)}")
+    config = _settings("train-nlp", TRAIN_NLP_DEFAULTS, args)
 
     corpus = corpus_mod.derive_labels(corpus_mod.load_corpus(args.corpus))
     lexicon = domains.load_lexicon(args.lexicon) if args.lexicon else domains.default_lexicon()
@@ -250,29 +250,22 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _model_spec(settings: dict) -> ModelSpec:
-    return ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"],
-                     seed=settings["model.seed"])
-
-
-def _split_config(settings: dict) -> SplitConfig:
-    return SplitConfig(test_fraction=settings["test_fraction"],
-                       stratified=settings["stratified"], grouping=settings["grouping"])
-
-
 def cmd_eval(args) -> int:
     started = time.time()
-    settings = _eval_settings(_collect_settings(args.config, args.set))
+    settings = _settings("eval", EVAL_DEFAULTS, args)
     if settings["grouping"] == "patient_grouped":
         raise _CliConfigError(
             "patient_grouped evaluation needs patient ids, which feature CSVs do not "
             "carry; use the library API on a corpus-derived matrix instead")
+    spec = ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"],
+                     seed=settings["model.seed"])
+    spec.resolved()  # a bad kind or hyperparameter exits before any output is made
+    split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
+                            stratified=settings["stratified"], grouping=settings["grouping"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     matrix = None if args.mode == "consensus" else features.read_csv(args.features)
-    spec = _model_spec(settings)
-    split_cfg = _split_config(settings)
     inputs = [args.features]
 
     if args.mode == "consensus":
@@ -308,15 +301,9 @@ def cmd_eval(args) -> int:
     _dump_json(obj, report_path)
     (out / f"{stem}.txt").write_text(text, encoding="utf-8")
     print(text, end="")
-    _write_manifest(out, f"eval {args.mode}", settings_echo(settings), inputs,
+    _write_manifest(out, f"eval {args.mode}", settings, inputs,
                     [report_path, out / f"{stem}.txt"], settings["master_seed"], started)
     return EXIT_OK
-
-
-def settings_echo(settings: dict) -> dict:
-    hyper = settings["model.hyper"]
-    return {**settings, "model.hyper": {k: (list(v) if isinstance(v, tuple) else v)
-                                        for k, v in hyper.items()}}
 
 
 def _dump_json(obj, path) -> None:
@@ -344,26 +331,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_defaults(args) -> int:
-    print("# generator defaults")
-    cfg = GenConfig()
-    for key, value in _config_echo_gen(cfg, 3500).items():
-        if key == "effect_weights":
-            for name, w in value.items():
-                print(f"effect_weights.{name} = {w}")
-        elif isinstance(value, tuple):
-            print(f"{key} = {value[0]}:{value[1]}")
-        else:
-            print(f"{key} = {value}")
-    for command, table in (("train-nlp", TRAIN_NLP_DEFAULTS), ("eval", EVAL_DEFAULTS)):
-        print(f"# {command} defaults")
+    """Prints every default as a line that config files and ``--set`` read back."""
+    sections = [(f"{command} defaults", table, ":") for command, table in (
+        ("gen", GEN_DEFAULTS), ("train-nlp", TRAIN_NLP_DEFAULTS), ("eval", EVAL_DEFAULTS))]
+    sections += [(f"eval hyperparameters of {kind}",
+                  {"model.kind": kind, **{f"model.{k}": v for k, v in hyper.items()}}, ",")
+                 for kind, hyper in classifiers.DEFAULT_HYPERPARAMETERS.items()]
+    for title, table, sep in sections:
+        print(f"# {title}")
         for key, value in table.items():
-            print(f"{key} = {value}")
-    print("# model hyperparameter defaults")
-    for kind, hyper in classifiers.DEFAULT_HYPERPARAMETERS.items():
-        for name, value in hyper.items():
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            print(f"model.{name} = {value}  # kind={kind}")
+            print(f"{key} = {_format(value, sep)}")
     return EXIT_OK
 
 

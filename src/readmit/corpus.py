@@ -14,7 +14,7 @@ from datetime import date, datetime
 from typing import Optional
 
 from .errors import CorpusValidationError
-from .textproc import tokenize
+from .textproc import count_tokens
 
 GENDERS = ("Male", "Female", "Other", "Unknown")
 RACES = ("White", "Black", "Asian", "Hispanic", "Other", "Unknown")
@@ -287,11 +287,11 @@ def derive_labels(corpus: Corpus) -> Corpus:
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Corpus-level counts and means; token counts use ``textproc.tokenize``."""
+    """Corpus-level counts and means; token counts use ``textproc.count_tokens``."""
     n_patients = len(corpus.patients)
     n_admissions = len(corpus.admissions)
     n_notes = sum(len(a.notes) for a in corpus.admissions)
-    total_tokens = sum(len(tokenize(n.text)) for a in corpus.admissions for n in a.notes)
+    total_tokens = sum(count_tokens(n.text) for a in corpus.admissions for n in a.notes)
     n_readmitted = sum(1 for a in corpus.admissions if a.label_readmitted_30d)
     return CorpusStats(
         n_patients=n_patients,

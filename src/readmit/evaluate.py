@@ -91,7 +91,9 @@ def split(matrix: FeatureMatrix, config: SplitConfig):
     """(train_idx, test_idx); stratified within class, deterministic per seed.
 
     patient_grouped mode keeps all of a patient's rows on one side; it
-    needs a matrix that carries patient ids.
+    needs a matrix that carries patient ids. A split that leaves either
+    side with a single class raises DataError, since no metric is defined
+    on it.
     """
     config.validate()
     y = matrix.y
@@ -100,23 +102,25 @@ def split(matrix: FeatureMatrix, config: SplitConfig):
     if config.grouping == "patient_grouped":
         if not matrix.patient_ids:
             raise ConfigError("patient_grouped split requires patient ids")
-        return _grouped_split(y, np.asarray(matrix.patient_ids), config, rng)
-
-    test_parts = []
-    if config.stratified:
-        for cls in (0.0, 1.0):
-            idx = np.flatnonzero(y == cls)
-            if len(idx) < 2:
-                raise DataError(f"class {int(cls)} has fewer than 2 rows; cannot stratify")
-            n_test = int(np.clip(round(config.test_fraction * len(idx)), 1, len(idx) - 1))
-            idx = idx[rng.permutation(len(idx))]
-            test_parts.append(idx[:n_test])
+        train, test = _grouped_split(y, np.asarray(matrix.patient_ids), config, rng)
     else:
-        idx = rng.permutation(len(y))
-        n_test = int(np.clip(round(config.test_fraction * len(y)), 1, len(y) - 1))
-        test_parts.append(idx[:n_test])
-    test = np.sort(np.concatenate(test_parts))
-    train = np.setdiff1d(np.arange(len(y)), test)
+        groups = ([np.flatnonzero(y == cls) for cls in (0.0, 1.0)] if config.stratified
+                  else [np.arange(len(y))])
+        test_parts = []
+        for cls, idx in enumerate(groups):
+            if config.stratified and len(idx) < 2:
+                raise DataError(f"class {cls} has fewer than 2 rows; cannot stratify")
+            n_test = int(np.clip(round(config.test_fraction * len(idx)), 1, len(idx) - 1))
+            test_parts.append(idx[rng.permutation(len(idx))][:n_test])
+        test = np.sort(np.concatenate(test_parts))
+        train = np.setdiff1d(np.arange(len(y)), test)
+    # A stratified split always passes: each class has a row on each side.
+    for side, name in ((train, "train"), (test, "test")):
+        if len(side) == 0 or y[side].min() == y[side].max():
+            hint = ("" if config.grouping == "patient_grouped"
+                    else "; set stratified = true to keep both classes on each side")
+            raise DataError(f"{config.grouping} split (seed {config.seed}) left the {name} "
+                            f"side with a single class{hint}")
     return train, test
 
 
@@ -130,11 +134,7 @@ def _grouped_split(y, patient_ids, config: SplitConfig, rng):
             break
         test_rows.extend(np.flatnonzero(patient_ids == unique[k]).tolist())
     test = np.sort(np.array(test_rows, dtype=int))
-    train = np.setdiff1d(np.arange(len(y)), test)
-    for side, name in ((train, "train"), (test, "test")):
-        if len(side) == 0 or y[side].min() == y[side].max():
-            raise DataError(f"grouped split left the {name} side with a single class")
-    return train, test
+    return np.setdiff1d(np.arange(len(y)), test), test
 
 
 @dataclass

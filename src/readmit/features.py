@@ -182,7 +182,7 @@ def assemble(patient: Patient, admission: Admission, structured: StructuredField
     if admission.label_readmitted_30d is None:
         raise DataError(f"admission {admission.admission_id} has no derived label")
 
-    note_tokens = [len(textproc.tokenize(n.text)) for n in admission.notes]
+    note_tokens = [textproc.count_tokens(n.text) for n in admission.notes]
     n_tokens = sum(note_tokens)
     discharge_tokens = sum(
         t for n, t in zip(admission.notes, note_tokens) if n.note_type == "DischargeSummary")

@@ -230,12 +230,12 @@ class _TemplateFiller:
             d: [" ".join(p) for p in lexicon.patterns[d]] for d in RISK_DOMAINS
         }
         self.kw_tokens = {d: [len(k.split()) for k in self.kw[d]] for d in RISK_DOMAINS}
-        self.adv_tokens = [len(textproc.tokenize(a)) for a in ADVERBIALS]
+        self.adv_tokens = [textproc.count_tokens(a) for a in ADVERBIALS]
         self.shape_tokens = {
-            pol: [len(textproc.tokenize(s.format(kw="", adv=""))) for s in shapes]
+            pol: [textproc.count_tokens(s.format(kw="", adv="")) for s in shapes]
             for pol, shapes in _SHAPES.items()
         }
-        self.filler_tokens = [len(textproc.tokenize(s)) for s in FILLER_SENTENCES]
+        self.filler_tokens = [textproc.count_tokens(s) for s in FILLER_SENTENCES]
 
     def render(self, domain: str, polarity: str, shape_i: int, kw_i: int, adv_i: int):
         shape = _SHAPES[polarity][shape_i]
@@ -598,7 +598,7 @@ def _build_notes(text_rng, filler, latent: _AdmLatent, aid: str,
         ts = admit_dt if n == 1 else admit_dt + timedelta(seconds=span * k / (n - 1))
         headers = _header_lines(role, latent, k, estimated_los, single_note=(n == 1))
         header_block = "\n".join(headers)
-        header_tokens = len(textproc.tokenize(header_block)) if headers else 0
+        header_tokens = textproc.count_tokens(header_block) if headers else 0
         body = _emit_note_body(text_rng, filler, latent, latent.token_targets[k],
                                header_tokens, counts)
         if headers and body:

@@ -41,6 +41,11 @@ def tokenize(text: str) -> list[str]:
     return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
 
 
+def count_tokens(text: str) -> int:
+    """``len(tokenize(text))``, without lowercasing each token."""
+    return len(_TOKEN_RE.findall(text))
+
+
 def _load_abbreviations() -> frozenset[str]:
     raw = resources.files("readmit.resources").joinpath("abbreviations.txt").read_text("utf-8")
     return frozenset(line.strip() for line in raw.splitlines() if line.strip())

@@ -359,5 +359,27 @@ def test_unknown_kind_and_hyper():
         ModelSpec("decision_tree", {"bogus": 1}).resolved()
 
 
+@pytest.mark.parametrize("kind, hyper", [
+    ("random_forest", {"n_trees": "abc"}), ("random_forest", {"max_depth": 2.5}),
+    ("random_forest", {"max_features": "half"}), ("random_forest", {"bootstrap": "maybe"}),
+    ("decision_tree", {"min_samples_leaf": True}), ("mlp", {"hidden_sizes": (8, "x")}),
+    ("logistic_regression", {"c": "1"}),
+])
+def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
+    key, value = next(iter(hyper.items()))
+    with pytest.raises(ConfigError, match=f"^{kind}: hyperparameter '{key}' cannot be "):
+        ModelSpec(kind, hyper).resolved()
+
+
+def test_hyperparameters_of_related_types_pass():
+    assert ModelSpec("mlp", {"hidden_sizes": 8}).resolved()["hidden_sizes"] == (8,)
+    assert ModelSpec("logistic_regression", {"c": 2}).resolved()["c"] == 2
+    for kind in ("decision_tree", "random_forest"):
+        for max_features in (None, "sqrt", 3):
+            spec = ModelSpec(kind, {"max_depth": None, "max_features": max_features})
+            assert spec.resolved()["max_features"] == max_features
+        assert ModelSpec(kind, {"max_depth": 4}).resolved()["max_depth"] == 4
+
+
 def test_public_api_resolves():
     assert [name for name in readmit.__all__ if not hasattr(readmit, name)] == []

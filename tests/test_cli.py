@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from readmit import domains, features, neural
+from readmit import cli, domains, features, neural
+from readmit.classifiers import DEFAULT_HYPERPARAMETERS, ModelSpec
 from readmit.cli import main
 from readmit.corpus import derive_labels, load_corpus
 from readmit.domains import RISK_DOMAINS, domain_key
@@ -83,19 +88,41 @@ def test_train_nlp_missing_lexicon_exits_1(pipeline_dirs, tmp_path):
     assert code == 1
 
 
-def test_train_nlp_prints_heldout_metrics(pipeline_dirs, capsys):
-    # metrics were printed during the fixture run; re-run into a fresh dir
-    root, gen_dir, _, _ = pipeline_dirs
+def _defaults_sections(capsys) -> dict[str, list[tuple[str, str]]]:
+    """``readmit defaults`` output as {section title: [(key, value text)]}."""
+    assert run(["defaults"]) == 0
+    sections: dict = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("# "):
+            title = line[2:]
+            sections[title] = []
+        else:
+            key, _, value = line.partition(" = ")
+            sections[title].append((key, value))
+    return sections
+
+
+def test_train_nlp_prints_heldout_metrics(pipeline_dirs, tmp_path, capsys):
+    # metrics were printed during the fixture run; re-run into a fresh dir, with
+    # the train-nlp defaults as ``readmit defaults`` prints them for a config file
+    root, gen_dir, models_dir, _ = pipeline_dirs
+    cfg = tmp_path / "train_nlp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _defaults_sections(capsys)[
+        "train-nlp defaults"]), encoding="utf-8")
     out = root / "models2"
     assert run(["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
-                "--seed-file", gen_dir / "sentiment_seed.jsonl",
-                "--out", out] + NLP_ARGS) == 0
+                "--seed-file", gen_dir / "sentiment_seed.jsonl", "--config", cfg,
+                "--out", out, "--set", "topic_epochs=None"] + NLP_ARGS) == 0
     stdout = capsys.readouterr().out
     assert "topic micro-F1" in stdout
     assert "sentiment accuracy (Mood)" in stdout
     assert (out / "topic_model.json").exists()
     for name in ("appearance", "mood", "substance_use"):
         assert (out / f"sentiment_{name}.json").exists()
+    manifest = (out / "manifest.json").read_text()
+    assert '"topic_epochs": null' in manifest
+    for name in ("topic_model.json", "sentiment_mood.json"):
+        assert (out / name).read_bytes() == (models_dir / name).read_bytes()
 
 
 def test_train_nlp_manifest_records_budget_and_metrics(pipeline_dirs):
@@ -381,6 +408,63 @@ def test_defaults_lists_keys(capsys):
     assert "effect_weights.poor_insight" in stdout
     assert "holdout_fraction = 0.2" in stdout
     assert "model.kind = random_forest" in stdout
+
+
+_TABLES = {"gen defaults": ("gen", cli.GEN_DEFAULTS),
+           "train-nlp defaults": ("train-nlp", cli.TRAIN_NLP_DEFAULTS),
+           "eval defaults": ("eval", cli.EVAL_DEFAULTS)}
+
+
+def test_defaults_lines_parse_back(capsys):
+    sections = _defaults_sections(capsys)
+    assert list(sections)[:3] == list(_TABLES)
+    for title, (command, table) in _TABLES.items():
+        assert [key for key, _ in sections[title]] == list(table)
+        for key, value in sections[title]:
+            parsed = cli._settings(command, table, Namespace(config=None, set=[f"{key}={value}"]))
+            assert parsed[key] == table[key] and type(parsed[key]) is type(table[key]), key
+
+
+def test_defaults_hyperparameter_sections_parse_back(capsys, tmp_path):
+    sections = _defaults_sections(capsys)
+    kinds = [t.rpartition(" ")[2] for t in sections if t.startswith("eval hyperparameters of ")]
+    assert kinds == list(DEFAULT_HYPERPARAMETERS)
+    for kind in kinds:
+        lines = sections[f"eval hyperparameters of {kind}"]
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines), encoding="utf-8")
+        settings = cli._settings("eval", cli.EVAL_DEFAULTS, Namespace(config=cfg, set=None))
+        assert settings["model.kind"] == kind
+        resolved = ModelSpec(kind, settings["model.hyper"]).resolved()
+        assert resolved == DEFAULT_HYPERPARAMETERS[kind]
+        assert {k: type(v) for k, v in resolved.items()} == {
+            k: type(v) for k, v in DEFAULT_HYPERPARAMETERS[kind].items()}
+
+
+@pytest.mark.parametrize("setting", ["n_trees=abc", "max_depth=2.5", "max_features=half",
+                                     "bootstrap=maybe"])
+def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
+    *_, features_csv = pipeline_dirs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "readmit.cli", "eval", "single",
+                             "--features", str(features_csv), "--set", f"model.{setting}",
+                             "--out", str(tmp_path / "x")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"random_forest: hyperparameter {setting.split('=')[0]!r}" in result.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_eval_single_int_hidden_sizes_trains(pipeline_dirs, tmp_path):
+    *_, features_csv = pipeline_dirs
+    assert run(["eval", "single", "--features", features_csv, "--set", "n_runs=1",
+                "--set", "model.kind=mlp", "--set", "model.hidden_sizes=8",
+                "--set", "model.epochs=2", "--out", tmp_path / "m"]) == 0
+    config = json.loads((tmp_path / "m" / "manifest.json").read_text())["config"]
+    assert config["model.hyper"] == {"hidden_sizes": 8, "epochs": 2}
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -62,6 +63,30 @@ def test_split_deterministic():
 def test_split_infeasible():
     with pytest.raises(DataError):
         split(_labels_matrix([1, 0, 0, 0, 0]), SplitConfig(test_fraction=0.2, seed=0))
+
+
+def test_unstratified_split_rejects_a_single_class_side():
+    m = _labels_matrix([1, 1] + [0] * 8)
+    raised = 0
+    for seed in range(20):
+        train, test = split(m, SplitConfig(test_fraction=0.2, seed=seed))
+        assert set(m.y[train]) == set(m.y[test]) == {0.0, 1.0}
+        try:
+            train, test = split(m, SplitConfig(test_fraction=0.2, stratified=False, seed=seed))
+        except DataError as exc:
+            raised += 1
+            assert re.fullmatch(rf"admission_level split \(seed {seed}\) left the (train|test) "
+                                r"side with a single class; set stratified = true to keep both "
+                                r"classes on each side", str(exc))
+        else:
+            assert set(m.y[train]) == set(m.y[test]) == {0.0, 1.0}
+    assert 0 < raised < 20
+    # a patient per class: each grouped split puts one class on each side
+    grouped = FeatureMatrix(schema=m.schema, X=m.X, y=m.y,
+                            patient_ids=tuple("p1" if v else "p0" for v in m.y))
+    with pytest.raises(DataError, match=r"^patient_grouped split \(seed 4\) left the train side "
+                                        r"with a single class$"):
+        split(grouped, SplitConfig(test_fraction=0.2, grouping="patient_grouped", seed=4))
 
 
 def test_split_patient_grouped_never_straddles():
@@ -266,7 +291,8 @@ def test_map_holds_blas_at_one_thread_and_restores_it():
 
 # Runs in a child interpreter, so a pool that hangs fails the test on its
 # timeout. An unstratified split with 3 positives in 30 rows and 3 test rows
-# leaves the test side of most runs with one class, and AUC is undefined.
+# leaves the test side of every run with one class. Which failing run the
+# pool reports first varies with the worker count, so the seed is masked.
 _WORKER_ERROR_SCRIPT = textwrap.dedent("""
     import multiprocessing
     import numpy as np
@@ -299,9 +325,10 @@ def test_worker_error_reaches_caller_and_no_child_survives():
     result = subprocess.run([sys.executable, "-c", _WORKER_ERROR_SCRIPT], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    error = "readmit.errors MetricUndefinedError AUC undefined: y_true contains a single class"
-    assert result.stdout.splitlines() == ["after success []", f"1 {error}", f"2 {error}",
-                                          "after failure []"]
+    error = ("readmit.errors DataError admission_level split (seed N) left the test side with "
+             "a single class; set stratified = true to keep both classes on each side")
+    lines = [re.sub(r"\(seed \d+\)", "(seed N)", line) for line in result.stdout.splitlines()]
+    assert lines == ["after success []", f"1 {error}", f"2 {error}", "after failure []"]
 
 
 def test_ablation_column_sets_by_prefix():

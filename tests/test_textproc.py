@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from readmit import syngen
 from readmit.errors import FieldRangeError, NoteParseError
-from readmit.textproc import (NoteFields, extract_structured,
+from readmit.textproc import (NoteFields, count_tokens, extract_structured,
                               resolve_admission_fields, split_sentences,
                               tokenize)
 
@@ -34,6 +34,23 @@ def test_tokenize_deterministic_and_clean(text):
     for t in toks:
         assert t == t.lower()
         assert not any(c.isspace() for c in t)
+
+
+@pytest.mark.parametrize("text", [
+    "", "   \n\n", "Don't stop. Self-harm -- denied. 'quoted' - dash",
+    "It's well.\n\n\nBlank lines above. rock'n'roll co-op's",
+    "Café naïve Ünïcode. 日本語のテキスト。 Ζωή! ﬁle ß", "GAF at admission: 45\nInsight: poor\n",
+])
+def test_count_tokens_matches_tokenize_and_sentences(text):
+    assert count_tokens(text) == len(tokenize(text))
+    assert count_tokens(text) == sum(len(s.tokens) for s in split_sentences(text))
+
+
+def test_count_tokens_on_generated_notes(small_gen):
+    _, corpus, _ = small_gen
+    for note in (n for a in corpus.admissions for n in a.notes):
+        assert count_tokens(note.text) == len(tokenize(note.text))
+        assert count_tokens(note.text) == sum(len(s.tokens) for s in split_sentences(note.text))
 
 
 def test_split_two_sentences():
