@@ -19,7 +19,7 @@ from . import __version__, classifiers, domains, evaluate, features, neural, syn
 from . import corpus as corpus_mod
 from .classifiers import ModelSpec
 from .domains import RISK_DOMAINS, domain_key
-from .errors import ReadmitError
+from .errors import ConfigError, DataError, ReadmitError
 from .evaluate import SplitConfig
 from .syngen import GenConfig
 
@@ -62,10 +62,6 @@ def _gen_defaults() -> dict:
 GEN_DEFAULTS = _gen_defaults()
 
 
-class _CliConfigError(ReadmitError):
-    pass
-
-
 def _coerce(key: str, raw: str, default):
     """Parses ``raw`` as the type of the key's default (None parses as None or int)."""
     if default is None and raw.strip().lower() == "none":
@@ -84,7 +80,7 @@ def _coerce(key: str, raw: str, default):
             return (int(lo), int(hi))
         return kind(raw)
     except ValueError:
-        raise _CliConfigError(f"config key {key!r}: cannot parse value {raw!r}") from None
+        raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from None
 
 
 def _format(value, sep: str) -> str:
@@ -103,7 +99,7 @@ def _read_flat_config(path) -> dict[str, str]:
                 continue
             key, eq, value = stripped.partition("=")
             if not eq:
-                raise _CliConfigError(f"{path} line {lineno}: expected 'key = value'")
+                raise ConfigError(f"{path} line {lineno}: expected 'key = value'")
             out[key.strip()] = value.strip()
     return out
 
@@ -118,7 +114,7 @@ def _settings(command: str, defaults: dict, args) -> dict:
     for item in args.set or ():
         key, eq, value = item.partition("=")
         if not eq:
-            raise _CliConfigError(f"--set {item!r}: expected key=value")
+            raise ConfigError(f"--set {item!r}: expected key=value")
         raw[key.strip()] = value.strip()
     settings = dict(defaults)
     if command == "eval":
@@ -129,7 +125,7 @@ def _settings(command: str, defaults: dict, args) -> dict:
         elif command == "eval" and key.startswith("model."):
             settings["model.hyper"][key.split(".", 1)[1]] = _parse_literal(value)
         else:
-            raise _CliConfigError(f"unknown {command} config key {key!r}")
+            raise ConfigError(f"unknown {command} config key {key!r}")
     return settings
 
 
@@ -254,7 +250,7 @@ def cmd_eval(args) -> int:
     started = time.time()
     settings = _settings("eval", EVAL_DEFAULTS, args)
     if settings["grouping"] == "patient_grouped":
-        raise _CliConfigError(
+        raise ConfigError(
             "patient_grouped evaluation needs patient ids, which feature CSVs do not "
             "carry; use the library API on a corpus-derived matrix instead")
     spec = ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"],
@@ -269,10 +265,7 @@ def cmd_eval(args) -> int:
     inputs = [args.features]
 
     if args.mode == "consensus":
-        outcomes = []
-        for path in args.rfe:
-            with open(path, "r", encoding="utf-8") as fh:
-                outcomes.append(evaluate.rfe_outcome_from_obj(json.load(fh)))
+        outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
         obj = {"consensus_eliminated": evaluate.consensus_elimination(outcomes),
                "sources": [str(p) for p in args.rfe]}
         text = evaluate.render_consensus_text(obj)
@@ -312,20 +305,26 @@ def _dump_json(obj, path) -> None:
         fh.write("\n")
 
 
+def _read_json(path, parse=lambda obj: obj):
+    """``parse`` of the JSON in ``path``; a DataError naming the file if that fails."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise DataError(f"{path}: not JSON ({e})") from None
+        except DataError as e:
+            raise DataError(f"{path}: {e}") from None
+
+
 def cmd_report(args) -> int:
     """Prints a JSON report as text, exactly as ``eval`` wrote it next to the JSON."""
-    with open(args.report, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "table" in obj:
-        render = evaluate.render_ablation_text
-    elif "mean" in obj:
-        render = evaluate.render_runs_text
-    elif "best_set" in obj:
-        render = evaluate.render_rfe_text
-    elif "consensus_eliminated" in obj:
-        render = evaluate.render_consensus_text
-    else:
-        raise _CliConfigError(f"{args.report}: unrecognized report layout")
+    obj = _read_json(args.report)
+    layouts = {"table": evaluate.render_ablation_text, "mean": evaluate.render_runs_text,
+               "best_set": evaluate.render_rfe_text,
+               "consensus_eliminated": evaluate.render_consensus_text}
+    render = next((layouts[k] for k in layouts if isinstance(obj, dict) and k in obj), None)
+    if render is None:
+        raise ConfigError(f"{args.report}: unrecognized report layout")
     print(render(obj), end="")
     return EXIT_OK
 

@@ -9,7 +9,8 @@ distribution over (positive, neutral, negative), collapsed to a scalar in
 """
 
 import json
-import mmap
+import os
+import tempfile
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -207,16 +208,6 @@ def write_seed_file(records: Sequence[SeedRecord], path) -> None:
             fh.write("\n")
 
 
-def _parameter_views(buf, shapes, dtype) -> list[np.ndarray]:
-    """Arrays of ``shapes`` laid out one after another in ``buf``."""
-    views, offset = [], 0
-    for shape in shapes:
-        view = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
-        views.append(view)
-        offset += view.nbytes
-    return views
-
-
 def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncoder,
                            config: Optional[TrainConfig] = None) -> dict[str, MLPModel]:
     """One 3-class sentiment MLP per domain, trained only on its sentences.
@@ -250,36 +241,15 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
         dropout_rate=SENTIMENT_DROPOUT, output_kind="softmax", n_outputs=3,
     )
 
-    # Each job writes its parameters into a shared mapping the parent made,
-    # one per model, and returns only the training record. Parameters that
-    # come back pickled are unpickled on the pool's result thread, whose heap
-    # arena kept that memory after the pool closed, growing pass after pass.
-    shapes = neural.parameter_shapes(spec)
-    dtype = data[0][0].dtype  # train_mlp trains in the dtype of its rows
-    nbytes = sum(int(np.prod(s)) for s in shapes) * dtype.itemsize
-    buffers = [mmap.mmap(-1, nbytes) for _ in RISK_DOMAINS]
-
-    def train(i: int):
-        model = neural.train_mlp(spec, *data[i], config)
-        for view, param in zip(_parameter_views(buffers[i], shapes, dtype),
-                               model.weights + model.biases):
-            view[...] = param
-        return model.epochs_run, model.final_loss, model.loss_history
-
-    n_layers = len(shapes) // 2
-    models: dict[str, MLPModel] = {}
-    try:
-        runs = pool.map_jobs(train, len(RISK_DOMAINS), pool.usable_cpus())
-        for domain, buf, (epochs_run, final_loss, history) in zip(RISK_DOMAINS, buffers, runs):
-            params = [view.copy() for view in _parameter_views(buf, shapes, dtype)]
-            buf.close()  # so this process maps one model's buffer at a time
-            models[domain] = MLPModel(spec, params[:n_layers], params[n_layers:],
-                                      seed=config.seed, epochs_run=epochs_run,
-                                      final_loss=final_loss, loss_history=history)
-    finally:
-        for buf in buffers:
-            buf.close()
-    return models
+    # Each job saves its model to a file and returns nothing; the parent loads
+    # the files. Models do not come back pickled: arrays unpickled on the pool's
+    # result thread stay in that thread's heap arena after the pool closes, so
+    # memory grows pass after pass.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{domain}.json") for domain in RISK_DOMAINS]
+        pool.map_jobs(lambda i: neural.save_mlp(neural.train_mlp(spec, *data[i], config), paths[i]),
+                      len(RISK_DOMAINS), pool.usable_cpus())
+        return {domain: neural.load_mlp(path) for domain, path in zip(RISK_DOMAINS, paths)}
 
 
 @dataclass(frozen=True)

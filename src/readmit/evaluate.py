@@ -416,7 +416,11 @@ def rfe_outcome_obj(outcome: RfeOutcome) -> dict:
 
 
 def rfe_outcome_from_obj(obj: dict) -> RfeOutcome:
-    return RfeOutcome(**{**obj, "repeats_detail": [RfeRepeat(**d) for d in obj["repeats_detail"]]})
+    """The outcome ``rfe_outcome_obj`` wrote; a DataError on a missing or unknown key."""
+    try:
+        return RfeOutcome(**{**obj, "repeats_detail": [RfeRepeat(**d) for d in obj["repeats_detail"]]})
+    except (KeyError, TypeError) as e:
+        raise DataError(f"not an RFE report: {e!r}") from None
 
 
 def render_ablation_text(obj: dict) -> str:

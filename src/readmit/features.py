@@ -415,6 +415,8 @@ def read_csv(path) -> FeatureMatrix:
             values = [_cell(path, reader.line_num, c, v) for c, v in zip(header, row)]
             data.append(values[:-1])
             labels.append(values[-1])
+    if not data:
+        raise DataError(f"{path}: no data rows")
     columns = [Column(n, n, "numeric") for n in names]
     schema = FeatureSchema(columns)
     return FeatureMatrix(schema=schema, X=np.array(data), y=np.array(labels))

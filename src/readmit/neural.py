@@ -131,12 +131,6 @@ def _layer_dims(spec: MLPSpec) -> list[tuple[int, int]]:
     return list(zip(sizes[:-1], sizes[1:]))
 
 
-def parameter_shapes(spec: MLPSpec) -> list[tuple[int, ...]]:
-    """Shapes of an MLP's weights, layer by layer, then of its biases."""
-    dims = _layer_dims(spec)
-    return dims + [(fan_out,) for _, fan_out in dims]
-
-
 def init_mlp(spec: MLPSpec, seed: int = 0) -> MLPModel:
     """Glorot-uniform weights, zero biases, seed-driven."""
     spec.validate()

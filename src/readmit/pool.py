@@ -63,7 +63,8 @@ def map_jobs(job, n: int, workers: int) -> list:
 
     Forking hands each worker the job closure, and the data it holds,
     without pickling. Only the index goes out and the result comes back,
-    in index order, so outputs match a sequential run byte for byte.
+    in index order, so outputs match a sequential run byte for byte, and
+    so does the error raised: that of the lowest failing index.
 
     While the pool runs, the parent's OpenBLAS is held at one thread, and
     the workers inherit that. Workers whose BLAS each spreads over every CPU
@@ -84,7 +85,7 @@ def map_jobs(job, n: int, workers: int) -> list:
     try:
         pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
         try:
-            return pool.map(_run_job, range(n), chunksize=1)
+            return list(pool.imap(_run_job, range(n), chunksize=1))
         except BaseException:
             pool.terminate()  # stop the jobs still queued behind the failure
             raise

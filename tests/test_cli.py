@@ -458,6 +458,34 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("case", ["report_not_json", "consensus_not_rfe", "rfe_no_rows",
+                                  "ablation_no_rows"])
+def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
+    *_, features_csv = pipeline_dirs
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(features_csv.read_text().splitlines()[0] + "\n", encoding="utf-8")
+    not_json = tmp_path / "report.txt"
+    not_json.write_text("Model: mlp\n", encoding="utf-8")
+    not_rfe = tmp_path / "ablation.json"
+    not_rfe.write_text('{"table": {}}\n', encoding="utf-8")
+    bad, args = {
+        "report_not_json": (not_json, ["report", "--report", not_json]),
+        "consensus_not_rfe": (not_rfe, ["eval", "consensus", "--rfe", not_rfe, not_rfe, not_rfe]),
+        "rfe_no_rows": (header_only, ["eval", "rfe", "--features", header_only]),
+        "ablation_no_rows": (header_only, ["eval", "ablation", "--features", header_only]),
+    }[case]
+    if args[0] == "eval":
+        args += ["--out", tmp_path / "out"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "readmit.cli", *map(str, args)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}: ")
+
+
 def test_eval_single_int_hidden_sizes_trains(pipeline_dirs, tmp_path):
     *_, features_csv = pipeline_dirs
     assert run(["eval", "single", "--features", features_csv, "--set", "n_runs=1",

@@ -340,6 +340,22 @@ def test_sentiment_divergence_reaches_caller(small_gen, encoder):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sentiment_transport_leaves_no_files(small_gen, encoder, tmp_path, monkeypatch):
+    # the models come back through a temporary directory, removed on success and on failure
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    config, _, _ = small_gen
+    records = syngen.make_sentiment_seed(config, 700)
+    models = train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG)
+    assert list(models) == list(RISK_DOMAINS)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(TrainingDivergedError):
+        train_sentiment_models(records, encoder, replace(SHORT_SENTIMENT_CONFIG,
+                                                         learning_rate=1e3))
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 def test_sentiment_training_inside_a_pool_worker(small_gen, encoder, tmp_path):
     # a pool worker is daemonic and may not fork; its sentiment models train in-process
     config, _, _ = small_gen

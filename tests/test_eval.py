@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -289,10 +290,25 @@ def test_map_holds_blas_at_one_thread_and_restores_it():
         set_threads(before)
 
 
+def _fail_from_index_1(i: int) -> int:
+    if i == 1:
+        time.sleep(0.5)  # job 2 fails first
+    if i >= 1:
+        raise ValueError(f"job {i}")
+    return i
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_jobs_raises_the_lowest_failing_index(workers):
+    with pytest.raises(ValueError, match="job 1"):
+        pool.map_jobs(_fail_from_index_1, 3, workers)
+    assert multiprocessing.active_children() == []
+
+
 # Runs in a child interpreter, so a pool that hangs fails the test on its
 # timeout. An unstratified split with 3 positives in 30 rows and 3 test rows
-# leaves the test side of every run with one class. Which failing run the
-# pool reports first varies with the worker count, so the seed is masked.
+# leaves the test side of every run with one class. The pool reports the
+# failure of the lowest run whatever the worker count, so both name one seed.
 _WORKER_ERROR_SCRIPT = textwrap.dedent("""
     import multiprocessing
     import numpy as np
@@ -327,6 +343,8 @@ def test_worker_error_reaches_caller_and_no_child_survives():
     assert result.returncode == 0, result.stderr
     error = ("readmit.errors DataError admission_level split (seed N) left the test side with "
              "a single class; set stratified = true to keep both classes on each side")
+    seeds = {re.search(r"\(seed (\d+)\)", line)[1] for line in result.stdout.splitlines()[1:3]}
+    assert len(seeds) == 1
     lines = [re.sub(r"\(seed \d+\)", "(seed N)", line) for line in result.stdout.splitlines()]
     assert lines == ["after success []", f"1 {error}", f"2 {error}", "after failure []"]
 

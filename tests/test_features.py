@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -231,6 +232,13 @@ def test_csv_roundtrip(tmp_path, small_gen):
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[-1] == "label"
     assert len(header.split(",")) == len(matrix.schema) + 1
+
+
+def test_csv_without_data_rows_is_a_data_error(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("age,gaf_admission,label\n\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: no data rows")):
+        read_csv(path)
 
 
 def test_csv_keeps_nan(tmp_path):
