@@ -258,14 +258,16 @@ def cmd_eval(args) -> int:
     spec.resolved()  # a bad kind or hyperparameter exits before any output is made
     split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
                             stratified=settings["stratified"], grouping=settings["grouping"])
+    if args.mode == "consensus":
+        outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
+    else:
+        matrix = features.read_csv(args.features)
+    # Only once the inputs have loaded, so a rejected input leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    matrix = None if args.mode == "consensus" else features.read_csv(args.features)
     inputs = [args.features]
 
     if args.mode == "consensus":
-        outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
         obj = {"consensus_eliminated": evaluate.consensus_elimination(outcomes),
                "sources": [str(p) for p in args.rfe]}
         text = evaluate.render_consensus_text(obj)
@@ -325,7 +327,11 @@ def cmd_report(args) -> int:
     render = next((layouts[k] for k in layouts if isinstance(obj, dict) and k in obj), None)
     if render is None:
         raise ConfigError(f"{args.report}: unrecognized report layout")
-    print(render(obj), end="")
+    try:
+        text = render(obj)
+    except (KeyError, TypeError, ValueError, AttributeError) as e:  # a field missing or mistyped
+        raise DataError(f"{args.report}: incomplete report ({e!r})") from None
+    print(text, end="")
     return EXIT_OK
 
 

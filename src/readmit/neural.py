@@ -2,8 +2,11 @@
 
 The encoder is a deterministic stand-in for a pretrained sentence encoder:
 signed feature hashing of unigrams and bigrams into a fixed-width vector,
-L2-normalized. Anything exposing ``dim`` and ``__call__(tokens) -> vector``
-can be dropped in instead.
+L2-normalized. The plug-in contract is ``dim`` and
+``__call__(tokens) -> vector``: anything exposing those can be dropped in
+instead, and ``encode_rows`` calls it once per token list.
+``HashingEncoder`` also encodes a whole list at once (``rows``), into the
+same bytes, and ``encode_rows`` uses that when an encoder has it.
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -14,6 +17,7 @@ import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,13 +34,24 @@ def hash_gram(gram: str, dim: int) -> tuple[int, float]:
 
 
 class HashingEncoder:
-    """Signed unigram+bigram hashing into ``dim`` buckets, L2-normalized."""
+    """Signed unigram+bigram hashing into ``dim`` buckets, L2-normalized.
+
+    ``__call__`` encodes one token list, gram by gram. ``rows`` encodes a
+    whole list of them into the same values, block by block in numpy.
+    """
 
     def __init__(self, dim: int = 512):
         if dim <= 0:
             raise ConfigError(f"encoder dim must be positive, got {dim}")
         self.dim = dim
         self._cache: dict[str, tuple[int, float]] = {}
+        # For rows: token -> id, id -> token, and per id the unigram's slot;
+        # per id pair (id_a << 32 | id_b) the bigram's slot. A slot packs
+        # (bucket, sign) as 2 * bucket + (1 if the sign is -1 else 0).
+        self._ids: dict[str, int] = {}
+        self._tokens: list[str] = []
+        self._unigram_slots = np.empty(0, dtype=np.int64)
+        self._bigram_slots: dict[int, int] = {}
 
     def _slot(self, gram: str) -> tuple[int, float]:
         hit = self._cache.get(gram)
@@ -58,10 +73,71 @@ class HashingEncoder:
             v /= norm
         return v
 
+    def _packed_slot(self, gram: str) -> int:
+        bucket, sign = hash_gram(gram, self.dim)
+        return 2 * bucket + (sign < 0)
+
+    def rows(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """``self(tokens)`` for each token list, as the float32 rows of one array.
+
+        Every cell is a sum of +-1 and every squared norm a sum of integers,
+        both exact in float64 in any order, so each row has the bytes of
+        ``self(tokens)`` rounded to float32.
+        """
+        X = np.empty((len(token_lists), self.dim), dtype=np.float32)
+        for start in range(0, len(token_lists), _BLOCK_ROWS):
+            block = token_lists[start:start + _BLOCK_ROWS]
+            X[start:start + len(block)] = self._block(block)
+        return X
+
+    def _block(self, block: Sequence[Sequence[str]]) -> np.ndarray:
+        """The float64 rows of ``block``, all built by one ``bincount``."""
+        tokens = list(chain.from_iterable(block))
+        ids = self._ids
+        token_ids = np.fromiter(map(ids.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+        new_slots = []
+        for j in np.flatnonzero(token_ids < 0).tolist():
+            tok = tokens[j]
+            if tok not in ids:
+                ids[tok] = len(self._tokens)
+                self._tokens.append(tok)
+                new_slots.append(self._packed_slot(tok))
+            token_ids[j] = ids[tok]
+        if new_slots:
+            self._unigram_slots = np.concatenate([self._unigram_slots, new_slots])
+        row_of = np.repeat(np.arange(len(block)), list(map(len, block)))
+
+        same_row = row_of[:-1] == row_of[1:]
+        pairs = (token_ids[:-1][same_row] << 32) | token_ids[1:][same_row]
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        known = self._bigram_slots
+        keys = distinct.tolist()
+        pair_slots = np.fromiter(map(known.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+        for j in np.flatnonzero(pair_slots < 0).tolist():
+            key = keys[j]
+            gram = self._tokens[key >> 32] + " " + self._tokens[key & 0xFFFFFFFF]
+            pair_slots[j] = known[key] = self._packed_slot(gram)
+
+        slots = np.concatenate([self._unigram_slots[token_ids], pair_slots[inverse]])
+        cells = np.concatenate([row_of, row_of[1:][same_row]]) * self.dim + (slots >> 1)
+        # astype: bincount returns integers when the block has no token at all.
+        sums = np.bincount(cells, weights=1.0 - 2.0 * (slots & 1), minlength=len(block) * self.dim)
+        sums = sums.astype(np.float64, copy=False).reshape(len(block), self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", sums, sums))[:, None]
+        return np.divide(sums, norms, out=sums, where=norms > 0)
+
+
+# Rows per bincount in HashingEncoder.rows: large enough to amortize the
+# numpy calls, small enough that a block's float64 sums (1 MB at dim 512)
+# add little to peak memory.
+_BLOCK_ROWS = 256
+
 
 def encode_rows(encoder, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
     """``encoder`` applied to each token list, as the float32 rows of one array.
 
+    An encoder with a ``rows`` method, as ``HashingEncoder`` has, encodes
+    the whole list with it. Any other encoder is called once per token list.
     The rows are written into a single preallocated array instead of being
     stacked from a list of row arrays, so the matrix is held once, not
     twice, and no heap of row-sized blocks is left behind after it. The
@@ -69,6 +145,9 @@ def encode_rows(encoder, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
     written, so the NLP models that read these rows train and run in
     single precision.
     """
+    rows = getattr(encoder, "rows", None)
+    if rows is not None:
+        return rows(token_lists)
     X = np.empty((len(token_lists), encoder.dim), dtype=np.float32)
     for i, tokens in enumerate(token_lists):
         X[i] = encoder(tokens)
@@ -302,8 +381,8 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             for l in range(len(model.weights)):
-                model.weights[l] -= config.learning_rate * gW[l]
-                model.biases[l] -= config.learning_rate * gb[l]
+                model.weights[l] -= np.multiply(gW[l], config.learning_rate, out=gW[l])
+                model.biases[l] -= np.multiply(gb[l], config.learning_rate, out=gb[l])
             total += loss * len(idx)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):

@@ -38,7 +38,7 @@ def tokenize(text: str) -> list[str]:
     Punctuation becomes standalone single-character tokens, except hyphens
     and apostrophes inside a word ("self-harm", "don't" stay whole).
     """
-    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 def count_tokens(text: str) -> int:

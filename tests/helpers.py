@@ -16,7 +16,7 @@ from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
 from readmit.seeding import rng_for
-from readmit.textproc import (TokenizedSentence, _block_spans,
+from readmit.textproc import (_TOKEN_RE, TokenizedSentence, _block_spans,
                               default_abbreviations, split_sentences, tokenize)
 
 
@@ -69,6 +69,11 @@ def reference_encode(tokens, dim):
         v[bucket] += sign
     n = np.sqrt((v * v).sum())
     return v / n if n > 0 else v
+
+
+def reference_tokenize(text):
+    """``textproc.tokenize`` by way of ``finditer``, one match object per token."""
+    return [m.group(0).lower() for m in _TOKEN_RE.finditer(text)]
 
 
 def mlp_as_dtype(model, dtype):

@@ -458,8 +458,8 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("case", ["report_not_json", "consensus_not_rfe", "rfe_no_rows",
-                                  "ablation_no_rows"])
+@pytest.mark.parametrize("case", ["report_not_json", "report_incomplete", "consensus_not_rfe",
+                                  "rfe_no_rows", "ablation_no_rows"])
 def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
     *_, features_csv = pipeline_dirs
     header_only = tmp_path / "header_only.csv"
@@ -470,6 +470,7 @@ def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
     not_rfe.write_text('{"table": {}}\n', encoding="utf-8")
     bad, args = {
         "report_not_json": (not_json, ["report", "--report", not_json]),
+        "report_incomplete": (not_rfe, ["report", "--report", not_rfe]),
         "consensus_not_rfe": (not_rfe, ["eval", "consensus", "--rfe", not_rfe, not_rfe, not_rfe]),
         "rfe_no_rows": (header_only, ["eval", "rfe", "--features", header_only]),
         "ablation_no_rows": (header_only, ["eval", "ablation", "--features", header_only]),
@@ -484,6 +485,13 @@ def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_missing_features_leaves_no_out_directory(tmp_path):
+    assert run(["eval", "single", "--features", tmp_path / "missing.csv",
+                "--out", tmp_path / "out"]) == cli.EXIT_IO
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_single_int_hidden_sizes_trains(pipeline_dirs, tmp_path):

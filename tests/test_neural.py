@@ -7,6 +7,7 @@ from readmit import neural
 from readmit.errors import ConfigError, DataError, TrainingDivergedError
 from readmit.neural import (MLPSpec, TrainConfig, init_mlp,
                             load_mlp, predict, save_mlp, train_mlp)
+from readmit.textproc import split_sentences
 
 from helpers import gradient_check, mlp_as_dtype, reference_encode
 
@@ -44,6 +45,37 @@ def test_encode_rows_matches_stacked_encoder_calls(encoder):
     assert X.shape == (3, encoder.dim) and X.dtype == np.float32
     assert np.array_equal(X, np.stack([encoder(t) for t in token_lists]).astype(np.float32))
     assert neural.encode_rows(encoder, []).shape == (0, encoder.dim)
+
+
+class _CallOnlyEncoder:
+    """The plug-in contract alone: ``dim`` and ``__call__``."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.calls = 0
+        self._inner = neural.HashingEncoder(dim)
+
+    def __call__(self, tokens):
+        self.calls += 1
+        return self._inner(tokens)
+
+
+@pytest.mark.parametrize("dim", [512, 7])
+def test_hashing_rows_equal_reference_bytes(small_gen, dim):
+    _, corpus, _ = small_gen
+    edge = [(), ("mood",), ("mood", "is", "mood", "is", "mood", "is"), ("a", "a", "a", "a"), ()]
+    token_lists = edge + [s.tokens for a in corpus.admissions for n in a.notes
+                          for s in split_sentences(n.text)] + edge
+    assert len(token_lists) > 2 * neural._BLOCK_ROWS
+    expected = np.array([reference_encode(t, dim) for t in token_lists]).astype(np.float32)
+    encoder = neural.HashingEncoder(dim)
+    assert np.array_equal(neural.encode_rows(encoder, [(), ()]), np.zeros((2, dim), np.float32))
+    for _ in range(2):  # cold, then with every gram already seen
+        X = neural.encode_rows(encoder, token_lists)
+        assert X.dtype == np.float32 and np.array_equal(X, expected)
+    call_only = _CallOnlyEncoder(dim)
+    assert np.array_equal(neural.encode_rows(call_only, token_lists), expected)
+    assert call_only.calls == len(token_lists)
 
 
 @pytest.mark.parametrize("output_kind", ["softmax", "sigmoid"])

@@ -7,7 +7,7 @@ from readmit.textproc import (NoteFields, count_tokens, extract_structured,
                               resolve_admission_fields, split_sentences,
                               tokenize)
 
-from helpers import reference_split_sentences, tiny_corpus
+from helpers import reference_split_sentences, reference_tokenize, tiny_corpus
 
 
 def test_tokenize_punct_and_lowercase():
@@ -34,6 +34,11 @@ def test_tokenize_deterministic_and_clean(text):
     for t in toks:
         assert t == t.lower()
         assert not any(c.isspace() for c in t)
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from("'-\u2019\u2010 \n")), max_size=200))
+def test_tokenize_matches_finditer_form(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 @pytest.mark.parametrize("text", [
