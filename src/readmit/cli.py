@@ -18,7 +18,7 @@ from typing import Optional
 from . import __version__, classifiers, domains, evaluate, features, neural, syngen
 from . import corpus as corpus_mod
 from .classifiers import ModelSpec
-from .domains import RISK_DOMAINS, domain_key
+from .domains import POLARITIES, RISK_DOMAINS, domain_key
 from .errors import ConfigError, DataError, ReadmitError
 from .evaluate import SplitConfig
 from .syngen import GenConfig
@@ -231,11 +231,26 @@ def _model_paths(models_dir: Path) -> list[Path]:
         models_dir / f"sentiment_{domain_key(d)}.json" for d in RISK_DOMAINS]
 
 
+def _load_models(model_paths: list[Path]) -> list[neural.MLPModel]:
+    """train-nlp's models, each checked against its role: the topic model is
+    sigmoid over the domains, each sentiment model softmax over the
+    polarities, and all read rows of the topic model's input width."""
+    models = [neural.load_mlp(p) for p in model_paths]
+    width = models[0].spec.input_dim
+    for i, (path, spec) in enumerate(zip(model_paths, (m.spec for m in models))):
+        kind, n_outputs = ("sigmoid", len(RISK_DOMAINS)) if i == 0 else ("softmax", len(POLARITIES))
+        if (spec.output_kind, spec.n_outputs, spec.input_dim) != (kind, n_outputs, width):
+            raise DataError(f"{path}: a {spec.output_kind} model with {spec.n_outputs} outputs "
+                            f"and input_dim {spec.input_dim}; this file must hold a {kind} "
+                            f"model with {n_outputs} outputs and input_dim {width}")
+    return models
+
+
 def cmd_extract(args) -> int:
     started = time.time()
     corpus = corpus_mod.derive_labels(corpus_mod.load_corpus(args.corpus))
     model_paths = _model_paths(Path(args.models))
-    topic, *sentiment = [neural.load_mlp(p) for p in model_paths]
+    topic, *sentiment = _load_models(model_paths)
     matrix = features.extract(corpus, topic, dict(zip(RISK_DOMAINS, sentiment)))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

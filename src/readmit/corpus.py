@@ -159,20 +159,23 @@ def _parse_datetime(raw, what, owner) -> datetime:
 
 
 def _note_from_obj(obj, owner) -> Note:
+    _require(isinstance(obj, dict), f"{owner}: a note is not a JSON object")
     try:
         wire_type = obj["note_type"]
         note = Note(
             note_id=str(obj["note_id"]),
             note_type=_NOTE_TYPE_FROM_WIRE.get(wire_type, wire_type),
             timestamp=_parse_datetime(obj["timestamp"], "timestamp", obj.get("note_id", owner)),
-            text=str(obj["text"]),
+            text=obj["text"],
         )
     except KeyError as e:
         raise CorpusValidationError(f"{owner}: note missing key {e}") from None
+    _require(isinstance(note.text, str), f"note {note.note_id}: text {note.text!r} is not a string")
     return note
 
 
 def _admission_from_obj(obj, patient_id) -> Admission:
+    _require(isinstance(obj, dict), f"{patient_id}: an admission is not a JSON object")
     owner = obj.get("admission_id", f"<admission of {patient_id}>")
     try:
         return Admission(
@@ -188,8 +191,28 @@ def _admission_from_obj(obj, patient_id) -> Admission:
         raise CorpusValidationError(f"{owner}: admission missing key {e}") from None
 
 
+def _patient_from_obj(obj) -> tuple[Patient, list[Admission]]:
+    """One corpus line's patient and admissions, the admissions in admit-date order."""
+    _require(isinstance(obj, dict), "not a JSON object")
+    owner = obj.get("patient_id", "<patient>")
+    try:
+        patient = Patient(
+            patient_id=str(obj["patient_id"]),
+            gender=obj["gender"],
+            race=obj["race"],
+            marital_status=obj["marital_status"],
+            veteran=obj["veteran"],
+            birth_date=_parse_date(obj["birth_date"], "birth_date", owner),
+        )
+        adms = [_admission_from_obj(a, patient.patient_id) for a in obj["admissions"]]
+    except KeyError as e:
+        raise CorpusValidationError(f"patient missing key {e}") from None
+    return patient, sorted(adms, key=lambda a: a.admit_date)
+
+
 def load_corpus(path) -> Corpus:
-    """Load and fully validate a JSONL corpus file."""
+    """Load and fully validate a JSONL corpus file. An error in reading a
+    line names the file and the line."""
     patients: list[Patient] = []
     admissions: list[Admission] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,24 +220,13 @@ def load_corpus(path) -> Corpus:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                patient, adms = _patient_from_obj(json.loads(line))
             except json.JSONDecodeError as e:
-                raise CorpusValidationError(f"line {lineno}: invalid JSON ({e.msg})") from None
-            owner = obj.get("patient_id", f"<line {lineno}>")
-            try:
-                patient = Patient(
-                    patient_id=str(obj["patient_id"]),
-                    gender=obj["gender"],
-                    race=obj["race"],
-                    marital_status=obj["marital_status"],
-                    veteran=obj["veteran"],
-                    birth_date=_parse_date(obj["birth_date"], "birth_date", owner),
-                )
-                adms = [_admission_from_obj(a, patient.patient_id) for a in obj["admissions"]]
-            except KeyError as e:
-                raise CorpusValidationError(f"line {lineno}: patient missing key {e}") from None
+                raise CorpusValidationError(f"{path} line {lineno}: invalid JSON ({e.msg})") from None
+            except CorpusValidationError as e:
+                raise CorpusValidationError(f"{path} line {lineno}: {e}") from None
             patients.append(patient)
-            admissions.extend(sorted(adms, key=lambda a: a.admit_date))
+            admissions.extend(adms)
     corpus = Corpus(patients=tuple(patients), admissions=tuple(admissions))
     validate_corpus(corpus)
     return corpus

@@ -94,13 +94,28 @@ class Lexicon:
         return frozenset(found)
 
 
+def _parse_lexicon(text: str, source) -> Lexicon:
+    """The Lexicon in a lexicon file's text: a JSON map domain -> array of
+    space-separated patterns. Errors name ``source``."""
+    try:
+        raw = json.loads(text)
+    except ValueError as e:
+        raise ConfigError(f"{source}: lexicon file is not JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: lexicon file must be a JSON object")
+    for domain, pats in raw.items():
+        if not isinstance(pats, list) or not all(isinstance(p, str) for p in pats):
+            raise ConfigError(f"{source}: lexicon domain {domain!r} must be an array of strings")
+    try:
+        return Lexicon({d: [tuple(p.split()) for p in pats] for d, pats in raw.items()})
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from None
+
+
 def load_lexicon(path) -> Lexicon:
     """Lexicon file: JSON map domain -> array of space-separated patterns."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: lexicon file must be a JSON object")
-    return Lexicon({d: [tuple(p.split()) for p in pats] for d, pats in raw.items()})
+        return _parse_lexicon(fh.read(), path)
 
 
 _DEFAULT_LEXICON: Optional[Lexicon] = None
@@ -109,8 +124,8 @@ _DEFAULT_LEXICON: Optional[Lexicon] = None
 def default_lexicon() -> Lexicon:
     global _DEFAULT_LEXICON
     if _DEFAULT_LEXICON is None:
-        raw = json.loads(resources.files("readmit.resources").joinpath("lexicon.json").read_text("utf-8"))
-        _DEFAULT_LEXICON = Lexicon({d: [tuple(p.split()) for p in pats] for d, pats in raw.items()})
+        resource = resources.files("readmit.resources").joinpath("lexicon.json")
+        _DEFAULT_LEXICON = _parse_lexicon(resource.read_text("utf-8"), resource)
     return _DEFAULT_LEXICON
 
 
@@ -120,8 +135,8 @@ def weak_label(corpus, lexicon: Lexicon, encoder: HashingEncoder):
     Sentences matching no pattern are kept as all-zero targets. Both arrays
     are float32, so the topic model trains in single precision.
     """
-    token_lists = [sent.tokens for admission in corpus.admissions for note in admission.notes
-                   for sent in textproc.split_sentences(note.text)]
+    token_lists = [tokens for admission in corpus.admissions for note in admission.notes
+                   for tokens in textproc.split_sentences(note.text)]
     Y = np.zeros((len(token_lists), len(RISK_DOMAINS)), dtype=np.float32)
     for i, tokens in enumerate(token_lists):
         for d in lexicon.match(tokens):
@@ -190,8 +205,15 @@ def read_seed_file(path) -> list[SeedRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            rec = SeedRecord(domain=obj["domain"], text=obj["text"], label=obj["label"])
+            try:
+                obj = json.loads(line)
+                rec = SeedRecord(domain=obj["domain"], text=obj["text"], label=obj["label"])
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path} line {lineno}: not JSON ({e})") from None
+            except (KeyError, TypeError) as e:  # not an object, or a key missing
+                raise DataError(f"{path} line {lineno}: not a seed record ({e!r})") from None
+            if not isinstance(rec.text, str):
+                raise DataError(f"{path} line {lineno}: text {rec.text!r} is not a string")
             if rec.domain not in RISK_DOMAINS:
                 raise DataError(f"{path} line {lineno}: unknown domain {rec.domain!r}")
             if rec.label not in POLARITIES:
@@ -357,7 +379,7 @@ def summarize_admission(admission, topic_model: MLPModel,
         return AdmissionDomainSummary(dict(zeros), dict(zeros))
 
     note_of = np.repeat(np.arange(len(sents_per_note)), [len(s) for s in sents_per_note])
-    vectors = neural.encode_rows(encoder, [s.tokens for s in all_sents])
+    vectors = neural.encode_rows(encoder, all_sents)
     tagged = predict_domains(topic_model, vectors)
     sentiments = {}
     for j, domain in enumerate(RISK_DOMAINS):

@@ -2,11 +2,12 @@
 
 The encoder is a deterministic stand-in for a pretrained sentence encoder:
 signed feature hashing of unigrams and bigrams into a fixed-width vector,
-L2-normalized. The plug-in contract is ``dim`` and
-``__call__(tokens) -> vector``: anything exposing those can be dropped in
-instead, and ``encode_rows`` calls it once per token list.
-``HashingEncoder`` also encodes a whole list at once (``rows``), into the
-same bytes, and ``encode_rows`` uses that when an encoder has it.
+L2-normalized. A token list is a sentence as ``textproc.split_sentences``
+gives it. The plug-in contract is ``dim`` and ``__call__(tokens) -> vector``:
+anything exposing those can be dropped in instead, and ``encode_rows`` calls
+it once per token list. ``HashingEncoder`` has one hashing implementation,
+the block path: ``rows`` encodes a whole list at once, ``encode_rows`` uses
+it, and ``__call__`` is one row of it, in float64.
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -36,16 +37,15 @@ def hash_gram(gram: str, dim: int) -> tuple[int, float]:
 class HashingEncoder:
     """Signed unigram+bigram hashing into ``dim`` buckets, L2-normalized.
 
-    ``__call__`` encodes one token list, gram by gram. ``rows`` encodes a
-    whole list of them into the same values, block by block in numpy.
+    ``rows`` encodes a list of token lists block by block in numpy;
+    ``__call__`` encodes one token list as a block of one row, in float64.
     """
 
     def __init__(self, dim: int = 512):
         if dim <= 0:
             raise ConfigError(f"encoder dim must be positive, got {dim}")
         self.dim = dim
-        self._cache: dict[str, tuple[int, float]] = {}
-        # For rows: token -> id, id -> token, and per id the unigram's slot;
+        # Token -> id, id -> token, and per id the unigram's slot;
         # per id pair (id_a << 32 | id_b) the bigram's slot. A slot packs
         # (bucket, sign) as 2 * bucket + (1 if the sign is -1 else 0).
         self._ids: dict[str, int] = {}
@@ -53,25 +53,8 @@ class HashingEncoder:
         self._unigram_slots = np.empty(0, dtype=np.int64)
         self._bigram_slots: dict[int, int] = {}
 
-    def _slot(self, gram: str) -> tuple[int, float]:
-        hit = self._cache.get(gram)
-        if hit is None:
-            hit = hash_gram(gram, self.dim)
-            self._cache[gram] = hit
-        return hit
-
     def __call__(self, tokens: Sequence[str]) -> np.ndarray:
-        v = np.zeros(self.dim)
-        for tok in tokens:
-            bucket, sign = self._slot(tok)
-            v[bucket] += sign
-        for a, b in zip(tokens, tokens[1:]):
-            bucket, sign = self._slot(a + " " + b)
-            v[bucket] += sign
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v /= norm
-        return v
+        return self._block([tokens])[0]
 
     def _packed_slot(self, gram: str) -> int:
         bucket, sign = hash_gram(gram, self.dim)
@@ -81,8 +64,8 @@ class HashingEncoder:
         """``self(tokens)`` for each token list, as the float32 rows of one array.
 
         Every cell is a sum of +-1 and every squared norm a sum of integers,
-        both exact in float64 in any order, so each row has the bytes of
-        ``self(tokens)`` rounded to float32.
+        both exact in float64 in any order, so a row's bytes do not depend on
+        the block it is encoded in.
         """
         X = np.empty((len(token_lists), self.dim), dtype=np.float32)
         for start in range(0, len(token_lists), _BLOCK_ROWS):
@@ -448,9 +431,14 @@ def save_mlp(model: MLPModel, path) -> None:
 
 
 def load_mlp(path) -> MLPModel:
+    """The model ``save_mlp`` wrote to ``path``; a DataError naming the file
+    when it is not such a container or its arrays do not fit its spec."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != _FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise DataError(f"{path}: not JSON ({e})") from None
+    if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise DataError(f"{path}: not a {_FORMAT} container")
     version = payload.get("version")
     if version not in (1, _VERSION):
@@ -459,11 +447,20 @@ def load_mlp(path) -> MLPModel:
     if dtype_name not in _DTYPES:
         raise DataError(f"{path}: unsupported weight dtype {dtype_name!r}")
     dtype = _DTYPES[dtype_name]
-    spec = MLPSpec(**{**payload["spec"], "hidden_sizes": tuple(payload["spec"]["hidden_sizes"])})
-    dims = _layer_dims(spec)
-    meta = payload["metadata"]
-    return MLPModel(spec=spec,
-                    weights=[decode_array(w, d, dtype) for w, d in zip(payload["weights"], dims)],
-                    biases=[decode_array(b, (d[1],), dtype) for b, d in zip(payload["biases"], dims)],
-                    seed=meta["seed"], epochs_run=meta["epochs_run"],
-                    final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))
+    try:
+        raw_spec = payload["spec"]
+        spec = MLPSpec(**{**raw_spec, "hidden_sizes": tuple(raw_spec["hidden_sizes"])})
+        spec.validate()
+        dims = _layer_dims(spec)
+        if not len(payload["weights"]) == len(payload["biases"]) == len(dims):
+            raise DataError(f"{path}: {len(dims)} layers in the spec, {len(payload['weights'])} "
+                            f"weight and {len(payload['biases'])} bias arrays")
+        meta = payload["metadata"]
+        return MLPModel(spec=spec,
+                        weights=[decode_array(w, d, dtype) for w, d in zip(payload["weights"], dims)],
+                        biases=[decode_array(b, (d[1],), dtype)
+                                for b, d in zip(payload["biases"], dims)],
+                        seed=meta["seed"], epochs_run=meta["epochs_run"],
+                        final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))
+    except (KeyError, TypeError, ValueError, ConfigError) as e:  # a field missing or mistyped
+        raise DataError(f"{path}: malformed {_FORMAT} container ({e!r})") from None

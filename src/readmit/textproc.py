@@ -62,13 +62,6 @@ def default_abbreviations() -> frozenset[str]:
     return _DEFAULT_ABBREVIATIONS
 
 
-@dataclass(frozen=True)
-class TokenizedSentence:
-    text: str
-    tokens: tuple[str, ...]
-    span: tuple[int, int]  # char offsets into the source note text
-
-
 def _is_guarded_abbreviation(block: str, punct_start: int) -> bool:
     end = punct_start
     if end > 0 and block[end - 1] == "\n":
@@ -91,8 +84,8 @@ def _block_spans(text: str):
     yield pos, len(text)
 
 
-def split_sentences(text: str) -> list[TokenizedSentence]:
-    """Segment note text into tokenized sentences.
+def split_sentences(text: str) -> list[tuple[str, ...]]:
+    """Segment note text into sentences, each the tuple of its tokens.
 
     Boundaries are '.', '!' or '?' runs followed by whitespace plus an
     uppercase letter (or end of text), and blank lines. A run holding a '.'
@@ -101,20 +94,18 @@ def split_sentences(text: str) -> list[TokenizedSentence]:
     longest stretch of ASCII letters and dots that ends just before the
     run (or just before one newline that precedes it), cut to start at its
     first letter: "x.Dr. Smith" gives "x.dr.", "Dr\n. Smith" gives "dr.".
+    A piece between boundaries that is all whitespace holds no token and
+    is dropped.
 
     Each character is looked at a bounded number of times, so the cost is
     linear in the length of the note.
     """
-    out: list[TokenizedSentence] = []
+    out: list[tuple[str, ...]] = []
 
     def emit(lo: int, hi: int) -> None:
-        piece = text[lo:hi]
-        stripped = piece.strip()
-        if not stripped:
-            return
-        start = lo + (len(piece) - len(piece.lstrip()))
-        end = start + len(stripped)
-        out.append(TokenizedSentence(stripped, tuple(tokenize(stripped)), (start, end)))
+        tokens = tuple(tokenize(text[lo:hi]))
+        if tokens:
+            out.append(tokens)
 
     for bstart, bend in _block_spans(text):
         block = text[bstart:bend]

@@ -16,8 +16,8 @@ from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
 from readmit.seeding import rng_for
-from readmit.textproc import (_TOKEN_RE, TokenizedSentence, _block_spans,
-                              default_abbreviations, split_sentences, tokenize)
+from readmit.textproc import (_TOKEN_RE, _block_spans, default_abbreviations,
+                              split_sentences, tokenize)
 
 
 def brute_force_auc(y_true, y_score) -> float:
@@ -265,7 +265,7 @@ def lexicon_sentence_fractions(admission, lexicon) -> dict[str, float]:
     """Per domain, the fraction of the admission's sentences that
     ``lexicon.match`` tags: the matcher ``domains.weak_label`` labels with."""
     sents = [s for note in admission.notes for s in split_sentences(note.text)]
-    return {d: sum(d in lexicon.match(s.tokens) for s in sents) / len(sents)
+    return {d: sum(d in lexicon.match(s) for s in sents) / len(sents)
             for d in RISK_DOMAINS}
 
 
@@ -358,7 +358,7 @@ def _reference_is_guarded_abbreviation(block: str, punct_start: int, abbreviatio
     return (m.group(0) + ".").lower() in abbreviations
 
 
-def reference_split_sentences(text: str, abbreviations=None) -> list[TokenizedSentence]:
+def reference_split_sentences(text: str, abbreviations=None) -> list[tuple[str, ...]]:
     """The original sentence splitter, the reference for the linear one.
 
     It searches each block from its start for the guard word and copies
@@ -367,16 +367,12 @@ def reference_split_sentences(text: str, abbreviations=None) -> list[TokenizedSe
     """
     if abbreviations is None:
         abbreviations = default_abbreviations()
-    out: list[TokenizedSentence] = []
+    out: list[tuple[str, ...]] = []
 
     def emit(lo: int, hi: int) -> None:
-        piece = text[lo:hi]
-        stripped = piece.strip()
-        if not stripped:
-            return
-        start = lo + (len(piece) - len(piece.lstrip()))
-        end = start + len(stripped)
-        out.append(TokenizedSentence(stripped, tuple(tokenize(stripped)), (start, end)))
+        stripped = text[lo:hi].strip()
+        if stripped:
+            out.append(tuple(tokenize(stripped)))
 
     for bstart, bend in _block_spans(text):
         block = text[bstart:bend]

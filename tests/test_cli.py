@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from argparse import Namespace
@@ -511,3 +512,79 @@ def test_config_file_with_flag_override(tmp_path):
     assert run(["gen", "--config", cfg, "--out", out, "--set", "n_patients=4"]) == 0
     corpus = load_corpus(out / "corpus.jsonl")
     assert len(corpus.patients) == 4  # flag wins over file
+
+
+def _malformed_input(case, gen_dir, models_dir, tmp_path):
+    """(the bad file, the line it names or None, the command that reads it)."""
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    bad = {"model": models / "topic_model.json", "seed": tmp_path / "seed.jsonl",
+           "lexicon": tmp_path / "lexicon.json", "corpus": tmp_path / "corpus.jsonl"}
+    train_nlp = ["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
+                 "--seed-file", gen_dir / "sentiment_seed.jsonl", "--out", tmp_path / "out"]
+    commands = {
+        "model": ["extract", "--corpus", gen_dir / "corpus.jsonl", "--models", models,
+                  "--out", tmp_path / "out" / "features.csv"],
+        "seed": train_nlp[:3] + ["--seed-file", bad["seed"]] + train_nlp[5:],
+        "lexicon": train_nlp + ["--lexicon", bad["lexicon"]],
+        "corpus": train_nlp[:1] + ["--corpus", bad["corpus"]] + train_nlp[3:],
+    }
+    kind = case.split("_")[0]
+    line = None
+    if case == "model_input_dim_differs":
+        bad["model"] = models / "sentiment_mood.json"
+        spec = neural.MLPSpec(input_dim=8, hidden_sizes=(4,), output_kind="softmax", n_outputs=3)
+        neural.save_mlp(neural.init_mlp(spec), bad["model"])
+    elif kind == "model":
+        payload = json.loads(bad["model"].read_text(encoding="utf-8"))
+        spec = payload.pop("spec")
+        text = {
+            "model_not_json": "not a model\n",
+            "model_no_spec": json.dumps(payload),
+            "model_arrays_do_not_fit_spec":
+                json.dumps({**payload, "spec": {**spec, "hidden_sizes": [512, 5]}}),
+            "model_sentiment_as_topic":
+                (models / "sentiment_mood.json").read_text(encoding="utf-8"),
+        }[case]
+        bad["model"].write_text(text, encoding="utf-8")
+    elif case == "seed_not_json":
+        record = {"domain": "Mood", "text": "Mood is low.", "label": "negative"}
+        bad["seed"].write_text(json.dumps(record) + "\n{not json\n", encoding="utf-8")
+        line = 2
+    elif case == "seed_no_label":
+        bad["seed"].write_text('{"domain": "Mood", "text": "Mood is low."}\n', encoding="utf-8")
+        line = 1
+    elif case == "lexicon_not_json":
+        bad["lexicon"].write_text("{not json", encoding="utf-8")
+    elif case == "lexicon_domain_is_a_string":
+        raw = {**{d: ["zz"] for d in RISK_DOMAINS}, "Mood": "sad"}
+        bad["lexicon"].write_text(json.dumps(raw), encoding="utf-8")
+    else:
+        lines = (gen_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        if case == "corpus_array_line":
+            lines[2] = "[1, 2]"
+        else:  # corpus_text_null
+            obj = json.loads(lines[2])
+            obj["admissions"][0]["notes"][0]["text"] = None
+            lines[2] = json.dumps(obj)
+        bad["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = 3
+    return bad[kind], line, commands[kind]
+
+
+@pytest.mark.parametrize("case", [
+    "model_not_json", "model_no_spec", "model_arrays_do_not_fit_spec", "model_sentiment_as_topic",
+    "model_input_dim_differs", "seed_not_json", "seed_no_label", "lexicon_not_json",
+    "lexicon_domain_is_a_string", "corpus_array_line", "corpus_text_null"])
+def test_malformed_input_exits_2_naming_file(pipeline_dirs, tmp_path, case):
+    _, gen_dir, models_dir, _ = pipeline_dirs
+    bad, line, args = _malformed_input(case, gen_dir, models_dir, tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "readmit.cli", *map(str, args)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}" + (f" line {line}: " if line else ": "))
+    assert not (tmp_path / "out").exists()

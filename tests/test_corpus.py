@@ -74,6 +74,24 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ([1, 2], "line 2: not a JSON object"),
+    ("P0", "line 2: not a JSON object"),
+    (_patient_line([1]), "line 2: P0: an admission is not a JSON object"),
+    (_patient_line([_admission_obj("A0", "2020-01-01", "2020-01-05", notes=["text"])]),
+     "line 2: A0: a note is not a JSON object"),
+    (_patient_line([_admission_obj("A0", "2020-01-01", "2020-01-05", notes=[{
+        "note_id": "N7", "note_type": "discharge_summary", "timestamp": "2020-01-05T10:00:00",
+        "text": None}])]), "line 2: note N7: text None is not a string"),
+], ids=["array", "string", "admission_number", "note_string", "text_null"])
+def test_malformed_line_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusValidationError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path} {message}"
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda line: line.update(gender="M"), "gender"),
     (lambda line: line.update(birth_date="2015-01-01"), "age"),

@@ -427,7 +427,7 @@ def test_float32_models_agree_with_float64(small_gen, encoder, trained_pipeline)
     rows, the twins' inputs encoded in float64 without rounding."""
     config, corpus, truth = small_gen
     topic32, sentiment32, _ = trained_pipeline
-    token_lists = [s.tokens for a in corpus.admissions for n in a.notes
+    token_lists = [s for a in corpus.admissions for n in a.notes
                    for s in textproc.split_sentences(n.text)]
     X32, Y = weak_label(corpus, default_lexicon(), encoder)
     X64 = np.stack([encoder(t) for t in token_lists])

@@ -64,15 +64,26 @@ class _CallOnlyEncoder:
 def test_hashing_rows_equal_reference_bytes(small_gen, dim):
     _, corpus, _ = small_gen
     edge = [(), ("mood",), ("mood", "is", "mood", "is", "mood", "is"), ("a", "a", "a", "a"), ()]
-    token_lists = edge + [s.tokens for a in corpus.admissions for n in a.notes
+    token_lists = edge + [s for a in corpus.admissions for n in a.notes
                           for s in split_sentences(n.text)] + edge
     assert len(token_lists) > 2 * neural._BLOCK_ROWS
-    expected = np.array([reference_encode(t, dim) for t in token_lists]).astype(np.float32)
+    expected64 = [reference_encode(t, dim) for t in token_lists]
+    expected = np.array(expected64).astype(np.float32)
+
+    def assert_calls_equal_reference(encoder):
+        for t, e in zip(token_lists, expected64):
+            v = encoder(t)
+            assert v.dtype == np.float64 and np.array_equal(v, e)
+
+    calls_first = neural.HashingEncoder(dim)
+    assert_calls_equal_reference(calls_first)  # before any rows call
+    assert np.array_equal(neural.encode_rows(calls_first, token_lists), expected)
     encoder = neural.HashingEncoder(dim)
     assert np.array_equal(neural.encode_rows(encoder, [(), ()]), np.zeros((2, dim), np.float32))
     for _ in range(2):  # cold, then with every gram already seen
         X = neural.encode_rows(encoder, token_lists)
         assert X.dtype == np.float32 and np.array_equal(X, expected)
+    assert_calls_equal_reference(encoder)  # after rows filled the id tables
     call_only = _CallOnlyEncoder(dim)
     assert np.array_equal(neural.encode_rows(call_only, token_lists), expected)
     assert call_only.calls == len(token_lists)

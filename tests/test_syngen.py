@@ -160,7 +160,7 @@ def test_lexicon_mode_counts_match_truth(small_gen):
         for note in a.notes:
             for s in textproc.split_sentences(note.text):
                 total += 1
-                for d in lex.match(s.tokens):
+                for d in lex.match(s):
                     counts[d] += 1
         assert total == rec.n_sentences
         assert counts == rec.domain_sentence_counts

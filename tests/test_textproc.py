@@ -48,21 +48,21 @@ def test_tokenize_matches_finditer_form(text):
 ])
 def test_count_tokens_matches_tokenize_and_sentences(text):
     assert count_tokens(text) == len(tokenize(text))
-    assert count_tokens(text) == sum(len(s.tokens) for s in split_sentences(text))
+    assert count_tokens(text) == sum(len(s) for s in split_sentences(text))
 
 
 def test_count_tokens_on_generated_notes(small_gen):
     _, corpus, _ = small_gen
     for note in (n for a in corpus.admissions for n in a.notes):
         assert count_tokens(note.text) == len(tokenize(note.text))
-        assert count_tokens(note.text) == sum(len(s.tokens) for s in split_sentences(note.text))
+        assert count_tokens(note.text) == sum(len(s) for s in split_sentences(note.text))
 
 
 def test_split_two_sentences():
     sents = split_sentences("Sleeping well. Appetite poor.")
     assert len(sents) == 2
-    assert sents[0].text == "Sleeping well."
-    assert sents[1].tokens == ("appetite", "poor", ".")
+    assert sents[0] == tuple(tokenize("Sleeping well."))
+    assert sents[1] == ("appetite", "poor", ".")
 
 
 def test_split_abbreviation_guard():
@@ -73,26 +73,13 @@ def test_split_abbreviation_guard():
 def test_split_blank_line_boundary():
     sents = split_sentences("GAF at admission: 45\nInsight: poor\n\nStable day. Calm night.")
     assert len(sents) == 3
-    assert sents[0].tokens[0] == "gaf"
+    assert sents[0][0] == "gaf"
 
 
 def test_split_no_split_before_lowercase():
     # continuation after a dot followed by lowercase stays one sentence
     sents = split_sentences("Level was 4.5 and stable today.")
     assert len(sents) == 1
-
-
-def test_span_coverage():
-    text = "First thing. Second thing!  \n\n Third block?   "
-    sents = split_sentences(text)
-    covered = set(i for s in sents for i in range(*s.span))
-    non_ws = set(i for i, c in enumerate(text) if not c.isspace())
-    assert non_ws <= covered
-    # spans are ordered, non-overlapping, and reproduce each sentence text
-    for a, b in zip(sents, sents[1:]):
-        assert a.span[1] <= b.span[0]
-    for s in sents:
-        assert text[s.span[0]:s.span[1]] == s.text
 
 
 @given(st.lists(st.sampled_from(["Alpha beta.", "Gamma delta rho.", "Word."]), min_size=1, max_size=6))
@@ -111,12 +98,20 @@ _SPLIT_SPACES = ["", " ", "\t", "\n", "\n\n", "\xa0", "\x1c", "\u3000"]
 _SPLIT_PUNCT = ["", ".", "..", "!", "?"]
 _split_piece = st.tuples(st.sampled_from(_SPLIT_WORDS), st.sampled_from(_SPLIT_SPACES),
                          st.sampled_from(_SPLIT_PUNCT), st.sampled_from(_SPLIT_SPACES))
+_split_text = st.lists(_split_piece, max_size=12).map(lambda pieces: "".join("".join(p) for p in pieces))
 
 
 @settings(max_examples=1000)
-@given(st.lists(_split_piece, max_size=12).map(lambda pieces: "".join("".join(p) for p in pieces)))
+@given(_split_text)
 def test_split_matches_reference(text):
     assert split_sentences(text) == reference_split_sentences(text)
+
+
+@given(_split_text)
+def test_sentences_partition_the_tokens(text):
+    sents = split_sentences(text)
+    assert all(sents)
+    assert [t for s in sents for t in s] == tokenize(text)
 
 
 def test_split_matches_reference_on_generated_notes(small_gen):
@@ -147,7 +142,7 @@ def test_split_matches_reference_on_paper_scale_notes():
     ("Calm.\n\nDr. Smith saw him.", ["Calm.", "Dr. Smith saw him."]),
 ])
 def test_split_guard_edge_cases(text, expected):
-    assert [s.text for s in split_sentences(text)] == expected
+    assert split_sentences(text) == [tuple(tokenize(e)) for e in expected]
     assert split_sentences(text) == reference_split_sentences(text)
 
 
