@@ -29,9 +29,9 @@ noise = rng.normal(0, 1, (250, 8))
 p = 1 / (1 + np.exp(-(signal @ np.array([2.0, 1.8, 1.6, 1.4]))))
 y = (rng.random(250) < p).astype(float)
 names = [f"signal_{i}" for i in range(4)] + [f"noise_{i}" for i in range(8)]
-from readmit.features import Column, FeatureMatrix, FeatureSchema
+from readmit.features import FeatureMatrix, FeatureSchema
 planted = FeatureMatrix(
-    schema=FeatureSchema([Column(n, n, "numeric") for n in names]),
+    schema=FeatureSchema(names),
     X=np.concatenate([signal, noise], axis=1), y=y)
 
 outcomes = []

@@ -19,7 +19,7 @@ from . import __version__, classifiers, domains, evaluate, features, neural, syn
 from . import corpus as corpus_mod
 from .classifiers import ModelSpec
 from .domains import POLARITIES, RISK_DOMAINS, domain_key
-from .errors import ConfigError, DataError, ReadmitError
+from .errors import ConfigError, DataError, ReadmitError, open_text
 from .evaluate import SplitConfig
 from .syngen import GenConfig
 
@@ -92,7 +92,7 @@ def _format(value, sep: str) -> str:
 
 def _read_flat_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from datetime import date, datetime
 from typing import Optional
 
-from .errors import CorpusValidationError
+from .errors import CorpusValidationError, open_text
 from .textproc import count_tokens
 
 GENDERS = ("Male", "Female", "Other", "Unknown")
@@ -215,7 +215,7 @@ def load_corpus(path) -> Corpus:
     line names the file and the line."""
     patients: list[Patient] = []
     admissions: list[Admission] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, CorpusValidationError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

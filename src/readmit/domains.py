@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import classifiers, neural, pool, textproc
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .neural import HashingEncoder, MLPModel, MLPSpec, TrainConfig
 from .seeding import derive_seed
 
@@ -114,7 +114,7 @@ def _parse_lexicon(text: str, source) -> Lexicon:
 
 def load_lexicon(path) -> Lexicon:
     """Lexicon file: JSON map domain -> array of space-separated patterns."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         return _parse_lexicon(fh.read(), path)
 
 
@@ -201,7 +201,7 @@ class SeedRecord:
 
 def read_seed_file(path) -> list[SeedRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, DataError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

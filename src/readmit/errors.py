@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file opener
+that raises them for input that is not UTF-8."""
 
 
 class ReadmitError(Exception):
@@ -41,3 +42,22 @@ class TrainingDivergedError(ReadmitError):
 
 class MetricUndefinedError(ReadmitError):
     """Requested metric is undefined for the given inputs."""
+
+
+class open_text:
+    """``path`` open for reading as UTF-8 text; a byte that does not decode
+    raises ``error`` naming the file. A class rather than a ``contextlib``
+    generator: the bench counts a readmit function with ``__wrapped__`` as
+    one its tracer wrapped."""
+
+    def __init__(self, path, error: type[ReadmitError], newline=None):
+        self.path, self.error = path, error
+        self.fh = open(path, "r", encoding="utf-8", newline=newline)
+
+    def __enter__(self):
+        return self.fh
+
+    def __exit__(self, kind, e, tb):
+        self.fh.close()
+        if isinstance(e, UnicodeDecodeError):
+            raise self.error(f"{self.path}: not UTF-8 text ({e.reason})") from None

@@ -13,7 +13,7 @@ import numpy as np
 from . import classifiers, pool
 from .classifiers import ModelSpec
 from .errors import ConfigError, DataError, MetricUndefinedError
-from .features import FeatureMatrix, Imputer
+from .features import FeatureMatrix, FeatureSchema, Imputer
 from .seeding import derive_seed
 
 ABLATION_CONFIGS = ("baseline", "baseline_domain_sentences", "baseline_clinical_sentiment")
@@ -226,10 +226,9 @@ def ablation_column_sets(names: Sequence[str]) -> dict[str, list[int]]:
 
 
 def _subset_matrix(matrix: FeatureMatrix, cols: Sequence[int]) -> FeatureMatrix:
-    from .features import FeatureSchema
-    schema = FeatureSchema([matrix.schema.columns[j] for j in cols])
-    return FeatureMatrix(schema=schema, X=matrix.X[:, cols], y=matrix.y,
-                         admission_ids=matrix.admission_ids, patient_ids=matrix.patient_ids)
+    return FeatureMatrix(schema=FeatureSchema([matrix.names[j] for j in cols]),
+                         X=matrix.X[:, cols], y=matrix.y, admission_ids=matrix.admission_ids,
+                         patient_ids=matrix.patient_ids)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from . import domains, textproc
 from .corpus import (GENDERS, MARITAL_STATUSES, RACES, YES_NO_UNKNOWN,
                      Admission, Corpus, Patient, age_at)
 from .domains import RISK_DOMAINS, AdmissionDomainSummary, domain_key
-from .errors import DataError
+from .errors import DataError, open_text
 from .neural import HashingEncoder, MLPModel
 from .textproc import COMPLIANCE_LEVELS, INSIGHT_LEVELS, StructuredFields
 
@@ -83,7 +83,6 @@ FEATURES: tuple[FeatureDef, ...] = (
 )
 
 FEATURE_NAMES = tuple(f.name for f in FEATURES)
-_FEATURE_BY_NAME = {f.name: f for f in FEATURES}
 
 
 @dataclass(frozen=True)
@@ -252,58 +251,48 @@ def build_features(corp: Corpus,
     return rows
 
 
-@dataclass(frozen=True)
-class Column:
-    name: str
-    feature: str
-    kind: str  # "numeric" | "indicator" | "onehot"
-    level: Optional[str] = None
-
-
 class FeatureSchema:
-    """Deterministic column layout after one-hot expansion."""
+    """The column names after one-hot expansion; ``columns`` is ``names``."""
 
-    def __init__(self, columns: Sequence[Column]):
-        self.columns = tuple(columns)
-        self.names = tuple(c.name for c in self.columns)
+    def __init__(self, names: Sequence[str]):
+        self.names = self.columns = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise DataError("schema column names are not unique")
 
     @classmethod
     def build(cls) -> "FeatureSchema":
-        cols: list[Column] = []
+        names: list[str] = []
         for f in FEATURES:
-            if f.kind == "numeric":
-                cols.append(Column(f.name, f.name, "numeric"))
-                cols.append(Column(f"{f.name}__missing", f.name, "indicator"))
-            else:
-                levels = f.levels + (("Missing",) if f.missing_level else ())
-                for level in levels:
-                    cols.append(Column(f"{f.name}={level}", f.name, "onehot", level))
-        return cls(cols)
+            names += ([f.name, f"{f.name}__missing"] if f.kind == "numeric"
+                      else [f"{f.name}={level}" for level in _levels(f)])
+        return cls(names)
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.names)
 
 
-def encode_rows(schema: FeatureSchema, rows: Sequence[AdmissionFeatures]) -> np.ndarray:
-    """Raw numeric matrix; missing numerics are NaN (indicator set to 1).
+def _levels(f: FeatureDef) -> tuple[str, ...]:
+    return f.levels + (("Missing",) if f.missing_level else ())
+
+
+def encode_rows(rows: Sequence[AdmissionFeatures]) -> np.ndarray:
+    """Raw numeric matrix in ``FeatureSchema.build()`` order; missing numerics
+    are NaN (indicator set to 1).
 
     An unseen categorical level maps to the Unknown column when the feature
     has one, else to Missing; it is never an error.
     """
-    X = np.zeros((len(rows), len(schema)))
-    for j, col in enumerate(schema.columns):
-        f = _FEATURE_BY_NAME[col.feature]
-        for i, row in enumerate(rows):
-            v = row.values[col.feature]
-            if col.kind == "numeric":
-                X[i, j] = np.nan if v is None else float(v)
-            elif col.kind == "indicator":
-                X[i, j] = 1.0 if v is None else 0.0
-            else:
-                X[i, j] = 1.0 if _categorical_level(f, v) == col.level else 0.0
-    return X
+    blocks = []
+    for f in FEATURES:
+        values = [row.values[f.name] for row in rows]
+        if f.kind == "numeric":
+            blocks.append(np.column_stack([[np.nan if v is None else float(v) for v in values],
+                                           [v is None for v in values]]))
+        else:
+            levels = _levels(f)
+            blocks.append(np.eye(len(levels))[[levels.index(_categorical_level(f, v))
+                                               for v in values]])
+    return np.concatenate(blocks, axis=1)
 
 
 def _categorical_level(f: FeatureDef, v) -> str:
@@ -355,7 +344,7 @@ class FeatureMatrix:
 
 def encode_features(rows: Sequence[AdmissionFeatures]) -> FeatureMatrix:
     schema = FeatureSchema.build()
-    X = encode_rows(schema, rows)
+    X = encode_rows(rows)
     y = np.array([1.0 if r.label else 0.0 for r in rows])
     return FeatureMatrix(
         schema=schema, X=X, y=y,
@@ -390,33 +379,45 @@ def _fmt(v: float) -> str:
 
 def _cell(path, line: int, column: str, v: str) -> float:
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
         raise DataError(f"{path}: line {line}: column {column!r} holds non-numeric "
                         f"value {v!r}") from None
+    if np.isinf(x):
+        raise DataError(f"{path}: line {line}: column {column!r} holds non-finite value {v!r}")
+    return x
 
 
 def read_csv(path) -> FeatureMatrix:
-    """Read a feature CSV back into a matrix (ids are not stored in CSV)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read a feature CSV back into a matrix (ids are not stored in CSV).
+
+    Cells may be ``nan`` (a missing value to impute) but not infinite, and
+    every label is 0 or 1.
+    """
+    with open_text(path, DataError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty feature CSV")
         if not header or header[-1] != "label":
             raise DataError(f"{path}: final CSV column must be 'label'")
+        repeated = sorted({n for n in header if header.count(n) > 1})
+        if repeated:
+            raise DataError(f"{path}: repeated column names {repeated}")
         names = header[:-1]
         data, labels = [], []
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(header):
-                raise DataError(f"{path}: row width {len(row)} != header width {len(header)}")
-            values = [_cell(path, reader.line_num, c, v) for c, v in zip(header, row)]
+                raise DataError(f"{path}: line {line}: row width {len(row)} != "
+                                f"header width {len(header)}")
+            values = [_cell(path, line, c, v) for c, v in zip(header, row)]
+            if values[-1] not in (0.0, 1.0):
+                raise DataError(f"{path}: line {line}: label {row[-1]!r} is not 0 or 1")
             data.append(values[:-1])
             labels.append(values[-1])
     if not data:
         raise DataError(f"{path}: no data rows")
-    columns = [Column(n, n, "numeric") for n in names]
-    schema = FeatureSchema(columns)
-    return FeatureMatrix(schema=schema, X=np.array(data), y=np.array(labels))
+    return FeatureMatrix(schema=FeatureSchema(names), X=np.array(data), y=np.array(labels))

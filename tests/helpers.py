@@ -15,6 +15,7 @@ from readmit import neural, syngen
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
+from readmit.features import FEATURES, FeatureSchema
 from readmit.seeding import rng_for
 from readmit.textproc import (_TOKEN_RE, _block_spans, default_abbreviations,
                               split_sentences, tokenize)
@@ -69,6 +70,34 @@ def reference_encode(tokens, dim):
         v[bucket] += sign
     n = np.sqrt((v * v).sum())
     return v / n if n > 0 else v
+
+
+def reference_encode_rows(rows):
+    """``features.encode_rows`` cell by cell: each name of
+    ``FeatureSchema.build()`` is read back as ``f``, ``f__missing`` or
+    ``f=level`` and its cell filled from ``row.values``. A numeric is its
+    value, NaN when missing, and its ``__missing`` cell is 1 when missing.
+    A categorical sets the one level its value falls in: a known level is
+    itself; a missing value falls in Missing, else Unknown, else the last
+    level; an unseen value in Unknown, else Missing, else the last level."""
+    by_name = {f.name: f for f in FEATURES}
+    names = FeatureSchema.build().names
+    X = np.zeros((len(rows), len(names)))
+    for i, row in enumerate(rows):
+        for j, name in enumerate(names):
+            feature, is_onehot, level = name.partition("=")
+            if is_onehot:
+                f, v = by_name[feature], row.values[feature]
+                has = {"Unknown": "Unknown" in f.levels, "Missing": f.missing_level}
+                order = ("Missing", "Unknown") if v is None else ("Unknown", "Missing")
+                falls_in = v if v in f.levels else next((lv for lv in order if has[lv]),
+                                                        f.levels[-1])
+                X[i, j] = 1.0 if falls_in == level else 0.0
+            elif name.endswith("__missing"):
+                X[i, j] = 1.0 if row.values[name[:-len("__missing")]] is None else 0.0
+            else:
+                X[i, j] = np.nan if row.values[name] is None else float(row.values[name])
+    return X
 
 
 def reference_tokenize(text):

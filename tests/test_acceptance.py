@@ -15,7 +15,7 @@ from readmit import domains, evaluate, features, neural, syngen
 from readmit.classifiers import ModelSpec, f1_score, train
 from readmit.cli import main as cli_main
 from readmit.evaluate import auc_score, consensus_elimination, metrics, rfe
-from readmit.features import Column, FeatureMatrix, FeatureSchema
+from readmit.features import FeatureMatrix, FeatureSchema
 from readmit.neural import HashingEncoder, MLPSpec, TrainConfig
 
 from helpers import brute_force_auc, confusion_tally, gradient_check, lexicon_sentence_fractions
@@ -182,7 +182,7 @@ def _planted_noise_matrix(seed, n=350):
     y = (rng.random(n) < p).astype(float)
     noise = rng.normal(0, 1, (n, 20))
     names = [f"signal_{i}" for i in range(5)] + [f"noise_{i}" for i in range(20)]
-    schema = FeatureSchema([Column(nm, nm, "numeric") for nm in names])
+    schema = FeatureSchema(names)
     return FeatureMatrix(schema=schema, X=np.concatenate([signal, noise], axis=1), y=y)
 
 

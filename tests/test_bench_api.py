@@ -5,11 +5,13 @@ A rename in the library breaks them, and bench/smoke.py, which runs them,
 takes about a minute. This test parses them instead: every name a script
 imports from readmit, every attribute it reads from such a name, and every
 attribute it names as a string next to one (as ``tracing.install`` does
-when it wraps ``textproc.split_sentences``) must exist.
+when it wraps ``textproc.split_sentences``) must exist, and every keyword
+argument a script passes to a readmit callable must be one of its parameters.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,25 @@ def _uses(tree, names):
                     yield owner.id, attr.value
 
 
+def _keyword_calls(tree, names):
+    """(called name as written, readmit callable, keyword names) for each call
+    of a readmit name, or of an attribute read from one, that passes keywords."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            called, obj = func.id, names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in names and hasattr(names[func.value.id], func.attr)):
+            called, obj = f"{func.value.id}.{func.attr}", getattr(names[func.value.id], func.attr)
+        else:
+            continue
+        if keywords:
+            yield called, obj, keywords
+
+
 def test_bench_scripts_found():
     assert {"run.py", "workloads.py", "tracing.py"} <= {p.name for p in SCRIPTS}
 
@@ -60,3 +81,15 @@ def test_bench_reads_only_existing_readmit_names(script):
     missing = sorted({f"{name}.{attr}" for name, attr in _uses(tree, names)
                       if not hasattr(names[name], attr)})
     assert not missing, f"{script.name} reads {missing}, which readmit does not have"
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_bench_passes_only_existing_keyword_arguments(script):
+    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    wrong = []
+    for called, obj, keywords in _keyword_calls(tree, _readmit_names(tree)):
+        try:
+            inspect.signature(obj).bind_partial(**dict.fromkeys(keywords))
+        except TypeError as e:
+            wrong.append(f"{called}: {e}")
+    assert not wrong, f"{script.name} passes keyword arguments readmit does not take: {wrong}"

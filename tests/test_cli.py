@@ -308,11 +308,11 @@ def test_eval_rfe_and_consensus(pipeline_dirs, tmp_path):
 def test_eval_rfe_elimination_length_five_columns(tmp_path):
     # 5-column matrix with one repeat: elimination order has exactly 4 steps
     import numpy as np
-    from readmit.features import Column, FeatureMatrix, FeatureSchema, write_csv
+    from readmit.features import FeatureMatrix, FeatureSchema, write_csv
     rng = np.random.default_rng(0)
     X = rng.normal(0, 1, (40, 5))
     y = (X[:, 0] > 0).astype(float)
-    schema = FeatureSchema([Column(f"c{i}", f"c{i}", "numeric") for i in range(5)])
+    schema = FeatureSchema([f"c{i}" for i in range(5)])
     csv_path = tmp_path / "five.csv"
     write_csv(FeatureMatrix(schema=schema, X=X, y=y), csv_path)
     out = tmp_path / "rfe"
@@ -379,11 +379,11 @@ def test_report_rendering(pipeline_dirs, tmp_path, capsys):
         reports.append(out / f"eval_{mode}.json")
 
     import numpy as np
-    from readmit.features import Column, FeatureMatrix, FeatureSchema, write_csv
+    from readmit.features import FeatureMatrix, FeatureSchema, write_csv
     rng = np.random.default_rng(3)
     X = rng.normal(0, 1, (60, 6))
     y = (X[:, 0] + 0.3 * rng.normal(0, 1, 60) > 0).astype(float)
-    schema = FeatureSchema([Column(f"c{i}", f"c{i}", "numeric") for i in range(6)])
+    schema = FeatureSchema([f"c{i}" for i in range(6)])
     csv_path = tmp_path / "six.csv"
     write_csv(FeatureMatrix(schema=schema, X=X, y=y), csv_path)
     rfes = []
@@ -460,11 +460,20 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
 
 
 @pytest.mark.parametrize("case", ["report_not_json", "report_incomplete", "consensus_not_rfe",
-                                  "rfe_no_rows", "ablation_no_rows"])
+                                  "rfe_no_rows", "ablation_no_rows", "single_label_two",
+                                  "single_inf_cell", "single_repeated_name"])
 def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
     *_, features_csv = pipeline_dirs
+    header, first, *rest = features_csv.read_text(encoding="utf-8").splitlines()
     header_only = tmp_path / "header_only.csv"
-    header_only.write_text(features_csv.read_text().splitlines()[0] + "\n", encoding="utf-8")
+    header_only.write_text(header + "\n", encoding="utf-8")
+    names = header.split(",")
+    edited = {"single_label_two": [header, first[:first.rindex(",")] + ",2"],
+              "single_inf_cell": [header, "inf" + first[first.index(","):]],
+              "single_repeated_name": [",".join([names[0], names[0], *names[2:]]), first]}
+    bad_csv = tmp_path / "bad.csv"
+    if case in edited:
+        bad_csv.write_text("\n".join(edited[case] + rest) + "\n", encoding="utf-8")
     not_json = tmp_path / "report.txt"
     not_json.write_text("Model: mlp\n", encoding="utf-8")
     not_rfe = tmp_path / "ablation.json"
@@ -475,7 +484,7 @@ def test_bad_input_file_exits_2_naming_it(pipeline_dirs, tmp_path, case):
         "consensus_not_rfe": (not_rfe, ["eval", "consensus", "--rfe", not_rfe, not_rfe, not_rfe]),
         "rfe_no_rows": (header_only, ["eval", "rfe", "--features", header_only]),
         "ablation_no_rows": (header_only, ["eval", "ablation", "--features", header_only]),
-    }[case]
+    }.get(case, (bad_csv, ["eval", "single", "--features", bad_csv]))
     if args[0] == "eval":
         args += ["--out", tmp_path / "out"]
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -514,12 +523,13 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(corpus.patients) == 4  # flag wins over file
 
 
-def _malformed_input(case, gen_dir, models_dir, tmp_path):
+def _malformed_input(case, gen_dir, models_dir, features_csv, tmp_path):
     """(the bad file, the line it names or None, the command that reads it)."""
     models = tmp_path / "models"
     shutil.copytree(models_dir, models)
     bad = {"model": models / "topic_model.json", "seed": tmp_path / "seed.jsonl",
-           "lexicon": tmp_path / "lexicon.json", "corpus": tmp_path / "corpus.jsonl"}
+           "lexicon": tmp_path / "lexicon.json", "corpus": tmp_path / "corpus.jsonl",
+           "config": tmp_path / "gen.cfg", "features": tmp_path / "features.csv"}
     train_nlp = ["train-nlp", "--corpus", gen_dir / "corpus.jsonl",
                  "--seed-file", gen_dir / "sentiment_seed.jsonl", "--out", tmp_path / "out"]
     commands = {
@@ -528,10 +538,20 @@ def _malformed_input(case, gen_dir, models_dir, tmp_path):
         "seed": train_nlp[:3] + ["--seed-file", bad["seed"]] + train_nlp[5:],
         "lexicon": train_nlp + ["--lexicon", bad["lexicon"]],
         "corpus": train_nlp[:1] + ["--corpus", bad["corpus"]] + train_nlp[3:],
+        "config": ["gen", "--config", bad["config"], "--out", tmp_path / "out"],
+        "features": ["eval", "single", "--features", bad["features"], "--out", tmp_path / "out"],
     }
     kind = case.split("_")[0]
     line = None
-    if case == "model_input_dim_differs":
+    if case.endswith("_not_utf8"):
+        valid = {"seed": (gen_dir / "sentiment_seed.jsonl").read_bytes(),
+                 "corpus": (gen_dir / "corpus.jsonl").read_bytes(),
+                 "features": features_csv.read_bytes(),
+                 "lexicon": json.dumps({d: ["zz"] for d in RISK_DOMAINS}).encode("utf-8"),
+                 "config": b"# generator config\nseed = 1\n"}[kind]
+        half = len(valid) // 2
+        bad[kind].write_bytes(valid[:half] + b"\xe9" + valid[half:])
+    elif case == "model_input_dim_differs":
         bad["model"] = models / "sentiment_mood.json"
         spec = neural.MLPSpec(input_dim=8, hidden_sizes=(4,), output_kind="softmax", n_outputs=3)
         neural.save_mlp(neural.init_mlp(spec), bad["model"])
@@ -575,10 +595,11 @@ def _malformed_input(case, gen_dir, models_dir, tmp_path):
 @pytest.mark.parametrize("case", [
     "model_not_json", "model_no_spec", "model_arrays_do_not_fit_spec", "model_sentiment_as_topic",
     "model_input_dim_differs", "seed_not_json", "seed_no_label", "lexicon_not_json",
-    "lexicon_domain_is_a_string", "corpus_array_line", "corpus_text_null"])
+    "lexicon_domain_is_a_string", "corpus_array_line", "corpus_text_null", "corpus_not_utf8",
+    "seed_not_utf8", "lexicon_not_utf8", "config_not_utf8", "features_not_utf8"])
 def test_malformed_input_exits_2_naming_file(pipeline_dirs, tmp_path, case):
-    _, gen_dir, models_dir, _ = pipeline_dirs
-    bad, line, args = _malformed_input(case, gen_dir, models_dir, tmp_path)
+    _, gen_dir, models_dir, features_csv = pipeline_dirs
+    bad, line, args = _malformed_input(case, gen_dir, models_dir, features_csv, tmp_path)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -18,7 +18,7 @@ from readmit.errors import ConfigError, DataError, MetricUndefinedError
 from readmit.evaluate import (SplitConfig, ablation, ablation_column_sets,
                               auc_score, consensus_elimination, metrics,
                               repeated_eval, rfe, split, RfeOutcome, RfeRepeat)
-from readmit.features import Column, FeatureMatrix, FeatureSchema, Imputer
+from readmit.features import FeatureMatrix, FeatureSchema, Imputer
 from readmit.seeding import derive_seed
 
 from helpers import (brute_force_auc, confusion_tally, reference_grouped_test_rows,
@@ -31,7 +31,7 @@ def _matrix(seed=0, n=60, d=6, names=None, signal=1.8):
     p = 1 / (1 + np.exp(-signal * X[:, 0]))
     y = (rng.random(n) < p).astype(float)
     names = names or [f"c{i}" for i in range(d)]
-    schema = FeatureSchema([Column(nm, nm, "numeric") for nm in names])
+    schema = FeatureSchema(names)
     return FeatureMatrix(schema=schema, X=X, y=y,
                          admission_ids=tuple(f"a{i}" for i in range(n)),
                          patient_ids=tuple(f"p{i // 3}" for i in range(n)))
@@ -40,7 +40,7 @@ def _matrix(seed=0, n=60, d=6, names=None, signal=1.8):
 def _labels_matrix(y):
     """A one-column matrix carrying the labels ``y``."""
     y = np.array(y, dtype=float)
-    return FeatureMatrix(schema=FeatureSchema([Column("c0", "c0", "numeric")]),
+    return FeatureMatrix(schema=FeatureSchema(["c0"]),
                          X=np.zeros((len(y), 1)), y=y)
 
 
@@ -314,12 +314,12 @@ _WORKER_ERROR_SCRIPT = textwrap.dedent("""
     import numpy as np
     from readmit.classifiers import ModelSpec
     from readmit.evaluate import SplitConfig, repeated_eval
-    from readmit.features import Column, FeatureMatrix, FeatureSchema
+    from readmit.features import FeatureMatrix, FeatureSchema
 
     X = np.random.default_rng(0).normal(0, 1, (30, 2))
     y = np.zeros(30)
     y[[0, 10, 20]] = 1.0
-    schema = FeatureSchema([Column(n, n, "numeric") for n in ("a", "b")])
+    schema = FeatureSchema(("a", "b"))
     matrix = FeatureMatrix(schema=schema, X=X, y=y)
     spec = ModelSpec("logistic_regression")
     repeated_eval(matrix, spec, n_runs=4, master_seed=1, workers=2)
@@ -368,7 +368,7 @@ def test_ablation_improvement_formula():
     X = rng.normal(0, 1, (90, 6))
     p = 1 / (1 + np.exp(-(1.5 * X[:, 0] + 2.5 * X[:, 4])))
     y = (rng.random(90) < p).astype(float)
-    schema = FeatureSchema([Column(nm, nm, "numeric") for nm in names])
+    schema = FeatureSchema(names)
     matrix = FeatureMatrix(schema=schema, X=X, y=y)
     report = ablation(matrix, ModelSpec("logistic_regression"), n_runs=10, master_seed=7)
     base = report.table["baseline"]["f1"]
@@ -473,7 +473,7 @@ def test_render_text_ascending_order():
     X = rng.normal(0, 1, (80, 5))
     p = 1 / (1 + np.exp(-(1.0 * X[:, 0] + 2.0 * X[:, 3])))
     y = (rng.random(80) < p).astype(float)
-    schema = FeatureSchema([Column(nm, nm, "numeric") for nm in names])
+    schema = FeatureSchema(names)
     matrix = FeatureMatrix(schema=schema, X=X, y=y)
     report = ablation(matrix, ModelSpec("logistic_regression"), n_runs=6, master_seed=2)
     text = evaluate.render_ablation_text(evaluate.ablation_report_obj(report))

@@ -9,12 +9,12 @@ from readmit import textproc
 from readmit.corpus import derive_labels
 from readmit.domains import RISK_DOMAINS, AdmissionDomainSummary, domain_key
 from readmit.errors import DataError
-from readmit.features import (FEATURES, FeatureSchema,
+from readmit.features import (FEATURE_NAMES, FEATURES, FeatureSchema,
                               Imputer, assemble, build_features,
                               encode_features, encode_rows, history_features,
                               read_csv, write_csv)
 
-from helpers import tiny_corpus
+from helpers import reference_encode_rows, tiny_corpus
 
 
 def _neutral_summary():
@@ -168,18 +168,35 @@ def test_one_hot_marital_status():
     corpus = _labeled(tiny_corpus())
     rows = _rows_from_corpus(corpus)
     schema = FeatureSchema.build()
-    X = encode_rows(schema, rows)
+    X = encode_rows(rows)
     cols = {name: X[0, j] for j, name in enumerate(schema.names)
             if name.startswith("marital_status=")}
     assert cols == {"marital_status=Single": 1.0, "marital_status=Married": 0.0,
                     "marital_status=Other": 0.0, "marital_status=Unknown": 0.0}
 
 
+def test_encode_rows_matches_reference_by_column_name(small_gen):
+    _, corpus, _ = small_gen
+    rows = _rows_from_corpus(derive_labels(corpus))
+    edited = [replace(rows[0], values=dict.fromkeys(FEATURE_NAMES))]
+    for k, f in enumerate(FEATURES):
+        row = rows[k % len(rows)]
+        for v in (None,) if f.kind == "numeric" else (None, "Martian"):
+            edited.append(replace(row, values={**row.values, f.name: v}))
+    X = encode_rows(rows + edited)
+    assert np.array_equal(X, reference_encode_rows(rows + edited), equal_nan=True)
+    assert encode_rows([]).shape == (0, len(FeatureSchema.build())) == (0, 109)
+    # bench/workloads.py narrows a matrix by slicing its schema's columns
+    m = encode_features(rows)
+    for k in (0, 1, 60, 109):
+        assert FeatureSchema(m.schema.columns[:k]).names == m.names[:k]
+
+
 def test_missing_numeric_imputed_with_indicator():
     corpus = _labeled(tiny_corpus(note_texts=("No structured headers here.",)))
     rows = _rows_from_corpus(corpus)
     schema = FeatureSchema.build()
-    X = encode_rows(schema, rows)
+    X = encode_rows(rows)
     j_val = schema.names.index("gaf_admission")
     j_ind = schema.names.index("gaf_admission__missing")
     assert np.isnan(X[0, j_val])
@@ -210,10 +227,10 @@ def test_unseen_level_maps_to_unknown():
     row = rows[0]
     row.values["race"] = "Martian"
     schema = FeatureSchema.build()
-    X = encode_rows(schema, [row])
+    X = encode_rows([row])
     assert X[0, schema.names.index("race=Unknown")] == 1.0
     row.values["insight"] = "Transcendent"  # no Unknown level -> Missing
-    X = encode_rows(schema, [row])
+    X = encode_rows([row])
     assert X[0, schema.names.index("insight=Missing")] == 1.0
 
 
@@ -241,6 +258,21 @@ def test_csv_without_data_rows_is_a_data_error(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["a,b,label", "1,2,2"], "line 2: label '2' is not 0 or 1"),
+    (["a,label", "1,nan"], "line 2: label 'nan' is not 0 or 1"),
+    (["a,b,label", "1,nan,0", "-inf,2,1"], "line 3: column 'a' holds non-finite value '-inf'"),
+    (["a,label", "x,1"], "line 2: column 'a' holds non-numeric value 'x'"),
+    (["a,b,a,label", "1,2,3,0"], "repeated column names ['a']"),
+    (["a,b,label", "1,0", "1,2,0"], "line 2: row width 2 != header width 3"),
+], ids=["label_two", "label_nan", "inf_cell", "non_numeric_cell", "repeated_name", "row_width"])
+def test_csv_that_eval_cannot_use_is_a_data_error(tmp_path, lines, message):
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        read_csv(path)
+
+
 def test_csv_keeps_nan(tmp_path):
     corpus = _labeled(tiny_corpus(note_texts=("No headers.",)))
     rows = _rows_from_corpus(corpus)
@@ -257,7 +289,7 @@ def test_encode_column_order_stable(small_gen):
     corpus = derive_labels(corpus)
     rows = _rows_from_corpus(corpus)
     schema = FeatureSchema.build()
-    train = encode_rows(schema, rows[:4])
-    test = encode_rows(schema, rows[4:])
+    train = encode_rows(rows[:4])
+    test = encode_rows(rows[4:])
     assert train.shape[1] == test.shape[1] == len(schema)
     assert FeatureSchema.build().names == schema.names
