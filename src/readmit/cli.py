@@ -178,14 +178,15 @@ def cmd_gen(args) -> int:
     weights = {name: settings.pop(f"effect_weights.{name}") for name in syngen.EFFECT_NAMES}
     config = GenConfig(effect_weights=weights, **settings)
     started = time.time()
+    corpus, truth = syngen.generate_with_truth(config)
+    seed_records = syngen.make_sentiment_seed(config, seed_sentences)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus, truth = syngen.generate_with_truth(config)
     corpus_path = out / "corpus.jsonl"
     seed_path = out / "sentiment_seed.jsonl"
     truth_path = out / "ground_truth.jsonl"
     corpus_mod.write_corpus(corpus, corpus_path)
-    domains.write_seed_file(syngen.make_sentiment_seed(config, seed_sentences), seed_path)
+    domains.write_seed_file(seed_records, seed_path)
     syngen.write_ground_truth(truth, truth_path)
     _write_manifest(out, "gen", {**asdict(config), "seed_sentences": seed_sentences}, [],
                     [corpus_path, seed_path, truth_path], config.seed, started)

@@ -96,7 +96,7 @@ class Lexicon:
 
 def _parse_lexicon(text: str, source) -> Lexicon:
     """The Lexicon in a lexicon file's text: a JSON map domain -> array of
-    space-separated patterns. Errors name ``source``."""
+    patterns, each tokenized like note text. Errors name ``source``."""
     try:
         raw = json.loads(text)
     except ValueError as e:
@@ -107,13 +107,13 @@ def _parse_lexicon(text: str, source) -> Lexicon:
         if not isinstance(pats, list) or not all(isinstance(p, str) for p in pats):
             raise ConfigError(f"{source}: lexicon domain {domain!r} must be an array of strings")
     try:
-        return Lexicon({d: [tuple(p.split()) for p in pats] for d, pats in raw.items()})
+        return Lexicon({d: [tuple(textproc.tokenize(p)) for p in pats] for d, pats in raw.items()})
     except ConfigError as e:
         raise ConfigError(f"{source}: {e}") from None
 
 
 def load_lexicon(path) -> Lexicon:
-    """Lexicon file: JSON map domain -> array of space-separated patterns."""
+    """Lexicon file: JSON map domain -> array of patterns, tokenized like note text."""
     with open_text(path, ConfigError) as fh:
         return _parse_lexicon(fh.read(), path)
 

@@ -226,10 +226,7 @@ class _TemplateFiller:
     """Pre-tokenized template machinery for fast sentence emission."""
 
     def __init__(self, lexicon: Lexicon):
-        self.kw: dict[str, list[str]] = {
-            d: [" ".join(p) for p in lexicon.patterns[d]] for d in RISK_DOMAINS
-        }
-        self.kw_tokens = {d: [len(k.split()) for k in self.kw[d]] for d in RISK_DOMAINS}
+        self.kw = lexicon.patterns  # a keyword is written as its tokens joined by spaces
         self.adv_tokens = [textproc.count_tokens(a) for a in ADVERBIALS]
         self.shape_tokens = {
             pol: [textproc.count_tokens(s.format(kw="", adv="")) for s in shapes]
@@ -238,12 +235,17 @@ class _TemplateFiller:
         self.filler_tokens = [textproc.count_tokens(s) for s in FILLER_SENTENCES]
 
     def render(self, domain: str, polarity: str, shape_i: int, kw_i: int, adv_i: int):
-        shape = _SHAPES[polarity][shape_i]
-        text = shape.format(kw=self.kw[domain][kw_i], adv=ADVERBIALS[adv_i])
-        text = text[0].upper() + text[1:]
-        count = (self.shape_tokens[polarity][shape_i]
-                 + self.kw_tokens[domain][kw_i] + self.adv_tokens[adv_i])
-        return text, count
+        """(text, token count) of one shape filled with one keyword and adverbial."""
+        kw = self.kw[domain][kw_i]
+        text = _SHAPES[polarity][shape_i].format(kw=" ".join(kw), adv=ADVERBIALS[adv_i])
+        count = self.shape_tokens[polarity][shape_i] + len(kw) + self.adv_tokens[adv_i]
+        return text[0].upper() + text[1:], count
+
+    def draw(self, rng: np.random.Generator, domain: str, polarity: str):
+        """``render`` at a shape, keyword and adverbial drawn in that order."""
+        return self.render(domain, polarity, int(rng.integers(0, len(_SHAPES[polarity]))),
+                           int(rng.integers(0, len(self.kw[domain]))),
+                           int(rng.integers(0, len(ADVERBIALS))))
 
 
 @dataclass
@@ -430,20 +432,20 @@ def _header_lines(role: str, latent: _AdmLatent, note_idx: int, estimated_los: i
     lines: list[str] = []
     if role == "admission" or single_note:
         if not m["gaf_admission"]:
-            lines.append(f"GAF at admission: {latent.gaf_admission}")
+            lines.append(textproc.header_line("gaf_admission", latent.gaf_admission))
     if role == "progress":
-        lines.append(f"GAF: {_note_gaf(latent, note_idx)}")
+        lines.append(textproc.header_line("gaf", _note_gaf(latent, note_idx)))
     if role == "discharge" or single_note:
         if not m["gaf_discharge"]:
-            lines.append(f"GAF at discharge: {latent.gaf_discharge}")
+            lines.append(textproc.header_line("gaf_discharge", latent.gaf_discharge))
     if role in ("admission", "discharge") or single_note:
         if not m["insight"]:
-            lines.append(f"Insight: {latent.insight.lower()}")
+            lines.append(textproc.header_line("insight", latent.insight))
         if not m["compliance"]:
-            lines.append(f"Compliance: {latent.compliance.lower()}")
+            lines.append(textproc.header_line("compliance", latent.compliance))
     if role == "admission" or single_note:
         if not m["estimated_los"]:
-            lines.append(f"Estimated LOS: {estimated_los} days")
+            lines.append(textproc.header_line("estimated_los_days", estimated_los))
     return lines
 
 
@@ -486,10 +488,7 @@ def _emit_note_body(rng: np.random.Generator, filler: _TemplateFiller,
             polarity = "neutral"
         else:
             polarity = "negative"
-        shape_i = int(rng.integers(0, len(_SHAPES[polarity])))
-        kw_i = int(rng.integers(0, len(filler.kw[domain])))
-        adv_i = int(rng.integers(0, len(ADVERBIALS)))
-        text, count = filler.render(domain, polarity, shape_i, kw_i, adv_i)
+        text, count = filler.draw(rng, domain, polarity)
         body.append(text)
         tokens += count
         counts[choice] += 1
@@ -627,10 +626,7 @@ def make_sentiment_seed(config: GenConfig, n_sentences: int = 3500) -> list[Seed
         count = quota + (1 if di < remainder else 0)
         for _ in range(count):
             polarity = POLARITIES[int(rng.integers(0, 3))]
-            shape_i = int(rng.integers(0, len(_SHAPES[polarity])))
-            kw_i = int(rng.integers(0, len(filler.kw[domain])))
-            adv_i = int(rng.integers(0, len(ADVERBIALS)))
-            text, _ = filler.render(domain, polarity, shape_i, kw_i, adv_i)
+            text, _ = filler.draw(rng, domain, polarity)
             records.append(SeedRecord(domain=domain, text=text, label=polarity))
     return records
 

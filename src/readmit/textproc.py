@@ -1,8 +1,8 @@
 """Tokenization, sentence segmentation, and structured header extraction.
 
-Clinical notes in this package carry machine-readable header lines in
-addition to free text. The header grammar is a fixed contract (one field
-per line, keys case-insensitive):
+Clinical notes carry machine-readable header lines besides free text.
+Their grammar, the table ``_HEADER_GRAMMAR``, is a fixed contract (one
+field per line, keys case-insensitive); ``header_line`` writes it:
 
     GAF at admission: <int 1-100>
     GAF at discharge: <int 1-100>
@@ -18,6 +18,7 @@ structured fields to be picked up.
 import re
 import string
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -126,23 +127,8 @@ def split_sentences(text: str) -> list[tuple[str, ...]]:
     return out
 
 
-# Header grammar. One field per line; first match per field wins.
-_FIELD_LINE_RES = {
-    "gaf_admission": re.compile(r"^[ \t]*gaf[ \t]+at[ \t]+admission[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-    "gaf_discharge": re.compile(r"^[ \t]*gaf[ \t]+at[ \t]+discharge[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-    "gaf": re.compile(r"^[ \t]*gaf[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-    "insight": re.compile(r"^[ \t]*insight[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-    "compliance": re.compile(r"^[ \t]*compliance[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-    "estimated_los": re.compile(r"^[ \t]*estimated[ \t]+los[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
-}
-
 INSIGHT_LEVELS = ("Good", "Fair", "Poor")
 COMPLIANCE_LEVELS = ("Yes", "Partial", "None")
-
-_INSIGHT_MAP = {v.lower(): v for v in INSIGHT_LEVELS}
-_COMPLIANCE_MAP = {v.lower(): v for v in COMPLIANCE_LEVELS}
-_INT_RE = re.compile(r"\d+")
-_LOS_VALUE_RE = re.compile(r"(\d+)[ \t]*days", re.I)
 
 
 @dataclass(frozen=True)
@@ -170,7 +156,7 @@ class StructuredFields:
 
 
 def _parse_gaf(raw: str, field: str, note_id) -> int:
-    if _INT_RE.fullmatch(raw) is None:
+    if not raw.isdecimal():  # exactly the strings that fullmatch \d+
         raise NoteParseError(f"note {note_id}: {field} value {raw!r} is not an integer")
     value = int(raw)
     if not 1 <= value <= 100:
@@ -178,36 +164,52 @@ def _parse_gaf(raw: str, field: str, note_id) -> int:
     return value
 
 
+def _parse_level(levels: tuple[str, ...], raw: str, field: str, note_id) -> str:
+    level = next((v for v in levels if v.lower() == raw.lower()), None)
+    if level is None:
+        raise NoteParseError(f"note {note_id}: unrecognized {field} value {raw!r}")
+    return level
+
+
+def _parse_los(raw: str, field: str, note_id) -> int:
+    m = re.fullmatch(r"(\d+)[ \t]*days", raw, re.I)
+    if m is None:
+        raise NoteParseError(f"note {note_id}: estimated LOS value {raw!r} not of the form '<int> days'")
+    return int(m.group(1))
+
+
+# NoteFields field -> (written key, value parser, value writer), in parse order.
+_HEADER_GRAMMAR = {
+    "gaf_admission": ("GAF at admission", _parse_gaf, str),
+    "gaf_discharge": ("GAF at discharge", _parse_gaf, str),
+    "gaf": ("GAF", _parse_gaf, str),
+    "insight": ("Insight", partial(_parse_level, INSIGHT_LEVELS), str.lower),
+    "compliance": ("Compliance", partial(_parse_level, COMPLIANCE_LEVELS), str.lower),
+    "estimated_los_days": ("Estimated LOS", _parse_los, "{} days".format),
+}
+# One alternative per field, whose named group is the value: lastgroup names it.
+_HEADER_RE = re.compile(r"^[ \t]*(?:" + "|".join(
+    r"[ \t]+".join(key.split()) + rf"[ \t]*:[ \t]*(?P<{field}>.*?)"
+    for field, (key, _, _) in _HEADER_GRAMMAR.items()) + r")[ \t]*\r?$", re.I | re.M)
+
+
+def header_line(field: str, value) -> str:
+    """The header line stating ``value`` for the NoteFields field ``field``."""
+    key, _, write = _HEADER_GRAMMAR[field]
+    return f"{key}: {write(value)}"
+
+
 def extract_structured(text: str, note_id="<unknown>") -> NoteFields:
     """Extract structured header fields from one note's text.
 
-    Unmatched fields are left as None. A recognized key with an invalid
-    value raises; out-of-range GAF raises rather than clamping.
+    Each field's first line wins; unmatched fields are left as None. The
+    earliest invalid value in grammar order raises; GAF is never clamped.
     """
-    found = {}
-    for field, regex in _FIELD_LINE_RES.items():
-        m = regex.search(text)
-        if m is None:
-            continue
-        raw = m.group("v")
-        if field in ("gaf_admission", "gaf_discharge", "gaf"):
-            found[field] = _parse_gaf(raw, field, note_id)
-        elif field == "insight":
-            level = _INSIGHT_MAP.get(raw.lower())
-            if level is None:
-                raise NoteParseError(f"note {note_id}: unrecognized insight value {raw!r}")
-            found[field] = level
-        elif field == "compliance":
-            level = _COMPLIANCE_MAP.get(raw.lower())
-            if level is None:
-                raise NoteParseError(f"note {note_id}: unrecognized compliance value {raw!r}")
-            found[field] = level
-        else:
-            m2 = _LOS_VALUE_RE.fullmatch(raw)
-            if m2 is None:
-                raise NoteParseError(f"note {note_id}: estimated LOS value {raw!r} not of the form '<int> days'")
-            found["estimated_los_days"] = int(m2.group(1))
-    return NoteFields(**found)
+    raw: dict[str, str] = {}
+    for m in _HEADER_RE.finditer(text):
+        raw.setdefault(m.lastgroup, m[m.lastgroup])
+    return NoteFields(**{field: parse(raw[field], field, note_id)
+                         for field, (_, parse, _) in _HEADER_GRAMMAR.items() if field in raw})
 
 
 def resolve_admission_fields(notes: Sequence) -> StructuredFields:
@@ -219,26 +221,9 @@ def resolve_admission_fields(notes: Sequence) -> StructuredFields:
     note stating it. ``notes`` must be timestamp-ordered Note objects.
     """
     per_note = [extract_structured(n.text, n.note_id) for n in notes]
-
-    gaf_admission = next((f.gaf_admission for f in per_note if f.gaf_admission is not None), None)
-    estimated_los = next((f.estimated_los_days for f in per_note if f.estimated_los_days is not None), None)
-    gaf_discharge = None
-    for note, fields in zip(notes, per_note):
-        if note.note_type == "DischargeSummary" and fields.gaf_discharge is not None:
-            gaf_discharge = fields.gaf_discharge
-            break
-    insight = None
-    compliance = None
-    for fields in per_note:
-        if fields.insight is not None:
-            insight = fields.insight
-        if fields.compliance is not None:
-            compliance = fields.compliance
-    return StructuredFields(
-        gaf_admission=gaf_admission,
-        gaf_discharge=gaf_discharge,
-        gaf_per_note=tuple(f.gaf for f in per_note),
-        insight=insight,
-        compliance=compliance,
-        estimated_los_days=estimated_los,
-    )
+    sources = {"gaf_admission": per_note, "estimated_los_days": per_note,
+               "insight": per_note[::-1], "compliance": per_note[::-1],
+               "gaf_discharge": [f for n, f in zip(notes, per_note) if n.note_type == "DischargeSummary"]}
+    return StructuredFields(gaf_per_note=tuple(f.gaf for f in per_note), **{
+        field: next((getattr(f, field) for f in fs if getattr(f, field) is not None), None)
+        for field, fs in sources.items()})

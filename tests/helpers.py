@@ -15,10 +15,12 @@ from readmit import neural, syngen
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
+from readmit.errors import FieldRangeError, NoteParseError
 from readmit.features import FEATURES, FeatureSchema
 from readmit.seeding import rng_for
-from readmit.textproc import (_TOKEN_RE, _block_spans, default_abbreviations,
-                              split_sentences, tokenize)
+from readmit.textproc import (_TOKEN_RE, COMPLIANCE_LEVELS, INSIGHT_LEVELS, NoteFields,
+                              _block_spans, default_abbreviations, split_sentences,
+                              tokenize)
 
 
 def brute_force_auc(y_true, y_score) -> float:
@@ -419,6 +421,52 @@ def reference_split_sentences(text: str, abbreviations=None) -> list[tuple[str, 
             start = m.end()
         emit(bstart + start, bend)
     return out
+
+
+# The header reader as six regexes, one search of the note each.
+_REFERENCE_FIELD_LINE_RES = {
+    "gaf_admission": re.compile(r"^[ \t]*gaf[ \t]+at[ \t]+admission[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+    "gaf_discharge": re.compile(r"^[ \t]*gaf[ \t]+at[ \t]+discharge[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+    "gaf": re.compile(r"^[ \t]*gaf[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+    "insight": re.compile(r"^[ \t]*insight[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+    "compliance": re.compile(r"^[ \t]*compliance[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+    "estimated_los": re.compile(r"^[ \t]*estimated[ \t]+los[ \t]*:[ \t]*(?P<v>.*?)[ \t]*\r?$", re.I | re.M),
+}
+_REFERENCE_INSIGHT_MAP = {v.lower(): v for v in INSIGHT_LEVELS}
+_REFERENCE_COMPLIANCE_MAP = {v.lower(): v for v in COMPLIANCE_LEVELS}
+
+
+def reference_extract_structured(text: str, note_id="<unknown>") -> NoteFields:
+    """The original header reader, the reference for the one-scan table reader."""
+    found = {}
+    for field, regex in _REFERENCE_FIELD_LINE_RES.items():
+        m = regex.search(text)
+        if m is None:
+            continue
+        raw = m.group("v")
+        if field in ("gaf_admission", "gaf_discharge", "gaf"):
+            if re.fullmatch(r"\d+", raw) is None:
+                raise NoteParseError(f"note {note_id}: {field} value {raw!r} is not an integer")
+            value = int(raw)
+            if not 1 <= value <= 100:
+                raise FieldRangeError(f"note {note_id}: {field} value {value} outside [1, 100]")
+            found[field] = value
+        elif field == "insight":
+            level = _REFERENCE_INSIGHT_MAP.get(raw.lower())
+            if level is None:
+                raise NoteParseError(f"note {note_id}: unrecognized insight value {raw!r}")
+            found[field] = level
+        elif field == "compliance":
+            level = _REFERENCE_COMPLIANCE_MAP.get(raw.lower())
+            if level is None:
+                raise NoteParseError(f"note {note_id}: unrecognized compliance value {raw!r}")
+            found[field] = level
+        else:
+            m2 = re.fullmatch(r"(\d+)[ \t]*days", raw, re.I)
+            if m2 is None:
+                raise NoteParseError(f"note {note_id}: estimated LOS value {raw!r} not of the form '<int> days'")
+            found["estimated_los_days"] = int(m2.group(1))
+    return NoteFields(**found)
 
 
 def tiny_corpus(note_texts=("Sleeping well. Appetite poor.",), label=None,

@@ -81,6 +81,20 @@ def test_gen_unknown_key_exits_2(tmp_path, capsys):
     assert "patients" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["n_patients=0"], "n_patients must be positive, got 0"),
+    (["n_patients=6", "seed_sentences=0"], "n_sentences must be positive, got 0"),
+    (["n_patients=6", "noise_sd=0", "effect_weights.poor_insight=50",
+      "target_readmission_rate=0.02"], "cannot calibrate readmission rate 0.02"),
+])
+def test_gen_rejected_config_leaves_no_out_directory(tmp_path, capsys, settings, message):
+    code = run(["gen", "--out", tmp_path / "x" / "out",
+                *[a for setting in settings for a in ("--set", setting)]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_nlp_missing_lexicon_exits_1(pipeline_dirs, tmp_path):
     _, gen_dir, _, _ = pipeline_dirs
     code = run(["train-nlp", "--corpus", gen_dir / "corpus.jsonl",

@@ -49,6 +49,30 @@ def test_load_lexicon_file(tmp_path):
     assert lex.patterns["Mood"] == (("alpha", "beta"), ("gamma",))
 
 
+def _lexicon_file(tmp_path, mood_patterns):
+    raw = {d: ["zz%d" % i] for i, d in enumerate(RISK_DOMAINS)}
+    raw["Mood"] = mood_patterns
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def test_lexicon_patterns_are_tokenized_like_note_text(tmp_path):
+    lex = domains.load_lexicon(_lexicon_file(tmp_path, ["Depressed mood", "low/flat affect"]))
+    assert lex.patterns["Mood"] == (("depressed", "mood"), ("low", "/", "flat", "affect"))
+    for sentence in ("Patient reports depressed mood today.", "Low/flat affect noted."):
+        assert lex.match(textproc.tokenize(sentence)) == {"Mood"}
+    assert all(p == tuple(textproc.tokenize(" ".join(p)))
+               for pats in default_lexicon().patterns.values() for p in pats)
+
+
+@pytest.mark.parametrize("patterns, message", [(["Mood", "mood"], "duplicate"),
+                                               (["mood", " \t"], "empty")])
+def test_lexicon_checks_run_on_tokenized_patterns(tmp_path, patterns, message):
+    with pytest.raises(ConfigError, match=message):
+        domains.load_lexicon(_lexicon_file(tmp_path, patterns))
+
+
 def test_match_shipped_mood_pattern():
     lex = default_lexicon()
     tokens = textproc.tokenize("Patient presents with depressed mood today.")

@@ -1,13 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readmit import syngen
+from readmit import syngen, textproc
 from readmit.errors import FieldRangeError, NoteParseError
-from readmit.textproc import (NoteFields, count_tokens, extract_structured,
-                              resolve_admission_fields, split_sentences,
-                              tokenize)
+from readmit.textproc import (COMPLIANCE_LEVELS, INSIGHT_LEVELS, NoteFields,
+                              _HEADER_GRAMMAR, count_tokens, extract_structured,
+                              header_line, resolve_admission_fields,
+                              split_sentences, tokenize)
 
-from helpers import reference_split_sentences, reference_tokenize, tiny_corpus
+from helpers import (reference_extract_structured, reference_split_sentences,
+                     reference_tokenize, tiny_corpus)
 
 
 def test_tokenize_punct_and_lowercase():
@@ -193,6 +195,85 @@ def test_extract_first_match_wins():
 def test_extract_plain_gaf_does_not_match_qualified():
     fields = extract_structured("GAF at admission: 45")
     assert fields.gaf is None
+
+
+def _outcome(extract, text):
+    """extract(text)'s fields, or the (type, message) of what it raised."""
+    try:
+        return extract(text, note_id="n1")
+    except (NoteParseError, FieldRangeError) as e:
+        return type(e), str(e)
+
+
+# Letters that re.I also matches: the long s, the Kelvin sign, dotted and
+# dotless i.
+_FOLDS = {"s": "\u017f", "k": "\u212a", "i": "\u0130\u0131"}
+_SPACES = st.text(" \t", max_size=2)
+
+
+@st.composite
+def _header_key(draw):
+    """A written key in any case, folded letters and spacing, or a near miss."""
+    key = draw(st.sampled_from([k for k, _, _ in _HEADER_GRAMMAR.values()]
+                               + ["GAF at", "GAFF", "Insight level", "Kompliance", "LOS"]))
+    words = ["".join(draw(st.sampled_from([c.lower(), c.upper(), *_FOLDS.get(c.lower(), "")]))
+                     for c in word) for word in key.split()]
+    return "".join(w + draw(st.text(" \t", min_size=1, max_size=2)) for w in words[:-1]) + words[-1]
+
+
+_HEADER_VALUES = st.one_of(
+    st.integers(-3, 130).map(str),
+    st.sampled_from(["Good", "fair", "POOR", "yes", "Partial", "none", "NONE", "excellent",
+                     "12 days", "3days", "9 DAYS", "4 day\u017f", "soon", "forty", "\uff14\uff15",
+                     "\u00b2", "0045", "7 days extra", ""]),
+    st.text("ab1: \t\r\u017f\u212a\u0130\u0131", max_size=6))
+
+
+@st.composite
+def _header_block(draw):
+    """Header lines (repeats and bad values included), then maybe a body."""
+    lines = [draw(_SPACES) + draw(_header_key()) + draw(_SPACES) + ":" + draw(_SPACES)
+             + draw(_HEADER_VALUES) + draw(_SPACES) + draw(st.sampled_from(["", "\r"]))
+             for _ in range(draw(st.integers(0, 7)))]
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    if draw(st.booleans()):
+        body = draw(st.lists(st.one_of(st.sampled_from(["Sleeping well.", "GAF: 55", "insight: poor"]),
+                                       st.text(max_size=20)), max_size=4))
+        text += "\n\n" + draw(st.sampled_from([" ", "\n"])).join(body)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_header_block())
+def test_extract_matches_six_regex_reference(text):
+    assert _outcome(extract_structured, text) == _outcome(reference_extract_structured, text)
+
+
+def test_extract_matches_reference_on_generated_notes():
+    config = syngen.paper_scale_config(seed=20260808, n_patients=80, notes_per_admission=(1, 3))
+    corpus, _ = syngen.generate_with_truth(config)
+    notes = [n for a in corpus.admissions for n in a.notes]
+    assert len(notes) == 482
+    for note in notes:
+        assert extract_structured(note.text, note.note_id) == reference_extract_structured(
+            note.text, note.note_id)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("gaf_admission", range(1, 101)), ("gaf_discharge", range(1, 101)), ("gaf", range(1, 101)),
+    ("insight", INSIGHT_LEVELS), ("compliance", COMPLIANCE_LEVELS),
+    ("estimated_los_days", range(0, 400)),
+])
+def test_header_line_round_trip(field, values):
+    for v in values:
+        assert extract_structured(header_line(field, v)) == NoteFields(**{field: v})
+
+
+def test_module_docstring_states_the_grammar_table():
+    # The docstring's indented block is the documented grammar, one key per line.
+    block = [line.strip() for line in textproc.__doc__.splitlines() if line.startswith("    ")]
+    assert [line.partition(":")[0] for line in block] == [k for k, _, _ in _HEADER_GRAMMAR.values()]
+    assert all(f"{key}:" in textproc.__doc__ for key, _, _ in _HEADER_GRAMMAR.values())
 
 
 def test_resolve_admission_rules():
