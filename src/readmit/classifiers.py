@@ -1,13 +1,14 @@
 """Native implementations of the six-classifier suite.
 
 All kinds share the train / predict_proba / importances surface and are
-deterministic given their seed. Linear kinds and the MLP standardize
+deterministic given their seed. The tree kinds can also grow several fits,
+each on its own rows of one ``presort``-ed matrix, in one ``train_trees`` call. Linear kinds and the MLP standardize
 features internally using training statistics; tree kinds consume raw
 values. Hinge-loss models map margins through the logistic function for
 probabilities, which is enough for ranking-based metrics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ KINDS = (
     "mlp",
 )
 
-_TREE_KINDS = ("decision_tree", "random_forest")
+TREE_KINDS = ("decision_tree", "random_forest")
 _LINEAR_KINDS = ("sgd_linear", "logistic_regression", "linear_svc")
 
 DEFAULT_HYPERPARAMETERS = {
@@ -126,6 +127,13 @@ class _Forest:
             active = active[self.feature[node[active]] >= 0]
         return self.value[node].reshape(len(self.roots), n)
 
+    def trees(self, lo: int, hi: int) -> "_Forest":
+        """The forest of trees lo, lo + 1, ..., hi - 1."""
+        start = self.roots[lo]
+        end = self.roots[hi] if hi < len(self.roots) else len(self.feature)
+        return _Forest(self.feature[start:end], self.threshold[start:end], self.skip[start:end],
+                       self.value[start:end], self.roots[lo:hi] - start, self.importances[lo:hi])
+
 
 # splitmix64's constants, as uint64 so that its arithmetic wraps in uint64
 _PHI = np.uint64(0x9E3779B97F4A7C15)  # the increment, 2**64 / golden ratio
@@ -134,10 +142,12 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _U1, _U27, _U30, _U31 = (np.uint64(v) for v in (1, 27, 30, 31))
 
 # Trees are grown in batches whose levels hold at most this many sorted
-# (node, candidate, sample) entries, 2 MB per int64 array. Unbatched, a
-# 100-tree fit on 385x109 whose nodes see every column raised peak RSS by
-# 326 MB; at this size by 22 MB, and no slower.
-_MAX_ENTRIES = 1 << 18
+# (node, candidate, sample) entries, 512 KB per int64 array, so that a
+# level's arrays stay in a 2 MB L2 cache. Unbatched, a 100-tree fit on
+# 385x109 whose nodes see every column raised peak RSS by 326 MB. Three
+# such 100-tree fits grown in one call took 2.2 s at this size and 3.4 s
+# at 1 << 18 (0.32 and 0.42 s with max_features "sqrt") on a 2-CPU Xeon.
+_MAX_ENTRIES = 1 << 16
 _NO_TIE = np.iinfo(np.int64).max
 
 
@@ -161,11 +171,54 @@ def _candidates(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
     return np.sort(np.argpartition(h, k - 1, axis=1)[:, :k], axis=1)
 
 
-def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, keys: np.ndarray,
-                max_depth: Optional[int], min_leaf: int,
-                max_features: Optional[int]) -> _Forest:
-    """Grows one CART tree per row of ``rows`` (the rows of X it trains on,
-    repeats allowed), all trees of a batch together, one depth per step.
+@dataclass(frozen=True)
+class Presorted:
+    """A finite matrix X with labels y, each column's values rank-coded.
+
+    Column j's distinct values get codes 0, 1, ... in ascending order, and
+    ``values[j, c]`` is the value with code c. ``low[i, j]`` is the tail of
+    row i's sort entry for column j: its code, then its label. A node's rows
+    sort the same whatever other rows share the codes, so trees grown on any
+    rows of one presort equal trees grown on those rows alone.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    low: np.ndarray
+    values: np.ndarray
+    code_bits: int
+
+    def columns(self, cols) -> "Presorted":
+        """The presort of ``X[:, cols]``, cut from this one."""
+        return Presorted(self.X[:, cols], self.y, self.low[:, cols], self.values[cols],
+                         self.code_bits)
+
+
+def presort(X, y) -> Presorted:
+    """Rank-codes every column of (X, y) with one argsort over axis 0."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise DataError("feature matrix contains non-finite entries; impute first")
+    n, d = X.shape
+    order = np.argsort(X, axis=0)
+    Xs = np.take_along_axis(X, order, axis=0)
+    sorted_codes = np.zeros((n, d), dtype=np.int64)
+    np.cumsum(Xs[1:] != Xs[:-1], axis=0, out=sorted_codes[1:])
+    values = np.zeros((d, n))
+    values[np.arange(d), sorted_codes] = Xs
+    low = np.empty_like(sorted_codes)
+    np.put_along_axis(low, order, sorted_codes << 1, axis=0)
+    low |= y.astype(np.int64)[:, None]
+    return Presorted(X, y, low, values, max(1, int(sorted_codes[-1].max()).bit_length()))
+
+
+def _grow_trees(data: Presorted, rows, keys: np.ndarray, max_depth: Optional[int],
+                min_leaf: int, max_features: Optional[int]) -> _Forest:
+    """Grows one CART tree per entry of ``rows`` (the rows of ``data`` it
+    trains on, any number, repeats allowed), all trees of a batch together,
+    one depth per step. A tree's importances weight each split by its rows
+    over the tree's root rows.
 
     A node is a leaf at ``max_depth``, below ``2 * min_leaf`` rows, when pure,
     or when no split decreases Gini. Otherwise it splits at the midpoint of
@@ -175,45 +228,31 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, keys: np.ndarray
     ``_candidates`` draws from the node's key: ``keys[t]`` at tree t's root,
     and ``splitmix64(2 * key + side)`` at a child (side 1 on the right).
     """
-    n, d = X.shape
-    # Column j's distinct values get codes 0, 1, ... in ascending order;
-    # values[j, c] is the value with code c.
-    order = np.argsort(X, axis=0)
-    Xs = np.take_along_axis(X, order, axis=0)
-    sorted_codes = np.zeros((n, d), dtype=np.int64)
-    np.cumsum(Xs[1:] != Xs[:-1], axis=0, out=sorted_codes[1:])
-    values = np.zeros((d, n))
-    values[np.arange(d), sorted_codes] = Xs
-    code_bits = max(1, int(sorted_codes[-1].max()).bit_length())
-    # low[i, j] is the tail of row i's entry for column j: its code, then its label.
-    low = np.empty_like(sorted_codes)
-    np.put_along_axis(low, order, sorted_codes << 1, axis=0)
-    low |= y.astype(np.int64)[:, None]
-
-    batch = max(1, _MAX_ENTRIES // (rows.shape[1] * (max_features or d)))
-    parts = [_grow_batch(X, y, low, values, code_bits, rows[lo:lo + batch],
-                         keys[lo:lo + batch] if max_features else None,
+    batch = max(1, _MAX_ENTRIES // (max(map(len, rows)) * (max_features or data.X.shape[1])))
+    parts = [_grow_batch(data, rows[lo:lo + batch], keys[lo:lo + batch] if max_features else None,
                          max_depth, min_leaf, max_features)
              for lo in range(0, len(rows), batch)]
     feature, threshold, skip, value, size, imp = (np.concatenate(a) for a in zip(*parts))
     return _Forest(feature, threshold, skip, value, np.cumsum(size) - size, imp)
 
 
-def _grow_batch(X, y, low, values, code_bits, rows, keys, max_depth, min_leaf, max_features):
-    """_grow_trees for one batch, given the columns' codes and values."""
-    n_trees, n_root = rows.shape
+def _grow_batch(data, rows, keys, max_depth, min_leaf, max_features):
+    """_grow_trees for one batch."""
+    X, y = data.X, data.y
+    n_trees = len(rows)
+    n_root = np.array([len(r) for r in rows])
     k = max_features or X.shape[1]
-    side = np.arange(2 * rows.size, dtype=np.uint64) & _U1
 
     # The frontier is the nodes of one depth. Samples are the (row, node)
     # pairs of the frontier nodes that may split; those nodes are numbered
     # 0, 1, ... in frontier order.
     f_tree = np.arange(n_trees)
     f_key = keys
-    f_n = np.full(n_trees, n_root)
-    f_pos = y[rows].sum(axis=1)
-    s_row = rows.ravel()
-    s_node = np.arange(n_trees).repeat(n_root)
+    f_n = n_root
+    s_row = np.concatenate(rows)
+    s_node = f_tree.repeat(n_root)
+    f_pos = np.bincount(s_node, weights=y[s_row], minlength=n_trees)
+    side = np.arange(2 * len(s_row), dtype=np.uint64) & _U1
     # Per depth: (tree, n, pos) of the frontier, and (node, left child,
     # feature, threshold, decrease) of its splits, by node number over all depths.
     levels = []
@@ -230,7 +269,7 @@ def _grow_batch(X, y, low, values, code_bits, rows, keys, max_depth, min_leaf, m
             s_node = (grow.cumsum() - 1)[s_node[keep]]
         if len(sp):
             split, feature, threshold, decrease = _best_splits(
-                low, values, code_bits, s_row, s_node,
+                data.low, data.values, data.code_bits, s_row, s_node,
                 None if f_key is None else _candidates(f_key[sp], X.shape[1], k),
                 f_n[sp], f_pos[sp], k, min_leaf)
         else:
@@ -261,7 +300,7 @@ def _grow_batch(X, y, low, values, code_bits, rows, keys, max_depth, min_leaf, m
         s_row = s_row[keep]
         s_node = c[keep]
         depth += 1
-    return _assemble(levels, n_trees, n_root, X.shape[1])
+    return _assemble(levels, n_root, X.shape[1])
 
 
 def _best_splits(low, values, code_bits, s_row, s_node, cand, n, pos, k, min_leaf):
@@ -327,10 +366,11 @@ def _best_splits(low, values, code_bits, s_row, s_node, cand, n, pos, k, min_lea
     return s, f, np.where(thr > lo, thr, hi), dec[chosen]
 
 
-def _assemble(levels, n_trees: int, n_root: int, n_features: int):
+def _assemble(levels, n_root: np.ndarray, n_features: int):
     """One batch's (feature, threshold, skip, value, tree sizes, importances),
     each tree's nodes in preorder, with the split importances added in that
-    order, as a depth-first grower would."""
+    order, as a depth-first grower would. Tree t has ``n_root[t]`` root rows."""
+    n_trees = len(n_root)
     tree, n, pos = (np.concatenate(a) for a in zip(*(lv[:3] for lv in levels)))
     size = np.ones(len(tree), dtype=np.intp)
     for lv in reversed(levels):
@@ -353,10 +393,11 @@ def _assemble(levels, n_trees: int, n_root: int, n_features: int):
     value = np.empty(len(tree))
     value[place] = pos / n
 
+    # bincount of no entries is int64 even with weights, hence the cast.
     order = np.argsort(at)
     imp = np.bincount((tree[split] * n_features + feature)[order],
-                      weights=(decrease * n[split] / n_root)[order],
-                      minlength=n_trees * n_features).reshape(n_trees, n_features)
+                      weights=(decrease * n[split] / n_root[tree[split]])[order],
+                      minlength=n_trees * n_features).astype(float).reshape(n_trees, n_features)
     return node_feature, node_threshold, skip, value, size[:n_trees], imp
 
 
@@ -454,7 +495,7 @@ class TrainedClassifier:
         if kind in _LINEAR_KINDS:
             Z = self.standardizer.transform(X)
             return neural.sigmoid(Z @ self.weights + self.bias)
-        if kind in _TREE_KINDS:
+        if kind in TREE_KINDS:
             return self.forest.leaf_values(X).mean(axis=0)
         Z = self.standardizer.transform(X)
         return neural.predict(self.mlp, Z)[:, 1]
@@ -463,49 +504,36 @@ class TrainedClassifier:
         return (self.predict_proba(X) >= 0.5).astype(float)
 
 
-def train(spec: ModelSpec, X, y) -> TrainedClassifier:
-    """Fit one classifier on a finite matrix and binary 0/1 labels."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataError("feature matrix contains non-finite entries; impute first")
+def _check_labels(y: np.ndarray) -> None:
     classes = np.unique(y)
     if len(classes) < 2:
         raise DataError("training labels contain a single class")
     if not set(classes.tolist()) <= {0.0, 1.0}:
         raise DataError(f"labels must be binary 0/1, got {classes.tolist()}")
 
-    hyper = spec.resolved()
-    clf = TrainedClassifier(spec=spec, n_features=X.shape[1])
-    kind = spec.kind
 
-    if kind in _LINEAR_KINDS:
-        clf.standardizer = _Standardizer.fit(X)
-        Z = clf.standardizer.transform(X)
-        if kind == "logistic_regression":
-            clf.weights, clf.bias = _fit_logistic(Z, y, hyper)
-        elif kind == "linear_svc":
-            clf.weights, clf.bias = _fit_svc(Z, y, hyper)
-        else:
-            clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, spec.seed)
-    elif kind in _TREE_KINDS:
-        # A decision tree is grown exactly like a forest's one tree without bootstrap.
-        forest = kind == "random_forest"
-        n = X.shape[0]
-        n_trees = hyper["n_trees"] if forest else 1
-        keys = np.array([derive_seed(spec.seed, "tree", t) for t in range(n_trees)],
-                        dtype=np.uint64)
-        rows = np.tile(np.arange(n), (n_trees, 1))
-        if forest and hyper["bootstrap"]:
-            for t in range(n_trees):
-                idx = rng_for(spec.seed, "tree", t).integers(0, n, n)
-                if y[idx].min() != y[idx].max():  # degenerate bootstrap: keep original
-                    rows[t] = idx
-        clf.forest = _grow_trees(X, y, rows, keys, hyper["max_depth"], hyper["min_samples_leaf"],
-                                 _resolve_max_features(hyper["max_features"], X.shape[1]))
+def train(spec: ModelSpec, X, y) -> TrainedClassifier:
+    """Fit one classifier on a finite matrix and binary 0/1 labels."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise DataError("feature matrix contains non-finite entries; impute first")
+    _check_labels(y)
+
+    if spec.kind in TREE_KINDS:
+        return train_trees(spec, presort(X, y), [(np.arange(len(y)), spec.seed)])[0]
+    hyper = spec.resolved()
+    kind = spec.kind
+    clf = TrainedClassifier(spec=spec, n_features=X.shape[1])
+    clf.standardizer = _Standardizer.fit(X)
+    Z = clf.standardizer.transform(X)
+    if kind == "logistic_regression":
+        clf.weights, clf.bias = _fit_logistic(Z, y, hyper)
+    elif kind == "linear_svc":
+        clf.weights, clf.bias = _fit_svc(Z, y, hyper)
+    elif kind == "sgd_linear":
+        clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, spec.seed)
     else:  # mlp
-        clf.standardizer = _Standardizer.fit(X)
-        Z = clf.standardizer.transform(X)
         mlp_spec = neural.MLPSpec(
             input_dim=X.shape[1], hidden_sizes=tuple(hyper["hidden_sizes"]),
             activation="relu", dropout_rate=hyper["dropout_rate"],
@@ -516,6 +544,37 @@ def train(spec: ModelSpec, X, y) -> TrainedClassifier:
             epochs=hyper["epochs"], seed=spec.seed, patience=hyper["patience"])
         clf.mlp = neural.train_mlp(mlp_spec, Z, Y, cfg)
     return clf
+
+
+def train_trees(spec: ModelSpec, data: Presorted, fits) -> list[TrainedClassifier]:
+    """For each (rows, seed) of ``fits``, the tree-kind classifier that
+    ``train(replace(spec, seed=seed), data.X[rows], data.y[rows])`` returns;
+    the trees of all fits grow in one ``_grow_trees`` call.
+    """
+    if spec.kind not in TREE_KINDS:
+        raise ConfigError(f"train_trees grows tree kinds {TREE_KINDS}, not {spec.kind!r}")
+    hyper = spec.resolved()
+    # A decision tree is grown exactly like a forest's one tree without bootstrap.
+    forest = spec.kind == "random_forest"
+    n_trees = hyper["n_trees"] if forest else 1
+    rows, keys = [], []
+    for fit_rows, seed in fits:
+        _check_labels(data.y[fit_rows])
+        n = len(fit_rows)
+        for t in range(n_trees):
+            keys.append(derive_seed(seed, "tree", t))
+            idx = fit_rows
+            if forest and hyper["bootstrap"]:
+                boot = fit_rows[rng_for(seed, "tree", t).integers(0, n, n)]
+                if data.y[boot].min() != data.y[boot].max():  # degenerate bootstrap: keep original
+                    idx = boot
+            rows.append(idx)
+    d = data.X.shape[1]
+    grown = _grow_trees(data, rows, np.array(keys, dtype=np.uint64), hyper["max_depth"],
+                        hyper["min_samples_leaf"], _resolve_max_features(hyper["max_features"], d))
+    return [TrainedClassifier(spec=replace(spec, seed=seed), n_features=d,
+                              forest=grown.trees(i * n_trees, (i + 1) * n_trees))
+            for i, (_, seed) in enumerate(fits)]
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
@@ -542,7 +601,7 @@ def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     drop on (X, y) over three shuffled copies of each column, negatives
     clamped to 0.
     """
-    if clf.spec.kind in _TREE_KINDS:
+    if clf.spec.kind in TREE_KINDS:
         imp = clf.forest.importances
         total = imp.sum(axis=1, keepdims=True)
         return _normalize((imp / np.where(total > 0, total, 1.0)).mean(axis=0))

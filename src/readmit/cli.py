@@ -175,6 +175,8 @@ def _write_manifest(out_dir: Path, command: str, config_echo: dict, inputs, outp
 def cmd_gen(args) -> int:
     settings = _settings("gen", GEN_DEFAULTS, args)
     seed_sentences = settings.pop("seed_sentences")
+    if seed_sentences < 1:
+        raise ConfigError(f"config key 'seed_sentences' must be positive, got {seed_sentences}")
     weights = {name: settings.pop(f"effect_weights.{name}") for name in syngen.EFFECT_NAMES}
     config = GenConfig(effect_weights=weights, **settings)
     started = time.time()
@@ -274,6 +276,11 @@ def cmd_eval(args) -> int:
     spec.resolved()  # a bad kind or hyperparameter exits before any output is made
     split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
                             stratified=settings["stratified"], grouping=settings["grouping"])
+    if args.mode == "rfe":
+        for key, least in (("rfe_folds", 2), ("rfe_repeats", 1)):
+            if settings[key] < least:
+                raise ConfigError(f"config key {key!r} must be at least {least}, "
+                                  f"got {settings[key]}")
     if args.mode == "consensus":
         outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
     else:

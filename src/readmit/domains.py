@@ -54,8 +54,10 @@ def domain_key(domain: str) -> str:
 class Lexicon:
     """Per-domain keyword and multiword-expression patterns.
 
-    A pattern is a tuple of lowercase tokens; it matches a sentence iff it
-    occurs as a contiguous token subsequence.
+    A pattern is a tuple of tokens; it matches a sentence iff it occurs as
+    a contiguous token subsequence. Sentences are ``textproc.tokenize``
+    output, so a pattern that is not the tokenization of its own
+    space-joined text (``("Depressed", "mood")``) is a ConfigError.
     """
 
     def __init__(self, patterns: Mapping[str, Sequence[tuple[str, ...]]]):
@@ -74,6 +76,10 @@ class Lexicon:
                 raise ConfigError(f"lexicon domain {domain} has duplicate patterns")
             if any(len(p) == 0 for p in pats):
                 raise ConfigError(f"lexicon domain {domain} has an empty pattern")
+            for p in pats:
+                if tuple(textproc.tokenize(" ".join(p))) != p:
+                    raise ConfigError(f"lexicon domain {domain}: pattern {p!r} is not the "
+                                      "tokenization of its own text, so it cannot match")
             self.patterns[domain] = tuple(pats)
         # index patterns by first token for fast matching
         self._by_first: dict[str, list[tuple[str, tuple[str, ...]]]] = {}

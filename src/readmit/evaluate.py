@@ -155,21 +155,17 @@ class RunsReport:
     mean_importance: dict[str, float]
 
 
-def _fit_and_score(spec: ModelSpec, X: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
-                   test_idx: np.ndarray, fit_seed: int, imp_seed: int):
-    """(MetricSet on the test rows, importances on the training rows).
+def _imputed(X: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray):
+    """(training rows, test rows) of X, NaNs filled with the training rows' column means."""
+    imputer = Imputer.fit(X[train_idx])
+    return imputer.transform(X[train_idx]), imputer.transform(X[test_idx])
 
-    The imputer is fit on the training rows of X only, so callers pass X
-    already cut to the columns the model sees.
-    """
-    X_train = X[train_idx]
-    imputer = Imputer.fit(X_train)
-    X_train = imputer.transform(X_train)
-    X_test = imputer.transform(X[test_idx])
-    clf = classifiers.train(replace(spec, seed=fit_seed), X_train, y[train_idx])
-    mset = metrics(y[test_idx], clf.predict_proba(X_test))
-    imp = classifiers.importances(clf, X_train, y[train_idx], seed=imp_seed)
-    return mset, imp
+
+def _score(clf, X_train: np.ndarray, y_train: np.ndarray, X_test: np.ndarray,
+           y_test: np.ndarray, imp_seed: int):
+    """(MetricSet on the test rows, importances on the training rows)."""
+    return (metrics(y_test, clf.predict_proba(X_test)),
+            classifiers.importances(clf, X_train, y_train, seed=imp_seed))
 
 
 def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
@@ -177,8 +173,11 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     run_seed = derive_seed(master_seed, "run", r)
     cfg = replace(split_config, seed=derive_seed(run_seed, "split"))
     train_idx, test_idx = split(matrix, cfg)
-    mset, imp = _fit_and_score(spec, matrix.X, matrix.y, train_idx, test_idx,
-                               derive_seed(run_seed, "fit"), derive_seed(run_seed, "importance"))
+    X_train, X_test = _imputed(matrix.X, train_idx, test_idx)
+    y_train = matrix.y[train_idx]
+    clf = classifiers.train(replace(spec, seed=derive_seed(run_seed, "fit")), X_train, y_train)
+    mset, imp = _score(clf, X_train, y_train, X_test, matrix.y[test_idx],
+                       derive_seed(run_seed, "importance"))
     top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
@@ -309,10 +308,26 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
     dropped. The best set per repeat is the width maximizing mean CV F1
     (ties favor the smaller set); the overall best is the repeat with the
     highest best score.
+
+    A repeat imputes each fold once and cuts each width's columns from
+    that; for tree kinds it presorts the folds' stacked training rows once
+    and grows all folds' trees of a width in one ``classifiers.train_trees``
+    call. Each fit equals ``classifiers.train`` on its fold imputed alone.
+    For that the last width imputes its one column afresh: numpy sums a
+    lone column pairwise, a wider block row by row.
     """
+    if folds < 2:
+        raise ConfigError(f"RFE needs at least 2 folds, got {folds}")
+    if repeats < 1:
+        raise ConfigError(f"RFE needs at least 1 repeat, got {repeats}")
     if matrix.X.shape[1] < 2:
         raise DataError("RFE needs a matrix with at least 2 columns")
+    smaller = min(int(np.sum(matrix.y == c)) for c in (0.0, 1.0))
+    if smaller < folds:
+        raise DataError(f"the smaller class has {smaller} rows, fewer than the {folds} folds; "
+                        "every fold needs rows of both classes")
     names = list(matrix.names)
+    trees = spec.kind in classifiers.TREE_KINDS
 
     def one_repeat(rep: int) -> RfeRepeat:
         rep_seed = derive_seed(master_seed, "rfe", rep)
@@ -320,25 +335,48 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
         fold_of = _stratified_folds(matrix.y, folds, rng)
         fold_idx = [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k))
                     for k in range(folds)]
+        y_train = [matrix.y[tr] for tr, _ in fold_idx]
+        ends = np.cumsum([len(tr) for tr, _ in fold_idx])
+        fold_rows = [np.arange(end - len(tr), end) for end, (tr, _) in zip(ends, fold_idx)]
+
+        def prepare(X):
+            """Each fold's imputed (training, test) rows of X, and for tree
+            kinds the presort of the stacked training rows."""
+            parts = [_imputed(X, tr, te) for tr, te in fold_idx]
+            data = (classifiers.presort(np.vstack([p[0] for p in parts]), np.concatenate(y_train))
+                    if trees else None)
+            return parts, data
+
+        parts, data = prepare(matrix.X)
         active = list(range(len(names)))
         order: list[str] = []
         widths: list[int] = []
         scores: list[float] = []
         sets: list[list[int]] = []
         while active:
-            X = matrix.X[:, active]
+            width = len(active)
+            cut = active
+            if width == 1:
+                parts, data = prepare(matrix.X[:, active])
+                cut = [0]
+            seeds = [derive_seed(rep_seed, "fold", k, width) for k in range(folds)]
+            X_parts = [(X_tr[:, cut], X_te[:, cut]) for X_tr, X_te in parts]
+            if trees:
+                clfs = classifiers.train_trees(spec, data.columns(cut), list(zip(fold_rows, seeds)))
+            else:
+                clfs = [classifiers.train(replace(spec, seed=seed), X_tr, y_tr)
+                        for seed, (X_tr, _), y_tr in zip(seeds, X_parts, y_train)]
             f1s = []
-            imp_sum = np.zeros(len(active))
-            for k, (tr, te) in enumerate(fold_idx):
-                mset, imp = _fit_and_score(spec, X, matrix.y, tr, te,
-                                           derive_seed(rep_seed, "fold", k, len(active)),
-                                           derive_seed(rep_seed, "imp", k, len(active)))
+            imp_sum = np.zeros(width)
+            for k, (clf, (X_tr, X_te), (_, te)) in enumerate(zip(clfs, X_parts, fold_idx)):
+                mset, imp = _score(clf, X_tr, y_train[k], X_te, matrix.y[te],
+                                   derive_seed(rep_seed, "imp", k, width))
                 f1s.append(mset.f1)
                 imp_sum += imp
-            widths.append(len(active))
+            widths.append(width)
             scores.append(float(np.mean(f1s)))
             sets.append(list(active))
-            if len(active) == 1:
+            if width == 1:
                 break
             drop_pos = int(np.argmin(imp_sum / folds))
             order.append(names[active[drop_pos]])

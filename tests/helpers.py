@@ -11,13 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from readmit import neural, syngen
+from readmit import classifiers, neural, syngen
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
 from readmit.errors import FieldRangeError, NoteParseError
-from readmit.features import FEATURES, FeatureSchema
-from readmit.seeding import rng_for
+from readmit.evaluate import RfeOutcome, RfeRepeat
+from readmit.features import FEATURES, FeatureSchema, Imputer
+from readmit.seeding import derive_seed, rng_for
 from readmit.textproc import (_TOKEN_RE, COMPLIANCE_LEVELS, INSIGHT_LEVELS, NoteFields,
                               _block_spans, default_abbreviations, split_sentences,
                               tokenize)
@@ -308,6 +309,50 @@ def reference_stratified_folds(y, folds, rng):
         for k, row in enumerate(idx[rng.permutation(len(idx))]):
             assignment[row] = k % folds
     return assignment
+
+
+def reference_rfe(matrix, spec, folds, repeats, master_seed):
+    """RFE fit by fit: each repeat, width and fold imputes the fold's rows of
+    the active columns on their own, then trains, scores and explains one
+    classifier with ``classifiers.train``. The reference for the RFE that
+    imputes once per repeat and grows a width's fold trees together."""
+    names = list(matrix.names)
+    details = []
+    for rep in range(repeats):
+        rep_seed = derive_seed(master_seed, "rfe", rep)
+        fold_of = reference_stratified_folds(matrix.y, folds, np.random.default_rng(rep_seed))
+        active = list(range(len(names)))
+        order, widths, scores, sets = [], [], [], []
+        while active:
+            X = matrix.X[:, active]
+            f1s, imp_sum = [], np.zeros(len(active))
+            for k in range(folds):
+                tr, te = np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)
+                imputer = Imputer.fit(X[tr])
+                X_tr = imputer.transform(X[tr])
+                clf = classifiers.train(
+                    replace(spec, seed=derive_seed(rep_seed, "fold", k, len(active))),
+                    X_tr, matrix.y[tr])
+                probs = clf.predict_proba(imputer.transform(X[te]))
+                f1s.append(f1_score(matrix.y[te], (probs >= 0.5).astype(float)))
+                imp_sum += classifiers.importances(clf, X_tr, matrix.y[tr],
+                                                   seed=derive_seed(rep_seed, "imp", k, len(active)))
+            widths.append(len(active))
+            scores.append(float(np.mean(f1s)))
+            sets.append(list(active))
+            if len(active) == 1:
+                break
+            drop = int(np.argmin(imp_sum / folds))
+            order.append(names[active.pop(drop)])
+        best = max(range(len(scores)), key=lambda i: (scores[i], i))
+        details.append(RfeRepeat(elimination_order=order, cv_scores=scores, widths=widths,
+                                 best_width=widths[best], best_set=[names[j] for j in sets[best]],
+                                 best_score=scores[best]))
+    best_repeat = max(range(repeats), key=lambda r: (details[r].best_score, -r))
+    return RfeOutcome(model_kind=spec.kind, folds=folds, repeats=repeats,
+                      master_seed=master_seed, schema_names=names, repeats_detail=details,
+                      best_repeat=best_repeat, best_set=details[best_repeat].best_set,
+                      best_score=details[best_repeat].best_score)
 
 
 def reference_grouped_test_rows(patient_ids, test_fraction, rng):

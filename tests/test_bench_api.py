@@ -93,3 +93,20 @@ def test_bench_passes_only_existing_keyword_arguments(script):
         except TypeError as e:
             wrong.append(f"{called}: {e}")
     assert not wrong, f"{script.name} passes keyword arguments readmit does not take: {wrong}"
+
+
+def test_no_readmit_attribute_is_a_wrapper():
+    # bench/run.py counts any readmit attribute carrying ``__wrapped__``
+    # (functools.wraps, cache, lru_cache) as a tracer wrap, and bench/smoke.py
+    # then fails its untraced run.
+    import pkgutil
+
+    import readmit
+    from readmit.classifiers import TrainedClassifier
+    owners = [(info.name, importlib.import_module(info.name))
+              for info in pkgutil.walk_packages(readmit.__path__, "readmit.")]
+    owners += [("readmit", readmit), ("readmit.classifiers.TrainedClassifier", TrainedClassifier)]
+    wrapped = sorted(f"{name}.{attr}" for name, owner in owners
+                     for attr, obj in vars(owner).items()
+                     if hasattr(obj, "__wrapped__") and not attr.startswith("__"))
+    assert wrapped == []

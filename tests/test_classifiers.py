@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import readmit
 from readmit import classifiers
-from readmit.classifiers import KINDS, ModelSpec, _grow_trees, importances, train
+from readmit.classifiers import (KINDS, ModelSpec, _grow_trees, importances, presort, train,
+                                 train_trees)
 from readmit.errors import ConfigError, DataError
 from readmit.evaluate import metrics
 from readmit.seeding import derive_seed, rng_for
@@ -97,7 +101,7 @@ def _assert_trees_match_reference(X, y, rows, keys, max_depth, min_leaf, max_fea
     """Grows the trees of ``rows`` in one call and checks each against the
     recursive reference; returns the reference trees' depths."""
     d = X.shape[1]
-    forest = _grow_trees(X, y, rows, keys, max_depth, min_leaf, max_features)
+    forest = _grow_trees(presort(X, y), list(rows), keys, max_depth, min_leaf, max_features)
     assert len(forest.roots) == len(rows) and forest.importances.shape == (len(rows), d)
     Xte = np.vstack([X, np.random.default_rng(0).normal(0, 1, (60, d))])
     leaves = forest.leaf_values(Xte)
@@ -156,10 +160,10 @@ def test_grower_edge_cases_match_reference(monkeypatch):
     for max_features in (None, 2):
         # max_depth 0: every tree is one leaf
         _assert_trees_match_reference(X, y, boot, keys, 0, 1, max_features)
-        assert _grow_trees(X, y, boot, keys, 0, 1, max_features).roots.tolist() == [0, 1, 2]
+        assert _grow_trees(presort(X, y), list(boot), keys, 0, 1, max_features).roots.tolist() == [0, 1, 2]
         # min_samples_leaf above half the rows: the root cannot split
         _assert_trees_match_reference(X, y, boot, keys, None, 31, max_features)
-        forest = _grow_trees(X, y, boot, keys, None, 31, max_features)
+        forest = _grow_trees(presort(X, y), list(boot), keys, None, 31, max_features)
         assert forest.roots.tolist() == [0, 1, 2] and forest.skip.tolist() == [0, 0, 0]
 
     # A 385-row problem grown without a depth limit, one tree per batch:
@@ -168,7 +172,7 @@ def test_grower_edge_cases_match_reference(monkeypatch):
     rows = np.vstack([np.arange(385), rng.integers(0, 385, (2, 385))])
     monkeypatch.setattr(classifiers, "_MAX_ENTRIES", 1)
     assert max(_assert_trees_match_reference(X, y, rows, _keys(42, 3), None, 1, 3)) > 8
-    forest = _grow_trees(X, y, rows, _keys(42, 3), None, 1, 3)
+    forest = _grow_trees(presort(X, y), list(rows), _keys(42, 3), None, 1, 3)
     leaf = forest.feature < 0
     assert np.all(forest.skip[leaf] == 0) and np.all(forest.skip[~leaf] >= 2)
 
@@ -183,10 +187,54 @@ def test_node_with_constant_candidates_is_a_leaf():
     keys = np.array([derive_seed(s, "tree", 0) for s in seeds[:4]], dtype=np.uint64)
     rows = np.tile(np.arange(40), (len(keys), 1))
     _assert_trees_match_reference(X, y, rows, keys, None, 1, 1)
-    assert _grow_trees(X, y, rows, keys, None, 1, 1).roots.tolist() == [0, 1, 2, 3]
+    assert _grow_trees(presort(X, y), list(rows), keys, None, 1, 1).roots.tolist() == [0, 1, 2, 3]
     clf = train(ModelSpec("random_forest", {"n_trees": 4, "max_features": 1, "bootstrap": False},
                           seed=seeds[0]), X, y)
     assert clf.forest.roots[1] == 1 and clf.forest.value[0] == y.mean()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fits_grown_together_equal_fits_grown_alone(data):
+    # Each fit's rows are any rows of the shared presort, in any order,
+    # repeats allowed; alone, the same rows are the fit's whole matrix.
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(6, 150)), draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40]))
+    X, y = _tree_problem(rng, n, d)
+    kind = draw(st.sampled_from(classifiers.TREE_KINDS))
+    hyper = {"max_depth": draw(st.sampled_from([None, 0, 1, 3, 8])),
+             "min_samples_leaf": draw(st.integers(1, 4)),
+             "max_features": draw(st.sampled_from([None, "sqrt", 1, d]))}
+    if kind == "random_forest":
+        hyper.update(n_trees=draw(st.integers(1, 6)), bootstrap=draw(st.booleans()))
+    fits = []
+    for seed in draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4)):
+        rows = rng.choice(n, draw(st.integers(2, n)), replace=draw(st.booleans()))
+        rows[:2] = np.flatnonzero(y == 0)[0], np.flatnonzero(y == 1)[0]
+        fits.append((rng.permutation(rows), seed))
+    spec = ModelSpec(kind, hyper)
+    together = train_trees(spec, presort(X, y), fits)
+    assert len(together) == len(fits)
+    for (rows, seed), clf in zip(fits, together):
+        alone = train(replace(spec, seed=seed), X[rows], y[rows])
+        assert (clf.spec, clf.n_features) == (alone.spec, alone.n_features)
+        for name in ("feature", "threshold", "skip", "value", "roots", "importances"):
+            a, b = getattr(clf.forest, name), getattr(alone.forest, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_train_trees_rejects_other_kinds_and_single_class_fits():
+    X, y = _tree_problem(np.random.default_rng(45), 30, 3)
+    data = presort(X, y)
+    with pytest.raises(ConfigError, match="tree kinds"):
+        train_trees(ModelSpec("mlp"), data, [(np.arange(30), 0)])
+    with pytest.raises(DataError, match="single class"):
+        train_trees(ModelSpec("decision_tree"), data,
+                    [(np.arange(30), 0), (np.flatnonzero(y == 1), 1)])
+    X[3, 1] = np.inf
+    with pytest.raises(DataError, match="non-finite"):
+        presort(X, y)
 
 
 def test_single_class_bootstrap_trains_on_all_rows():

@@ -83,7 +83,7 @@ def test_gen_unknown_key_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("settings, message", [
     (["n_patients=0"], "n_patients must be positive, got 0"),
-    (["n_patients=6", "seed_sentences=0"], "n_sentences must be positive, got 0"),
+    (["n_patients=6", "seed_sentences=0"], "config key 'seed_sentences' must be positive, got 0"),
     (["n_patients=6", "noise_sd=0", "effect_weights.poor_insight=50",
       "target_readmission_rate=0.02"], "cannot calibrate readmission rate 0.02"),
 ])
@@ -334,6 +334,23 @@ def test_eval_rfe_elimination_length_five_columns(tmp_path):
                 "--set", "model.kind=logistic_regression", "--out", out]) == 0
     obj = json.loads((out / "eval_rfe.json").read_text())
     assert len(obj["repeats_detail"][0]["elimination_order"]) == 4
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("rfe_folds=0", "config key 'rfe_folds' must be at least 2, got 0"),
+    ("rfe_repeats=0", "config key 'rfe_repeats' must be at least 1, got 0"),
+])
+def test_eval_rfe_rejected_count_leaves_no_out_directory(tmp_path, capsys, setting, message):
+    import numpy as np
+    from readmit.features import FeatureMatrix, FeatureSchema, write_csv
+    X = np.random.default_rng(0).normal(0, 1, (12, 3))
+    csv_path = tmp_path / "three.csv"
+    write_csv(FeatureMatrix(schema=FeatureSchema(["a", "b", "c"]), X=X,
+                            y=(X[:, 0] > 0).astype(float)), csv_path)
+    assert run(["eval", "rfe", "--features", csv_path, "--set", setting,
+                "--out", tmp_path / "x" / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_patient_grouped_rejected(pipeline_dirs, tmp_path, capsys):

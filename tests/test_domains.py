@@ -41,6 +41,18 @@ def test_lexicon_validation():
         Lexicon(dup)
 
 
+@pytest.mark.parametrize("pattern", [("Depressed", "mood"), ("depressed mood",), ("mood.",),
+                                     ("feels", "")])
+def test_lexicon_rejects_pattern_that_is_not_its_own_tokenization(pattern):
+    # tokenize lowercases and splits words and punctuation apart, so none of
+    # these patterns could ever match a sentence
+    base = {d: [("x%d" % i,)] for i, d in enumerate(RISK_DOMAINS)}
+    with pytest.raises(ConfigError, match="not the tokenization"):
+        Lexicon({**base, "Mood": [("sad",), pattern]})
+    fixed = tuple(textproc.tokenize(" ".join(pattern)))
+    assert Lexicon({**base, "Mood": [("sad",), fixed]}).patterns["Mood"] == (("sad",), fixed)
+
+
 def test_load_lexicon_file(tmp_path):
     raw = {d: ["alpha beta", "gamma"] for d in RISK_DOMAINS}
     path = tmp_path / "lex.json"

@@ -22,7 +22,7 @@ from readmit.features import FeatureMatrix, FeatureSchema, Imputer
 from readmit.seeding import derive_seed
 
 from helpers import (brute_force_auc, confusion_tally, reference_grouped_test_rows,
-                     reference_stratified_folds)
+                     reference_rfe, reference_stratified_folds)
 
 
 def _matrix(seed=0, n=60, d=6, names=None, signal=1.8):
@@ -410,6 +410,78 @@ def test_rfe_first_width_matches_manual():
     detail = outcome.repeats_detail[1]
     assert detail.cv_scores[0] == float(np.mean(f1s))
     assert detail.elimination_order[0] == matrix.names[int(np.argmin(imp_sum / 3))]
+
+
+def _nan_signal_matrix():
+    """61 rows, 25 negatives: the three folds hold 21, 20 and 20 rows. Column
+    0 carries the signal and a NaN in every fourth row, so it is the last
+    column standing and the width-1 fits impute it."""
+    matrix = _matrix(seed=8, n=61, d=5, signal=4.0)
+    matrix.y[:] = 0.0
+    matrix.y[np.argsort(-matrix.X[:, 0], kind="stable")[:36]] = 1.0
+    matrix.X[::4, 0] = np.nan
+    matrix.X[1::3, 2] = np.nan
+    return matrix
+
+
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_rfe_equals_fit_by_fit_reference(kind):
+    matrix = _nan_signal_matrix()
+    outcome = rfe(matrix, SMALL_SPECS[kind], folds=3, repeats=2, master_seed=9, workers=2)
+    for rep in range(2):
+        fold_of = evaluate._stratified_folds(
+            matrix.y, 3, np.random.default_rng(derive_seed(9, "rfe", rep)))
+        assert sorted(np.bincount(fold_of).tolist()) == [20, 20, 21]
+    reference = reference_rfe(matrix, SMALL_SPECS[kind], folds=3, repeats=2, master_seed=9)
+    assert _dump(evaluate.rfe_outcome_obj(outcome)) == _dump(evaluate.rfe_outcome_obj(reference))
+    for detail in outcome.repeats_detail:
+        assert set(matrix.names) - set(detail.elimination_order) == {"c0"}
+
+
+def test_rfe_fits_see_each_fold_imputed_on_its_own(monkeypatch):
+    # At width 1 a slice of the all-column imputation can differ from the
+    # fold's own one-column means in the last bit; on this matrix it does in
+    # three of the six width-1 fits, which the report's F1s do not show.
+    matrix = _nan_signal_matrix()
+    seen = {}
+    train = classifiers.train
+
+    def recording(spec, X, y):
+        seen[spec.seed] = X.tobytes()
+        return train(spec, X, y)
+    monkeypatch.setattr(classifiers, "train", recording)
+    outcome = rfe(matrix, ModelSpec("logistic_regression"), folds=3, repeats=2, master_seed=9)
+    names = list(matrix.names)
+    for rep, detail in enumerate(outcome.repeats_detail):
+        rep_seed = derive_seed(9, "rfe", rep)
+        fold_of = reference_stratified_folds(matrix.y, 3, np.random.default_rng(rep_seed))
+        for width in detail.widths:
+            dropped = detail.elimination_order[:len(names) - width]
+            X = matrix.X[:, [j for j, name in enumerate(names) if name not in dropped]]
+            for k in range(3):
+                X_tr = X[fold_of != k]
+                expected = Imputer.fit(X_tr).transform(X_tr)
+                assert seen.pop(derive_seed(rep_seed, "fold", k, width)) == expected.tobytes()
+    assert not seen
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ({"folds": 0}, ConfigError, "RFE needs at least 2 folds, got 0"),
+    ({"folds": 1}, ConfigError, "RFE needs at least 2 folds, got 1"),
+    ({"repeats": 0}, ConfigError, "RFE needs at least 1 repeat, got 0"),
+    ({"folds": 100}, DataError, "the smaller class has 29 rows, fewer than the 100 folds"),
+    ({"folds": 30}, DataError, "the smaller class has 29 rows, fewer than the 30 folds"),
+])
+def test_rfe_rejects_degenerate_arguments_before_fitting(monkeypatch, args, error, message):
+    matrix = _matrix(n=60, d=109)
+    assert min(matrix.y.sum(), 60 - matrix.y.sum()) == 29
+
+    def no_fit(*a, **k):
+        raise AssertionError("fitted")
+    monkeypatch.setattr(classifiers, "train", no_fit)
+    monkeypatch.setattr(classifiers, "train_trees", no_fit)
+    with pytest.raises(error, match=re.escape(message)):
+        rfe(matrix, ModelSpec("random_forest"), **args)
 
 
 def test_rfe_needs_two_columns():
