@@ -276,16 +276,17 @@ def cmd_eval(args) -> int:
     spec.resolved()  # a bad kind or hyperparameter exits before any output is made
     split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
                             stratified=settings["stratified"], grouping=settings["grouping"])
+    if args.mode == "consensus":
+        outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
+    else:
+        matrix = features.read_csv(args.features)
     if args.mode == "rfe":
         for key, least in (("rfe_folds", 2), ("rfe_repeats", 1)):
             if settings[key] < least:
                 raise ConfigError(f"config key {key!r} must be at least {least}, "
                                   f"got {settings[key]}")
-    if args.mode == "consensus":
-        outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
-    else:
-        matrix = features.read_csv(args.features)
-    # Only once the inputs have loaded, so a rejected input leaves no directory.
+        evaluate.check_rfe(matrix, spec, settings["rfe_folds"], settings["rfe_repeats"])
+    # Only once the inputs have loaded and been checked, so a rejected input leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs = [args.features]

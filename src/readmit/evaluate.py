@@ -161,13 +161,6 @@ def _imputed(X: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray):
     return imputer.transform(X[train_idx]), imputer.transform(X[test_idx])
 
 
-def _score(clf, X_train: np.ndarray, y_train: np.ndarray, X_test: np.ndarray,
-           y_test: np.ndarray, imp_seed: int):
-    """(MetricSet on the test rows, importances on the training rows)."""
-    return (metrics(y_test, clf.predict_proba(X_test)),
-            classifiers.importances(clf, X_train, y_train, seed=imp_seed))
-
-
 def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
              master_seed: int, r: int):
     run_seed = derive_seed(master_seed, "run", r)
@@ -176,8 +169,8 @@ def _one_run(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
     X_train, X_test = _imputed(matrix.X, train_idx, test_idx)
     y_train = matrix.y[train_idx]
     clf = classifiers.train(replace(spec, seed=derive_seed(run_seed, "fit")), X_train, y_train)
-    mset, imp = _score(clf, X_train, y_train, X_test, matrix.y[test_idx],
-                       derive_seed(run_seed, "importance"))
+    mset = metrics(matrix.y[test_idx], clf.predict_proba(X_test))
+    imp = classifiers.importances(clf, X_train, y_train, seed=derive_seed(run_seed, "importance"))
     top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
     return RunRecord(seed=run_seed, metrics=mset, top_features=top), imp
 
@@ -299,6 +292,24 @@ class RfeOutcome:
     best_score: float
 
 
+def check_rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int, repeats: int) -> None:
+    """Raises what ``rfe`` would meet on these arguments, before any fit."""
+    if folds < 2:
+        raise ConfigError(f"RFE needs at least 2 folds, got {folds}")
+    if repeats < 1:
+        raise ConfigError(f"RFE needs at least 1 repeat, got {repeats}")
+    if matrix.X.shape[1] < 2:
+        raise DataError("RFE needs a matrix with at least 2 columns")
+    smaller = min(int(np.sum(matrix.y == c)) for c in (0.0, 1.0))
+    if smaller < folds:
+        raise DataError(f"the smaller class has {smaller} rows, fewer than the {folds} folds; "
+                        "every fold needs rows of both classes")
+    max_features = spec.resolved().get("max_features")
+    if type(max_features) is int and max_features != 1:
+        raise ConfigError(f"RFE fits down to 1 column, so an integer max_features must be 1, "
+                          f"got {max_features}")
+
+
 def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 30,
         master_seed: int = 0, workers: int = 1) -> RfeOutcome:
     """Cross-validated recursive feature elimination, one column per step.
@@ -313,20 +324,10 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
     that; for tree kinds it presorts the folds' stacked training rows once
     and grows all folds' trees of a width in one ``classifiers.train_trees``
     call. Each fit equals ``classifiers.train`` on its fold imputed alone.
-    For that the last width imputes its one column afresh: numpy sums a
-    lone column pairwise, a wider block row by row.
     """
-    if folds < 2:
-        raise ConfigError(f"RFE needs at least 2 folds, got {folds}")
-    if repeats < 1:
-        raise ConfigError(f"RFE needs at least 1 repeat, got {repeats}")
-    if matrix.X.shape[1] < 2:
-        raise DataError("RFE needs a matrix with at least 2 columns")
-    smaller = min(int(np.sum(matrix.y == c)) for c in (0.0, 1.0))
-    if smaller < folds:
-        raise DataError(f"the smaller class has {smaller} rows, fewer than the {folds} folds; "
-                        "every fold needs rows of both classes")
+    check_rfe(matrix, spec, folds, repeats)
     names = list(matrix.names)
+    widths = range(len(names), 0, -1)
     trees = spec.kind in classifiers.TREE_KINDS
 
     def one_repeat(rep: int) -> RfeRepeat:
@@ -335,58 +336,37 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
         fold_of = _stratified_folds(matrix.y, folds, rng)
         fold_idx = [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k))
                     for k in range(folds)]
+        parts = [_imputed(matrix.X, tr, te) for tr, te in fold_idx]
         y_train = [matrix.y[tr] for tr, _ in fold_idx]
-        ends = np.cumsum([len(tr) for tr, _ in fold_idx])
-        fold_rows = [np.arange(end - len(tr), end) for end, (tr, _) in zip(ends, fold_idx)]
-
-        def prepare(X):
-            """Each fold's imputed (training, test) rows of X, and for tree
-            kinds the presort of the stacked training rows."""
-            parts = [_imputed(X, tr, te) for tr, te in fold_idx]
-            data = (classifiers.presort(np.vstack([p[0] for p in parts]), np.concatenate(y_train))
-                    if trees else None)
-            return parts, data
-
-        parts, data = prepare(matrix.X)
+        if trees:
+            data = classifiers.presort(np.vstack([X_tr for X_tr, _ in parts]),
+                                       np.concatenate(y_train))
+            fold_rows = np.split(np.arange(len(data.y)), np.cumsum([len(y) for y in y_train])[:-1])
         active = list(range(len(names)))
         order: list[str] = []
-        widths: list[int] = []
         scores: list[float] = []
-        sets: list[list[int]] = []
-        while active:
-            width = len(active)
-            cut = active
-            if width == 1:
-                parts, data = prepare(matrix.X[:, active])
-                cut = [0]
+        for width in widths:
             seeds = [derive_seed(rep_seed, "fold", k, width) for k in range(folds)]
-            X_parts = [(X_tr[:, cut], X_te[:, cut]) for X_tr, X_te in parts]
+            X_parts = [(X_tr[:, active], X_te[:, active]) for X_tr, X_te in parts]
             if trees:
-                clfs = classifiers.train_trees(spec, data.columns(cut), list(zip(fold_rows, seeds)))
+                clfs = classifiers.train_trees(spec, data.columns(active), list(zip(fold_rows, seeds)))
             else:
                 clfs = [classifiers.train(replace(spec, seed=seed), X_tr, y_tr)
                         for seed, (X_tr, _), y_tr in zip(seeds, X_parts, y_train)]
-            f1s = []
-            imp_sum = np.zeros(width)
-            for k, (clf, (X_tr, X_te), (_, te)) in enumerate(zip(clfs, X_parts, fold_idx)):
-                mset, imp = _score(clf, X_tr, y_train[k], X_te, matrix.y[te],
-                                   derive_seed(rep_seed, "imp", k, width))
-                f1s.append(mset.f1)
-                imp_sum += imp
-            widths.append(width)
-            scores.append(float(np.mean(f1s)))
-            sets.append(list(active))
-            if width == 1:
-                break
-            drop_pos = int(np.argmin(imp_sum / folds))
-            order.append(names[active[drop_pos]])
-            active.pop(drop_pos)
+            scores.append(float(np.mean([metrics(matrix.y[te], clf.predict_proba(X_te)).f1
+                                         for clf, (_, X_te), (_, te) in zip(clfs, X_parts, fold_idx)])))
+            if width > 1:
+                imp_sum = sum(classifiers.importances(clf, X_tr, y_tr,
+                                                      seed=derive_seed(rep_seed, "imp", k, width))
+                              for k, (clf, (X_tr, _), y_tr) in enumerate(zip(clfs, X_parts, y_train)))
+                order.append(names[active.pop(int(np.argmin(imp_sum / folds)))])
         # ties favor the smaller set, i.e. the latest width achieving the max
         best_pos = len(scores) - 1 - int(np.argmax(scores[::-1]))
+        dropped = set(order[:best_pos])
         return RfeRepeat(
-            elimination_order=order, cv_scores=scores, widths=widths,
-            best_width=widths[best_pos],
-            best_set=[names[j] for j in sets[best_pos]],
+            elimination_order=order, cv_scores=scores, widths=list(widths),
+            best_width=len(names) - best_pos,
+            best_set=[name for name in names if name not in dropped],
             best_score=scores[best_pos],
         )
 

@@ -314,9 +314,14 @@ class Imputer:
 
     @classmethod
     def fit(cls, X_train: np.ndarray) -> "Imputer":
+        """Each column's mean over its present entries, 0 where it has none.
+
+        Columns are summed in row order (``sum(axis=0)`` adds a lone column
+        pairwise), so a mean has the same bits whatever columns share its
+        block; RFE relies on this to impute each fold once for every width."""
         present = ~np.isnan(X_train)
         counts = present.sum(axis=0)
-        sums = np.where(present, X_train, 0.0).sum(axis=0)
+        sums = np.cumsum(np.where(present, X_train, 0.0), axis=0)[-1]
         means = np.divide(sums, counts, out=np.zeros(X_train.shape[1]), where=counts > 0)
         return cls(means)
 

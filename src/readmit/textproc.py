@@ -2,7 +2,8 @@
 
 Clinical notes carry machine-readable header lines besides free text.
 Their grammar, the table ``_HEADER_GRAMMAR``, is a fixed contract (one
-field per line, keys case-insensitive); ``header_line`` writes it:
+field per line, keys case-insensitive, all header lines at the top of the
+note before any other line); ``header_line`` writes it:
 
     GAF at admission: <int 1-100>
     GAF at discharge: <int 1-100>
@@ -202,12 +203,17 @@ def header_line(field: str, value) -> str:
 def extract_structured(text: str, note_id="<unknown>") -> NoteFields:
     """Extract structured header fields from one note's text.
 
-    Each field's first line wins; unmatched fields are left as None. The
-    earliest invalid value in grammar order raises; GAF is never clamped.
+    Only the header block is read: the run of header lines at the top of
+    the note, ended by the first line that is not one, so body text is
+    never parsed as a field. Each field's first line wins; unmatched fields
+    are left as None. The earliest invalid value in grammar order raises;
+    GAF is never clamped.
     """
     raw: dict[str, str] = {}
-    for m in _HEADER_RE.finditer(text):
+    pos = 0
+    while m := _HEADER_RE.match(text, pos):
         raw.setdefault(m.lastgroup, m[m.lastgroup])
+        pos = m.end() + 1  # past the line's newline
     return NoteFields(**{field: parse(raw[field], field, note_id)
                          for field, (_, parse, _) in _HEADER_GRAMMAR.items() if field in raw})
 

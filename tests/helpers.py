@@ -514,6 +514,15 @@ def reference_extract_structured(text: str, note_id="<unknown>") -> NoteFields:
     return NoteFields(**found)
 
 
+def reference_header_block(text: str) -> str:
+    """The leading lines of ``text`` that a reference field regex reads, up
+    to the first line that none reads."""
+    lines = text.split("\n")
+    n = next((i for i, line in enumerate(lines)
+              if not any(r.search(line) for r in _REFERENCE_FIELD_LINE_RES.values())), len(lines))
+    return "\n".join(lines[:n])
+
+
 def tiny_corpus(note_texts=("Sleeping well. Appetite poor.",), label=None,
                 n_admissions=1, gap_days=40):
     """A minimal hand-built corpus: one patient, simple notes."""

@@ -339,6 +339,8 @@ def test_eval_rfe_elimination_length_five_columns(tmp_path):
 @pytest.mark.parametrize("setting, message", [
     ("rfe_folds=0", "config key 'rfe_folds' must be at least 2, got 0"),
     ("rfe_repeats=0", "config key 'rfe_repeats' must be at least 1, got 0"),
+    ("rfe_folds=100", "the smaller class has 5 rows, fewer than the 100 folds"),
+    ("model.max_features=2", "RFE fits down to 1 column, so an integer max_features must be 1"),
 ])
 def test_eval_rfe_rejected_count_leaves_no_out_directory(tmp_path, capsys, setting, message):
     import numpy as np

@@ -439,9 +439,10 @@ def test_rfe_equals_fit_by_fit_reference(kind):
 
 
 def test_rfe_fits_see_each_fold_imputed_on_its_own(monkeypatch):
-    # At width 1 a slice of the all-column imputation can differ from the
-    # fold's own one-column means in the last bit; on this matrix it does in
-    # three of the six width-1 fits, which the report's F1s do not show.
+    # Every width is cut from one imputation of all columns, so each fit must
+    # see the bytes of its fold imputed alone. At width 1 a pairwise-summed
+    # mean of the lone column would differ in the last bit in three of the
+    # six fits here, which the report's F1s do not show.
     matrix = _nan_signal_matrix()
     seen = {}
     train = classifiers.train
@@ -471,6 +472,8 @@ def test_rfe_fits_see_each_fold_imputed_on_its_own(monkeypatch):
     ({"repeats": 0}, ConfigError, "RFE needs at least 1 repeat, got 0"),
     ({"folds": 100}, DataError, "the smaller class has 29 rows, fewer than the 100 folds"),
     ({"folds": 30}, DataError, "the smaller class has 29 rows, fewer than the 30 folds"),
+    ({"spec": ModelSpec("random_forest", {"max_features": 2})}, ConfigError,
+     "RFE fits down to 1 column, so an integer max_features must be 1, got 2"),
 ])
 def test_rfe_rejects_degenerate_arguments_before_fitting(monkeypatch, args, error, message):
     matrix = _matrix(n=60, d=109)
@@ -481,7 +484,7 @@ def test_rfe_rejects_degenerate_arguments_before_fitting(monkeypatch, args, erro
     monkeypatch.setattr(classifiers, "train", no_fit)
     monkeypatch.setattr(classifiers, "train_trees", no_fit)
     with pytest.raises(error, match=re.escape(message)):
-        rfe(matrix, ModelSpec("random_forest"), **args)
+        rfe(matrix, **{"spec": ModelSpec("random_forest"), **args})
 
 
 def test_rfe_needs_two_columns():

@@ -4,6 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from readmit import textproc
 from readmit.corpus import derive_labels
@@ -219,6 +220,32 @@ def test_imputer_uses_training_rows_only():
     filled = imputer.transform(np.array([[np.nan, 1.0]]))
     assert filled[0, 0] == 2.0
     del X_test_mutated
+
+
+def _holed(seed, n, d, nan_fraction):
+    """An n x d block of mixed column magnitudes with NaN holes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, d)) * 10.0 ** rng.integers(-3, 4, d)
+    X[rng.random(X.shape) < nan_fraction] = np.nan
+    return X
+
+
+@st.composite
+def _holed_block(draw):
+    """(X, cols): a holed block and a subset of its columns in any order."""
+    d = draw(st.integers(1, 6))
+    X = _holed(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 300)), d,
+               draw(st.floats(0.0, 1.0)))
+    return X, draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_holed_block())
+# A lone column of 150 rows: a pairwise sum of it differs in the last bit.
+@example((_holed(seed=0, n=150, d=3, nan_fraction=0.2), [1]))
+def test_imputer_means_do_not_depend_on_the_block(block):
+    X, cols = block
+    assert Imputer.fit(X[:, cols]).means.tobytes() == Imputer.fit(X).means[cols].tobytes()
 
 
 def test_unseen_level_maps_to_unknown():

@@ -8,8 +8,8 @@ from readmit.textproc import (COMPLIANCE_LEVELS, INSIGHT_LEVELS, NoteFields,
                               header_line, resolve_admission_fields,
                               split_sentences, tokenize)
 
-from helpers import (reference_extract_structured, reference_split_sentences,
-                     reference_tokenize, tiny_corpus)
+from helpers import (reference_extract_structured, reference_header_block,
+                     reference_split_sentences, reference_tokenize, tiny_corpus)
 
 
 def test_tokenize_punct_and_lowercase():
@@ -231,7 +231,8 @@ _HEADER_VALUES = st.one_of(
 
 @st.composite
 def _header_block(draw):
-    """Header lines (repeats and bad values included), then maybe a body."""
+    """Header lines (repeats and bad values included), then maybe a body,
+    after a blank line or straight after the last header line."""
     lines = [draw(_SPACES) + draw(_header_key()) + draw(_SPACES) + ":" + draw(_SPACES)
              + draw(_HEADER_VALUES) + draw(_SPACES) + draw(st.sampled_from(["", "\r"]))
              for _ in range(draw(st.integers(0, 7)))]
@@ -239,14 +240,23 @@ def _header_block(draw):
     if draw(st.booleans()):
         body = draw(st.lists(st.one_of(st.sampled_from(["Sleeping well.", "GAF: 55", "insight: poor"]),
                                        st.text(max_size=20)), max_size=4))
-        text += "\n\n" + draw(st.sampled_from([" ", "\n"])).join(body)
+        text += draw(st.sampled_from(["\n\n", "\n"])) + draw(st.sampled_from([" ", "\n"])).join(body)
     return text
 
 
 @settings(max_examples=400, deadline=None)
 @given(_header_block())
 def test_extract_matches_six_regex_reference(text):
-    assert _outcome(extract_structured, text) == _outcome(reference_extract_structured, text)
+    assert _outcome(extract_structured, text) == _outcome(reference_extract_structured,
+                                                          reference_header_block(text))
+
+
+def test_body_line_that_begins_with_a_key_is_not_read():
+    text = "GAF: 40\n\nPatient was asked about her illness.\nInsight: limited, improving"
+    with pytest.raises(NoteParseError):
+        reference_extract_structured(text)
+    assert extract_structured(text) == NoteFields(gaf=40)
+    assert extract_structured("Sleeping well.\nGAF: 40\nInsight: good") == NoteFields()
 
 
 def test_extract_matches_reference_on_generated_notes():
