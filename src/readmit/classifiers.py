@@ -2,12 +2,15 @@
 
 All kinds share the train / predict_proba / importances surface and are
 deterministic given their seed. The tree kinds can also grow several fits,
-each on its own rows of one ``presort``-ed matrix, in one ``train_trees`` call. Linear kinds and the MLP standardize
-features internally using training statistics; tree kinds consume raw
-values. Hinge-loss models map margins through the logistic function for
-probabilities, which is enough for ranking-based metrics.
+each on its own rows of one ``presort``-ed matrix, in one ``train_trees``
+call, and the MLP can train several fits in one ``train_mlps`` call. Linear
+kinds and the MLP standardize features internally using training
+statistics; tree kinds consume raw values. Hinge-loss models map margins
+through the logistic function for probabilities, which is enough for
+ranking-based metrics.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -41,6 +44,12 @@ DEFAULT_HYPERPARAMETERS = {
 }
 
 _N_PERMUTATIONS = 3  # shuffled copies per column in permutation importance
+# The MLP's permutation importance scores its shuffled copies of the training
+# matrix in blocks of at most this many bytes, one stacked forward pass per
+# block. A block's arrays add about 1.5 times its bytes to peak memory. Per copy
+# on a 2-CPU Xeon, a 160x102 matrix took 122 us alone, 76 in blocks of 4 and
+# 72 in blocks of 16; a 378x109 one took 200 us alone and 167 in blocks of 4.
+_PERMUTATION_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,8 @@ class ModelSpec:
         """The kind's defaults with ``hyper`` applied, each value of its
         default's type: an int also passes for a float, and a single int for
         a tuple as a one-element tuple; ``max_depth`` also takes None, and
-        ``max_features`` None, "sqrt" or an int."""
+        ``max_features`` None, "sqrt" or an int. A float must be finite, and
+        the MLP's values must pass its ``MLPSpec`` and ``TrainConfig`` checks."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
         merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
@@ -72,7 +82,14 @@ class ModelSpec:
                 ok = type(value) is type(default) or type(value) is int and type(default) is float
             if not ok:
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} cannot be {value!r}")
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be finite, got {value!r}")
             merged[key] = value
+        if self.kind == "mlp":
+            try:
+                _mlp_configs(merged, input_dim=1)
+            except ConfigError as e:
+                raise ConfigError(f"{self.kind}: {e}") from None
         return merged
 
 
@@ -90,6 +107,19 @@ class _Standardizer:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.scale
+
+
+def _mlp_configs(hyper: dict, input_dim: int, seed: int = 0):
+    """The checked ``MLPSpec`` and ``TrainConfig`` of an mlp classifier."""
+    spec = neural.MLPSpec(input_dim=input_dim, hidden_sizes=tuple(hyper["hidden_sizes"]),
+                          activation="relu", dropout_rate=hyper["dropout_rate"],
+                          output_kind="softmax", n_outputs=2)
+    config = neural.TrainConfig(learning_rate=hyper["learning_rate"],
+                                batch_size=hyper["batch_size"], epochs=hyper["epochs"],
+                                seed=seed, patience=hyper["patience"])
+    spec.validate()
+    config.validate()
+    return spec, config
 
 
 # ------------------------------------------------------------------ trees
@@ -512,16 +542,23 @@ def _check_labels(y: np.ndarray) -> None:
         raise DataError(f"labels must be binary 0/1, got {classes.tolist()}")
 
 
-def train(spec: ModelSpec, X, y) -> TrainedClassifier:
-    """Fit one classifier on a finite matrix and binary 0/1 labels."""
+def _checked_fit_data(X, y):
+    """(X, y) as float arrays; a DataError on a non-finite X or non-binary y."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("feature matrix contains non-finite entries; impute first")
     _check_labels(y)
+    return X, y
 
+
+def train(spec: ModelSpec, X, y) -> TrainedClassifier:
+    """Fit one classifier on a finite matrix and binary 0/1 labels."""
+    X, y = _checked_fit_data(X, y)
     if spec.kind in TREE_KINDS:
         return train_trees(spec, presort(X, y), [(np.arange(len(y)), spec.seed)])[0]
+    if spec.kind == "mlp":
+        return train_mlps(spec, [(X, y, spec.seed)])[0]
     hyper = spec.resolved()
     kind = spec.kind
     clf = TrainedClassifier(spec=spec, n_features=X.shape[1])
@@ -531,19 +568,40 @@ def train(spec: ModelSpec, X, y) -> TrainedClassifier:
         clf.weights, clf.bias = _fit_logistic(Z, y, hyper)
     elif kind == "linear_svc":
         clf.weights, clf.bias = _fit_svc(Z, y, hyper)
-    elif kind == "sgd_linear":
+    else:  # sgd_linear
         clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, spec.seed)
-    else:  # mlp
-        mlp_spec = neural.MLPSpec(
-            input_dim=X.shape[1], hidden_sizes=tuple(hyper["hidden_sizes"]),
-            activation="relu", dropout_rate=hyper["dropout_rate"],
-            output_kind="softmax", n_outputs=2)
-        Y = np.stack([1.0 - y, y], axis=1)
-        cfg = neural.TrainConfig(
-            learning_rate=hyper["learning_rate"], batch_size=hyper["batch_size"],
-            epochs=hyper["epochs"], seed=spec.seed, patience=hyper["patience"])
-        clf.mlp = neural.train_mlp(mlp_spec, Z, Y, cfg)
     return clf
+
+
+def train_mlps(spec: ModelSpec, fits) -> list[TrainedClassifier]:
+    """For each (X, y, seed) of ``fits``, the mlp classifier that
+    ``train(replace(spec, seed=seed), X, y)`` returns. Each fit is
+    standardized on its own rows, and all fits train in one
+    ``neural.train_mlps`` loop, on their standardized rows stacked.
+    """
+    if spec.kind != "mlp":
+        raise ConfigError(f"train_mlps trains the mlp kind, not {spec.kind!r}")
+    hyper = spec.resolved()
+    fits = [(*_checked_fit_data(X, y), seed) for X, y, seed in fits]
+    if not fits:
+        return []
+    if len({X.shape[1] for X, _, _ in fits}) > 1:
+        raise DataError("the fits of one train_mlps call must have the same number of columns")
+    clfs = [TrainedClassifier(spec=replace(spec, seed=seed), n_features=X.shape[1],
+                              standardizer=_Standardizer.fit(X)) for X, _, seed in fits]
+    # Each fit's standardized rows and one-hot targets, written into one stacked matrix.
+    ends = np.cumsum([len(y) for _, y, _ in fits])
+    rows = [np.arange(end - len(y), end) for end, (_, y, _) in zip(ends, fits)]
+    Z, Y = np.empty((ends[-1], clfs[0].n_features)), np.empty((ends[-1], 2))
+    for r, clf, (X, y, _) in zip(rows, clfs, fits):
+        Z[r] = clf.standardizer.transform(X)
+        Y[r] = np.stack([1.0 - y, y], axis=1)
+    mlp_spec, config = _mlp_configs(hyper, clfs[0].n_features)
+    models = neural.train_mlps(mlp_spec, Z, Y, [(r, clf.spec.seed) for r, clf in zip(rows, clfs)],
+                               config)
+    for clf, model in zip(clfs, models):
+        clf.mlp = model
+    return clfs
 
 
 def train_trees(spec: ModelSpec, data: Presorted, fits) -> list[TrainedClassifier]:
@@ -582,15 +640,18 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / total if total > 0 else v
 
 
-def f1_score(y_true, y_pred) -> float:
-    """Binary F1 of the positive class; 0 when there are no true or predicted positives."""
+def f1_score(y_true, y_pred):
+    """Binary F1 of the positive class; 0 when there are no true or predicted
+    positives. A float for one vector of predictions; for stacked
+    predictions (..., n), the F1 of each along the last axis."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    tp = float(np.sum((y_pred == 1) & (y_true == 1)))
-    fp = float(np.sum((y_pred == 1) & (y_true == 0)))
-    fn = float(np.sum((y_pred == 0) & (y_true == 1)))
+    tp = np.sum((y_pred == 1) & (y_true == 1), axis=-1)
+    fp = np.sum((y_pred == 1) & (y_true == 0), axis=-1)
+    fn = np.sum((y_pred == 0) & (y_true == 1), axis=-1)
     denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom > 0 else 0.0
+    f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+    return float(f1) if f1.ndim == 0 else f1
 
 
 def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
@@ -599,7 +660,8 @@ def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     The method is fixed by the kind. Trees: mean decrease in Gini. Linear
     kinds: |weight| on standardized inputs. MLP: permutation, the mean F1
     drop on (X, y) over three shuffled copies of each column, negatives
-    clamped to 0.
+    clamped to 0. The copies are scored in blocks, each block stacked
+    through one forward pass.
     """
     if clf.spec.kind in TREE_KINDS:
         imp = clf.forest.importances
@@ -612,18 +674,25 @@ def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:
     # column gives the same matrix as standardizing a shuffled one.
     Z = clf.standardizer.transform(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
+    n, d = Z.shape
 
     def f1_on(Z):
-        return f1_score(y, (neural.predict(clf.mlp, Z)[:, 1] >= 0.5).astype(float))
+        return f1_score(y, neural.predict(clf.mlp, Z)[..., 1] >= 0.5)
 
     base = f1_on(Z)
-    drops = np.zeros(Z.shape[1])
-    for j in range(Z.shape[1]):
-        col = Z[:, j].copy()
-        for r in range(_N_PERMUTATIONS):
-            Z[:, j] = col[rng_for(seed, "perm", j, r).permutation(len(col))]
-            drops[j] += base - f1_on(Z)
-        Z[:, j] = col
+    copies = [(j, r) for j in range(d) for r in range(_N_PERMUTATIONS)]
+    per_block = min(len(copies), max(1, _PERMUTATION_BLOCK_BYTES // max(1, Z.nbytes)))
+    shuffled = np.repeat(Z[None], per_block, axis=0)  # reused: each block restores its columns
+    f1 = np.empty(len(copies))
+    for lo in range(0, len(copies), per_block):
+        block = copies[lo:lo + per_block]
+        for c, (j, r) in enumerate(block):
+            shuffled[c, :, j] = Z[rng_for(seed, "perm", j, r).permutation(n), j]
+        f1[lo:lo + len(block)] = f1_on(shuffled[:len(block)])
+        for c, (j, _) in enumerate(block):
+            shuffled[c, :, j] = Z[:, j]
+    drops = np.zeros(d)
+    for r in range(_N_PERMUTATIONS):
+        drops += base - f1[r::_N_PERMUTATIONS]
     drops = np.maximum(drops / _N_PERMUTATIONS, 0.0)
     return _normalize(drops)
-

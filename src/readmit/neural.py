@@ -4,10 +4,15 @@ The encoder is a deterministic stand-in for a pretrained sentence encoder:
 signed feature hashing of unigrams and bigrams into a fixed-width vector,
 L2-normalized. A token list is a sentence as ``textproc.split_sentences``
 gives it. The plug-in contract is ``dim`` and ``__call__(tokens) -> vector``:
-anything exposing those can be dropped in instead, and ``encode_rows`` calls
-it once per token list. ``HashingEncoder`` has one hashing implementation,
-the block path: ``rows`` encodes a whole list at once, ``encode_rows`` uses
-it, and ``__call__`` is one row of it, in float64.
+anything exposing those can be dropped in instead. ``encode_rows`` calls an
+encoder's ``rows(token_lists)`` when it has one, and otherwise calls the
+encoder once per token list. ``HashingEncoder`` has one hashing
+implementation, the block path: ``rows`` encodes a whole list at once,
+``encode_rows`` uses it, and ``__call__`` is one row of it, in float64.
+
+The MLP engine has one training loop, ``train_mlps``: many fits of one spec
+in one minibatch SGD loop on stacked arrays, each fit byte-identical to
+itself trained alone. ``train_mlp`` is its one-fit case.
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -17,6 +22,7 @@ big-endian integer mod dim; sign = +1 if the 9th byte is even else -1.
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Optional, Sequence
@@ -171,8 +177,10 @@ class TrainConfig:
     patience: int = 20
 
     def validate(self) -> None:
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ConfigError("learning_rate and weight_decay must be non-negative")
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (0 <= self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ConfigError(f"learning_rate and weight_decay must be finite and non-negative, "
+                              f"got {self.learning_rate!r} and {self.weight_decay!r}")
         if self.batch_size <= 0 or self.epochs <= 0 or self.patience <= 0:
             raise ConfigError("batch_size, epochs and patience must be positive")
 
@@ -206,22 +214,31 @@ def init_mlp(spec: MLPSpec, seed: int = 0) -> MLPModel:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``, written over ``z``."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _activate_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output ``h``: relu's is 1
+    where h > 0, as where its input is."""
     if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return (h > 0.0).astype(h.dtype)
     return 1.0 - h * h
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, so each row of a stack is its own."""
     with np.errstate(invalid="ignore", over="ignore"):
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        # The row max, column by column: numpy reduces a short last axis
+        # one row at a time, which is slow on a stack of many rows.
+        top = z[..., :1]
+        for j in range(1, z.shape[-1]):
+            top = np.maximum(top, z[..., j:j + 1])
+        e = np.exp(z - top)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -234,27 +251,34 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(model: MLPModel, X: np.ndarray, masks=None):
-    """Returns (hidden inputs, pre-activations, masked activations, output probs)."""
-    spec = model.spec
-    inputs = [X]
-    zs, hs = [], []
+def _forward(spec: MLPSpec, weights, biases, X: np.ndarray, masks=None):
+    """Returns (layer inputs, activations before dropout, output probs).
+
+    ``X`` holds rows on its last two axes. It is (rows, d) for one model, or
+    a stack (k, rows, d): against stacked (k, d, h) weights and (k, 1, h)
+    biases, k fits run at once; against one model's weights, k blocks of
+    rows do. ``matmul`` makes one gemm per contiguous slice and every
+    reduction runs over the last axis, so a fit's bytes do not depend on
+    the stack it runs in.
+    """
+    inputs, hs = [X], []
     h = X
-    n_hidden = len(spec.hidden_sizes)
-    for l in range(n_hidden):
-        z = h @ model.weights[l] + model.biases[l]
+    for l in range(len(spec.hidden_sizes)):
+        z = h @ weights[l]
+        z += biases[l]
         a = _activate(z, spec.activation)
-        zs.append(z)
         hs.append(a)
         h = a if masks is None else a * masks[l]
         inputs.append(h)
-    z_out = h @ model.weights[-1] + model.biases[-1]
+    z_out = h @ weights[-1]
+    z_out += biases[-1]
     probs = _softmax(z_out) if spec.output_kind == "softmax" else sigmoid(z_out)
-    return inputs, zs, hs, probs
+    return inputs, hs, probs
 
 
 def predict(model: MLPModel, X: np.ndarray) -> np.ndarray:
-    """Inference-mode probabilities (dropout off), in the model's dtype.
+    """Inference-mode probabilities (dropout off), in the model's dtype, for
+    one row (d,), rows (n, d), or a stack of row blocks (m, n, d).
 
     softmax: rows sum to 1; sigmoid: each output independently in [0, 1].
     """
@@ -262,50 +286,59 @@ def predict(model: MLPModel, X: np.ndarray) -> np.ndarray:
     squeeze = X.ndim == 1
     if squeeze:
         X = X[None, :]
-    if X.shape[1] != model.spec.input_dim:
-        raise DataError(f"input width {X.shape[1]} != model input_dim {model.spec.input_dim}")
-    probs = _forward(model, X)[3]
+    if X.shape[-1] != model.spec.input_dim:
+        raise DataError(f"input width {X.shape[-1]} != model input_dim {model.spec.input_dim}")
+    probs = _forward(model.spec, model.weights, model.biases, X)[2]
     return probs[0] if squeeze else probs
 
 
-def _loss(probs: np.ndarray, Y: np.ndarray, kind: str) -> float:
+def _losses(probs: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
+    """Mean cross-entropy over the rows axis (-2): one loss per fit of a stack."""
     # In float64 whatever the model's dtype: in float32, 1 - 1e-12 rounds to
     # 1.0, so a saturated sigmoid output would give 0 * log(0) = nan.
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     Y = np.asarray(Y, dtype=np.float64)
     if kind == "softmax":
-        return float(-(Y * np.log(p)).sum(axis=1).mean())
-    return float(-(Y * np.log(p) + (1.0 - Y) * np.log(1.0 - p)).sum(axis=1).mean())
+        row_losses = -(Y * np.log(p)).sum(axis=-1)
+    else:
+        row_losses = -(Y * np.log(p) + (1.0 - Y) * np.log(1.0 - p)).sum(axis=-1)
+    return row_losses.sum(axis=-1) / row_losses.shape[-1]  # the mean, as numpy computes it
 
 
-def _l2_penalty(model: MLPModel, weight_decay: float) -> float:
-    if weight_decay == 0.0:
-        return 0.0
-    return 0.5 * weight_decay * sum(float((W * W).sum()) for W in model.weights)
+def _stacked_loss_and_gradients(spec: MLPSpec, weights, biases, X, Y, weight_decay: float,
+                                masks=None):
+    """Per-fit losses (k,) and gradients of k stacked fits, as ``_forward``
+    stacks them: weights (k, fan_in, fan_out), biases (k, 1, fan_out),
+    X (k, rows, d), Y (k, rows, n_outputs)."""
+    inputs, hs, probs = _forward(spec, weights, biases, X, masks=masks)
+    losses = _losses(probs, Y, spec.output_kind)
+    if weight_decay:
+        losses += [0.5 * weight_decay * sum(float((W[i] * W[i]).sum()) for W in weights)
+                   for i in range(len(losses))]
+
+    delta = (probs - Y) / X.shape[-2]  # gradient of mean CE wrt output pre-activations
+    grads_W = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    for l in range(len(weights) - 1, -1, -1):
+        grads_W[l] = inputs[l].swapaxes(-1, -2) @ delta
+        grads_b[l] = delta.sum(axis=-2, keepdims=True)
+        if weight_decay:
+            grads_W[l] = grads_W[l] + weight_decay * weights[l]
+        if l > 0:
+            upstream = delta @ weights[l].swapaxes(-1, -2)
+            if masks is not None:
+                upstream = upstream * masks[l - 1]
+            delta = upstream * _activate_grad(hs[l - 1], spec.activation)
+    return losses, grads_W, grads_b
 
 
 def loss_and_gradients(model: MLPModel, X: np.ndarray, Y: np.ndarray,
                        weight_decay: float = 0.0, masks=None):
     """Mean cross-entropy (plus L2 penalty) and analytic parameter gradients."""
-    spec = model.spec
-    inputs, zs, hs, probs = _forward(model, X, masks=masks)
-    loss = _loss(probs, Y, spec.output_kind) + _l2_penalty(model, weight_decay)
-
-    n = X.shape[0]
-    delta = (probs - Y) / n  # gradient of mean CE wrt output pre-activations
-    grads_W = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_W[l] = inputs[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
-        if weight_decay:
-            grads_W[l] = grads_W[l] + weight_decay * model.weights[l]
-        if l > 0:
-            upstream = delta @ model.weights[l].T
-            if masks is not None:
-                upstream = upstream * masks[l - 1]
-            delta = upstream * _activate_grad(zs[l - 1], hs[l - 1], spec.activation)
-    return loss, grads_W, grads_b
+    losses, grads_W, grads_b = _stacked_loss_and_gradients(
+        model.spec, [W[None] for W in model.weights], [b[None, None] for b in model.biases],
+        X[None], Y[None], weight_decay, None if masks is None else [m[None] for m in masks])
+    return float(losses[0]), [g[0] for g in grads_W], [g[0, 0] for g in grads_b]
 
 
 def _validate_targets(spec: MLPSpec, Y: np.ndarray) -> None:
@@ -319,15 +352,38 @@ def _validate_targets(spec: MLPSpec, Y: np.ndarray) -> None:
 
 def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
               config: Optional[TrainConfig] = None) -> MLPModel:
-    """Minibatch SGD on cross-entropy with inverted dropout.
+    """Minibatch SGD on cross-entropy with inverted dropout: the one-fit
+    case of ``train_mlps``, on every row of (X, Y) with seed ``config.seed``.
 
     Deterministic given (spec, data, config.seed): initialization, epoch
-    shuffles, and dropout masks all come from one seeded generator, and
+    shuffles, and dropout masks all come from seeded generators, and
     batches run sequentially. Early-stops after ``patience`` epochs without
     improvement of the epoch loss.
 
     Parameters, targets and dropout masks take X's dtype: float32 if X is
     float32, float64 otherwise. The loss is always summed in float64.
+    """
+    config = config or TrainConfig()
+    return train_mlps(spec, X, Y, [(np.arange(len(X)), config.seed)], config)[0]
+
+
+def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
+               config: Optional[TrainConfig] = None) -> list[MLPModel]:
+    """For each (rows, seed) of ``fits``, the model that
+    ``train_mlp(spec, X[rows], Y[rows], replace(config, seed=seed))`` trains,
+    byte for byte; ``config.seed`` is not read.
+
+    All fits run in one minibatch SGD loop on stacked (k, batch, d) arrays.
+    Each keeps its own Glorot init from ``seed`` and its own generator from
+    ``seed + 1``, which draws each epoch's shuffle and then each batch's
+    dropout masks, as a lone fit draws them. The stack runs from the fit
+    with the most rows to the one with the fewest, so at every step the
+    fits with a batch of one length are a contiguous slice of it: a full
+    batch for the fits that have one, then the ragged last batches, one
+    slice per length. A fit that stops early leaves the stack.
+
+    A diverging fit raises what a fit-by-fit loop raises: the
+    ``TrainingDivergedError`` of the lowest-index fit that diverges.
     """
     config = config or TrainConfig()
     config.validate()
@@ -340,50 +396,102 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
     if X.shape[0] != Y.shape[0]:
         raise DataError("X and Y row counts differ")
     _validate_targets(spec, Y)
+    rows = [np.asarray(r, dtype=np.intp) for r, _ in fits]
+    if any(len(r) == 0 for r in rows):
+        raise DataError("every fit needs at least one row")
+    if not fits:
+        return []
 
-    model = init_mlp(spec, seed=config.seed)
-    model.weights = [W.astype(dtype, copy=False) for W in model.weights]
-    model.biases = [b.astype(dtype, copy=False) for b in model.biases]
-    rng = np.random.default_rng(config.seed + 1)
-    n = X.shape[0]
-    best_loss = np.inf
-    stale = 0
-    history: list[float] = []
+    models = []
+    for _, seed in fits:
+        model = init_mlp(spec, seed=seed)
+        model.weights = [W.astype(dtype, copy=False) for W in model.weights]
+        model.biases = [b.astype(dtype, copy=False) for b in model.biases]
+        models.append(model)
+    histories: list[list[float]] = [[] for _ in fits]
+    diverged: dict[int, TrainingDivergedError] = {}
+    best = np.full(len(fits), np.inf)  # per fit: best epoch loss, epochs without improvement
+    stale = np.zeros(len(fits), dtype=np.intp)
+    batch, lr = config.batch_size, config.learning_rate
+
+    # The stack, by position: fit index, row count, generator, weights, biases.
+    fit = np.array(sorted(range(len(fits)), key=lambda i: -len(rows[i])), dtype=np.intp)
+    n = np.array([len(rows[i]) for i in fit])
+    rngs = [np.random.default_rng(fits[i][1] + 1) for i in fit]
+    Ws = [np.stack([models[i].weights[l] for i in fit]) for l in range(len(models[0].weights))]
+    Bs = [np.stack([models[i].biases[l] for i in fit])[:, None, :] for l in range(len(Ws))]
+    steps = _batch_slices(n.tolist(), batch)
 
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = X[idx], Y[idx]
-            masks = None
-            if spec.dropout_rate > 0.0:
-                masks = [dropout_mask((len(idx), h), spec.dropout_rate, rng).astype(dtype)
-                         for h in spec.hidden_sizes]
-            loss, gW, gb = loss_and_gradients(model, xb, yb, config.weight_decay, masks=masks)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, loss)
-            for l in range(len(model.weights)):
-                model.weights[l] -= np.multiply(gW[l], config.learning_rate, out=gW[l])
-                model.biases[l] -= np.multiply(gb[l], config.learning_rate, out=gb[l])
-            total += loss * len(idx)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(epoch, epoch_loss)
-        history.append(epoch_loss)
-        if epoch_loss < best_loss - 1e-9:
-            best_loss = epoch_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        order = np.zeros((len(fit), n[0]), dtype=np.intp)
+        for p, i in enumerate(fit):
+            order[p, :n[p]] = rows[i][rngs[p].permutation(n[p])]
+        totals = [0.0] * len(fit)
+        for start, slices in steps:
+            for lo, hi, b in slices:
+                idx = order[lo:hi, start:start + b]
+                masks = None
+                if spec.dropout_rate > 0.0:
+                    masks = [np.empty((hi - lo, b, h), dtype) for h in spec.hidden_sizes]
+                    for p in range(lo, hi):
+                        for mask, h in zip(masks, spec.hidden_sizes):
+                            mask[p - lo] = dropout_mask((b, h), spec.dropout_rate, rngs[p])
+                params = [W[lo:hi] for W in Ws] + [c[lo:hi] for c in Bs]
+                losses, gW, gb = _stacked_loss_and_gradients(
+                    spec, params[:len(Ws)], params[len(Ws):], X[idx], Y[idx],
+                    config.weight_decay, masks=masks)
+                for param, grad in zip(params, gW + gb):
+                    param -= np.multiply(grad, lr, out=grad)
+                for p, loss in enumerate(losses.tolist(), lo):
+                    totals[p] += loss * b
+                    if not math.isfinite(loss):
+                        # The diverged fit's slice runs on to the epoch's end, apart from the others.
+                        diverged.setdefault(fit[p], TrainingDivergedError(epoch, loss))
+        epoch_loss = np.array(totals) / n
+        for p in np.flatnonzero(~np.isfinite(epoch_loss)):
+            diverged.setdefault(fit[p], TrainingDivergedError(epoch, float(epoch_loss[p])))
+        failed = fit >= min(diverged, default=len(fits))  # a later fit no longer matters
+        for p in np.flatnonzero(~failed):
+            i = fit[p]
+            histories[i].append(float(epoch_loss[p]))
+            if epoch_loss[p] < best[i] - 1e-9:
+                best[i], stale[i] = epoch_loss[p], 0
+            else:
+                stale[i] += 1
 
-    model.seed = config.seed
-    model.epochs_run = len(history)
-    model.final_loss = history[-1] if history else float("nan")
-    model.loss_history = history
-    return model
+        out = failed | (stale[fit] >= config.patience) | (epoch == config.epochs - 1)
+        if out.any():  # those fits leave the stack
+            for p in np.flatnonzero(out):
+                models[fit[p]].weights = [W[p].copy() for W in Ws]
+                models[fit[p]].biases = [c[p, 0].copy() for c in Bs]
+            keep = ~out
+            fit, n, rngs = fit[keep], n[keep], [g for g, k in zip(rngs, keep) if k]
+            Ws, Bs = [W[keep] for W in Ws], [c[keep] for c in Bs]
+            if not len(fit):
+                break
+            steps = _batch_slices(n.tolist(), batch)
+    if diverged:
+        raise diverged[min(diverged)]
+
+    for model, (_, seed), history in zip(models, fits, histories):
+        model.seed = seed
+        model.epochs_run = len(history)
+        model.final_loss = history[-1] if history else float("nan")
+        model.loss_history = history
+    return models
+
+
+def _batch_slices(n: list[int], batch: int):
+    """One epoch's steps for a stack whose fits have ``n`` rows, most first:
+    per step, (start, [(lo, hi, length)]), each a slice of stack positions
+    whose batch at ``start`` has ``length`` rows."""
+    steps = []
+    for start in range(0, n[0] if n else 0, batch):
+        lengths = [min(m - start, batch) for m in n if m > start]
+        cuts = [0] + [p for p in range(1, len(lengths)) if lengths[p] != lengths[p - 1]]
+        ends = cuts[1:] + [len(lengths)]
+        steps.append((start, [(lo, hi, lengths[lo]) for lo, hi in zip(cuts, ends)]))
+    return steps
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:

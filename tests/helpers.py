@@ -15,7 +15,7 @@ from readmit import classifiers, neural, syngen
 from readmit.classifiers import f1_score
 from readmit.corpus import Admission, Corpus, Note, Patient
 from readmit.domains import RISK_DOMAINS
-from readmit.errors import FieldRangeError, NoteParseError
+from readmit.errors import FieldRangeError, NoteParseError, TrainingDivergedError
 from readmit.evaluate import RfeOutcome, RfeRepeat
 from readmit.features import FEATURES, FeatureSchema, Imputer
 from readmit.seeding import derive_seed, rng_for
@@ -134,7 +134,7 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
         else:
             Y = (rng.random((n_rows, spec.n_outputs)) < 0.5).astype(float)
         if spec.activation == "relu":
-            _, zs, _, _ = neural._forward(model, X)
+            _, zs, _, _ = _reference_forward(model, X)
             if any(np.abs(z).min() < kink_margin for z in zs):
                 continue
         break
@@ -158,6 +158,104 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
                 rel = abs(numeric - gflat[k]) / max(1e-8, abs(numeric) + abs(gflat[k]))
                 worst = max(worst, rel)
     return worst
+
+
+def _reference_forward(model, X, masks=None):
+    """One model's forward pass on a (rows, d) matrix, layer by layer."""
+    spec = model.spec
+    inputs, zs, hs = [X], [], []
+    h = X
+    for l in range(len(spec.hidden_sizes)):
+        z = h @ model.weights[l] + model.biases[l]
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        zs.append(z)
+        hs.append(a)
+        h = a if masks is None else a * masks[l]
+        inputs.append(h)
+    z_out = h @ model.weights[-1] + model.biases[-1]
+    if spec.output_kind == "softmax":
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = np.exp(z_out - z_out.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+    else:
+        probs = neural.sigmoid(z_out)
+    return inputs, zs, hs, probs
+
+
+def _reference_loss_and_gradients(model, X, Y, weight_decay, masks):
+    """Mean cross-entropy plus L2 penalty, and its gradients, for one model."""
+    spec = model.spec
+    inputs, zs, hs, probs = _reference_forward(model, X, masks)
+    p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
+    Y64 = np.asarray(Y, dtype=np.float64)
+    if spec.output_kind == "softmax":
+        loss = float(-(Y64 * np.log(p)).sum(axis=1).mean())
+    else:
+        loss = float(-(Y64 * np.log(p) + (1.0 - Y64) * np.log(1.0 - p)).sum(axis=1).mean())
+    if weight_decay:
+        loss += 0.5 * weight_decay * sum(float((W * W).sum()) for W in model.weights)
+    delta = (probs - Y) / X.shape[0]
+    grads_W, grads_b = [None] * len(model.weights), [None] * len(model.weights)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_W[l] = inputs[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
+        if weight_decay:
+            grads_W[l] = grads_W[l] + weight_decay * model.weights[l]
+        if l > 0:
+            upstream = delta @ model.weights[l].T
+            if masks is not None:
+                upstream = upstream * masks[l - 1]
+            grad = ((zs[l - 1] > 0.0).astype(zs[l - 1].dtype) if spec.activation == "relu"
+                    else 1.0 - hs[l - 1] * hs[l - 1])
+            delta = upstream * grad
+    return loss, grads_W, grads_b
+
+
+def reference_train_mlp(spec, X, Y, config):
+    """One MLP trained alone, batch by batch on 2-D arrays: the minibatch SGD
+    loop that ``neural.train_mlps`` runs for many fits at once."""
+    X = np.asarray(X)
+    dtype = np.float32 if X.dtype == np.float32 else np.float64
+    X = X.astype(dtype, copy=False)
+    Y = np.asarray(Y, dtype=dtype)
+    model = neural.init_mlp(spec, seed=config.seed)
+    model.weights = [W.astype(dtype, copy=False) for W in model.weights]
+    model.biases = [b.astype(dtype, copy=False) for b in model.biases]
+    rng = np.random.default_rng(config.seed + 1)
+    n = X.shape[0]
+    best_loss, stale, history = np.inf, 0, []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            masks = None
+            if spec.dropout_rate > 0.0:
+                masks = [neural.dropout_mask((len(idx), h), spec.dropout_rate, rng).astype(dtype)
+                         for h in spec.hidden_sizes]
+            loss, gW, gb = _reference_loss_and_gradients(model, X[idx], Y[idx],
+                                                         config.weight_decay, masks)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, loss)
+            for l in range(len(model.weights)):
+                model.weights[l] -= np.multiply(gW[l], config.learning_rate, out=gW[l])
+                model.biases[l] -= np.multiply(gb[l], config.learning_rate, out=gb[l])
+            total += loss * len(idx)
+        epoch_loss = total / n
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(epoch, epoch_loss)
+        history.append(epoch_loss)
+        if epoch_loss < best_loss - 1e-9:
+            best_loss, stale = epoch_loss, 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    model.seed = config.seed
+    model.epochs_run = len(history)
+    model.final_loss = history[-1] if history else float("nan")
+    model.loss_history = history
+    return model
 
 
 _MASK64 = (1 << 64) - 1

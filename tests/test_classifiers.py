@@ -335,6 +335,39 @@ def test_permutation_importance_matches_reference_loop(d):
                               reference_permutation_importance(clf, X, y, seed))
 
 
+@pytest.mark.parametrize("copies_per_block", [1, 2, 7, 36, 1000])
+def test_block_scored_importance_matches_reference_loop(monkeypatch, copies_per_block):
+    # 3 * 12 = 36 shuffled copies: blocks of one copy, blocks that leave a
+    # short last block, one block of all copies, and a bound past them.
+    X, y = _linear_problem(seed=3, n=90, d=12)
+    X[:, 0] *= 50.0
+    monkeypatch.setattr(classifiers, "_PERMUTATION_BLOCK_BYTES", copies_per_block * X.nbytes)
+    clf = train(ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}, seed=3), X, y)
+    for seed in (0, 7):
+        assert np.array_equal(importances(clf, X, y, seed=seed),
+                              reference_permutation_importance(clf, X, y, seed))
+
+
+def test_mlp_fits_trained_together_equal_train():
+    # Unequal row counts, so the folds' last batches are ragged at different lengths.
+    X, y = _linear_problem(seed=4, n=120, d=6)
+    spec = ModelSpec("mlp", {"hidden_sizes": (8, 4), "epochs": 12, "batch_size": 16})
+    fits = [(X[:n] * (1 + i), y[:n], 30 + i) for i, n in enumerate((100, 90, 91, 120))]
+    together = classifiers.train_mlps(spec, fits)
+    for (Xf, yf, seed), clf in zip(fits, together):
+        alone = train(replace(spec, seed=seed), Xf, yf)
+        assert (clf.spec, clf.n_features) == (alone.spec, alone.n_features)
+        assert clf.predict_proba(X).tobytes() == alone.predict_proba(X).tobytes()
+        for a, b in zip(clf.mlp.weights + clf.mlp.biases, alone.mlp.weights + alone.mlp.biases):
+            assert a.tobytes() == b.tobytes()
+        assert clf.mlp.loss_history == alone.mlp.loss_history
+    assert classifiers.train_mlps(spec, []) == []
+    with pytest.raises(ConfigError, match="mlp kind"):
+        classifiers.train_mlps(ModelSpec("decision_tree"), fits)
+    with pytest.raises(DataError, match="same number of columns"):
+        classifiers.train_mlps(spec, [fits[0], (X[:, :5], y, 1)])
+
+
 def test_informative_column_ranks_first_in_forest():
     rng = np.random.default_rng(8)
     X = rng.normal(0, 1, (250, 10))
@@ -417,6 +450,24 @@ def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
     key, value = next(iter(hyper.items()))
     with pytest.raises(ConfigError, match=f"^{kind}: hyperparameter '{key}' cannot be "):
         ModelSpec(kind, hyper).resolved()
+
+
+@pytest.mark.parametrize("kind, hyper, message", [
+    ("logistic_regression", {"learning_rate": float("nan")}, "hyperparameter 'learning_rate' must be finite, got nan"),
+    ("linear_svc", {"c": float("nan")}, "hyperparameter 'c' must be finite, got nan"),
+    ("sgd_linear", {"alpha": float("-inf")}, "hyperparameter 'alpha' must be finite, got -inf"),
+    ("mlp", {"dropout_rate": float("inf")}, "hyperparameter 'dropout_rate' must be finite, got inf"),
+    ("mlp", {"epochs": 0}, "batch_size, epochs and patience must be positive"),
+    ("mlp", {"batch_size": 0}, "batch_size, epochs and patience must be positive"),
+    ("mlp", {"patience": -1}, "batch_size, epochs and patience must be positive"),
+    ("mlp", {"dropout_rate": 1.5}, "dropout_rate must lie in [0, 1), got 1.5"),
+    ("mlp", {"hidden_sizes": (8, 0)}, "all layer dimensions must be positive"),
+    ("mlp", {"learning_rate": -0.1}, "learning_rate and weight_decay must be finite and non-negative"),
+])
+def test_non_finite_or_out_of_range_hyperparameter_is_a_config_error(kind, hyper, message):
+    with pytest.raises(ConfigError) as raised:
+        ModelSpec(kind, hyper).resolved()
+    assert str(raised.value).startswith(f"{kind}: ") and message in str(raised.value)
 
 
 def test_hyperparameters_of_related_types_pass():

@@ -492,6 +492,26 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    (["model.kind=mlp", "model.epochs=0"], "mlp: batch_size, epochs and patience must be positive"),
+    (["model.kind=mlp", "model.batch_size=0"],
+     "mlp: batch_size, epochs and patience must be positive"),
+    (["model.kind=mlp", "model.dropout_rate=1.5"], "mlp: dropout_rate must lie in [0, 1), got 1.5"),
+    (["model.kind=logistic_regression", "model.learning_rate=nan"],
+     "logistic_regression: hyperparameter 'learning_rate' must be finite, got nan"),
+    (["model.kind=linear_svc", "model.c=nan"], "linear_svc: hyperparameter 'c' must be finite, got nan"),
+])
+def test_eval_rejected_hyperparameter_leaves_no_out_directory(pipeline_dirs, tmp_path, capsys,
+                                                              settings, message):
+    *_, features_csv = pipeline_dirs
+    code = run(["eval", "single", "--features", features_csv,
+                *[a for setting in settings for a in ("--set", setting)],
+                "--out", tmp_path / "x" / "out"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("case", ["report_not_json", "report_incomplete", "consensus_not_rfe",
                                   "rfe_no_rows", "ablation_no_rows", "single_label_two",
                                   "single_inf_cell", "single_repeated_name"])

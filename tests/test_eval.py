@@ -266,6 +266,50 @@ def test_repeated_eval_more_workers_than_runs(kind):
     assert multiprocessing.active_children() == []
 
 
+def test_mlp_repeated_eval_is_block_and_worker_invariant(monkeypatch):
+    # Five runs: blocks of 3 and 2 at two workers and 2, 2 and 1 at three;
+    # a block cap of 2 cuts one worker's runs into 2, 2 and 1; a cap of 1
+    # fits run by run.
+    matrix = _matrix(n=70, d=5)
+    matrix.X[::6, 1] = np.nan
+    spec = ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15})
+    monkeypatch.setattr(evaluate, "_BLOCK_RUNS", 1)
+    expected = _dump(evaluate.runs_report_obj(repeated_eval(matrix, spec, n_runs=5, master_seed=4)))
+    for cap, workers in ((1, 2), (2, 1), (2, 3), (8, 1), (8, 2), (8, 3)):
+        monkeypatch.setattr(evaluate, "_BLOCK_RUNS", cap)
+        report = repeated_eval(matrix, spec, n_runs=5, master_seed=4, workers=workers)
+        assert _dump(evaluate.runs_report_obj(report)) == expected, (cap, workers)
+    assert [list(b) for b in evaluate._blocks(5, 3)] == [[0], [1, 2], [3, 4]]
+    blocks = evaluate._blocks(100, 1)
+    assert [r for b in blocks for r in b] == list(range(100))
+    assert len(blocks) == 13 and {len(b) for b in blocks} == {7, 8}
+    assert multiprocessing.active_children() == []
+
+
+def test_block_raises_the_error_of_its_lowest_failing_run(monkeypatch):
+    # Run 3 fails at its split and run 1 at its importances, after its fit:
+    # a run-by-run loop meets run 1's error first, and so must a block.
+    matrix = _matrix(n=60, d=4)
+    spec = ModelSpec("mlp", {"hidden_sizes": (4,), "epochs": 3})
+    split_seed = derive_seed(derive_seed(2, "run", 3), "split")
+    importance_seed = derive_seed(derive_seed(2, "run", 1), "importance")
+
+    def failing_split(m, cfg):
+        if cfg.seed == split_seed:
+            raise DataError("run 3 split")
+        return split(m, cfg)
+
+    def failing_importances(clf, X, y, seed=0, importances=classifiers.importances):
+        if seed == importance_seed:
+            raise DataError("run 1 importances")
+        return importances(clf, X, y, seed=seed)
+
+    monkeypatch.setattr(evaluate, "split", failing_split)
+    monkeypatch.setattr(classifiers, "importances", failing_importances)
+    with pytest.raises(DataError, match="run 1 importances"):
+        repeated_eval(matrix, spec, n_runs=5, master_seed=2)
+
+
 @pytest.mark.parametrize("kind", ["random_forest", "mlp"])
 def test_rfe_worker_invariant(kind):
     matrix = _matrix(n=60, d=5)

@@ -1,15 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from readmit import neural
 from readmit.errors import ConfigError, DataError, TrainingDivergedError
 from readmit.neural import (MLPSpec, TrainConfig, init_mlp,
-                            load_mlp, predict, save_mlp, train_mlp)
+                            load_mlp, predict, save_mlp, train_mlp, train_mlps)
 from readmit.textproc import split_sentences
 
-from helpers import gradient_check, mlp_as_dtype, reference_encode
+from helpers import gradient_check, mlp_as_dtype, reference_encode, reference_train_mlp
 
 
 def test_encode_deterministic(encoder):
@@ -219,6 +221,96 @@ def test_spec_validation():
         MLPSpec(input_dim=2, dropout_rate=1.0).validate()
     with pytest.raises(ConfigError):
         MLPSpec(input_dim=2, activation="gelu").validate()
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_train_config_rejects_non_finite_or_negative_rates(field, value):
+    with pytest.raises(ConfigError, match="must be finite and non-negative"):
+        TrainConfig(**{field: value}).validate()
+
+
+def _targets(rng, n, spec):
+    if spec.output_kind == "softmax":
+        return np.eye(spec.n_outputs)[rng.integers(0, spec.n_outputs, n)]
+    return (rng.random((n, spec.n_outputs)) < 0.5).astype(float)
+
+
+def _assert_same_model(a, b):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (a.spec, a.seed, a.epochs_run, a.loss_history) == (b.spec, b.seed, b.epochs_run,
+                                                               b.loss_history)
+    assert repr(a.final_loss) == repr(b.final_loss)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fits_trained_together_equal_fits_trained_alone(data):
+    # Each fit trains on its own rows of one shared matrix, any number of
+    # them in any order; alone, the same rows are its whole matrix. Row
+    # counts differ, so fits have ragged last batches of different lengths,
+    # and a small patience stops them at different epochs.
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    output_kind = draw(st.sampled_from(["softmax", "sigmoid"]))
+    spec = MLPSpec(input_dim=draw(st.integers(1, 6)),
+                   hidden_sizes=tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))),
+                   activation=draw(st.sampled_from(["relu", "tanh"])),
+                   dropout_rate=draw(st.sampled_from([0.0, 0.0, 0.5, 0.75])),
+                   output_kind=output_kind,
+                   n_outputs=draw(st.integers(2 if output_kind == "softmax" else 1, 4)))
+    config = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                         batch_size=draw(st.integers(1, 12)), epochs=draw(st.integers(1, 8)),
+                         weight_decay=draw(st.sampled_from([0.0, 0.01])),
+                         patience=draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 40))
+    X = rng.normal(0, 1, (n, spec.input_dim)).astype(draw(st.sampled_from([np.float32, np.float64])))
+    Y = _targets(rng, n, spec)
+    fits = [(rng.choice(n, draw(st.integers(1, n)), replace=draw(st.booleans())), seed)
+            for seed in draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))]
+    together = train_mlps(spec, X, Y, fits, config)
+    assert len(together) == len(fits)
+    for (rows, seed), model in zip(fits, together):
+        alone = replace(config, seed=seed)
+        _assert_same_model(model, reference_train_mlp(spec, X[rows], Y[rows], alone))
+        _assert_same_model(model, train_mlp(spec, X[rows], Y[rows], alone))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scales", [
+    (1.0, 1e6, 1.0, 1e150),   # fit 1 diverges at epoch 5, after fit 3 at epoch 0
+    (1e150, 1.0, 1e6, 1.0),   # fit 0 diverges first and is the lowest
+    (1.0, 1.0, 1e6, 1e6),     # two fits diverge at the same step
+])
+def test_lowest_index_divergence_is_raised(scales):
+    rng = np.random.default_rng(0)
+    spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="softmax", n_outputs=2)
+    config = TrainConfig(learning_rate=0.5, batch_size=8, epochs=30, patience=30)
+    blocks = [rng.normal(0, 1, (30 + 3 * i, 3)) * scale for i, scale in enumerate(scales)]
+    X = np.vstack(blocks)
+    Y = _targets(rng, len(X), spec)
+    ends = np.cumsum([len(b) for b in blocks])
+    fits = [(np.arange(end - len(b), end), 10 + i) for i, (end, b) in enumerate(zip(ends, blocks))]
+    expected = None
+    for rows, seed in fits:  # a fit-by-fit loop stops at the first error
+        try:
+            reference_train_mlp(spec, X[rows], Y[rows], replace(config, seed=seed))
+        except TrainingDivergedError as e:
+            expected = e
+            break
+    assert expected is not None
+    with pytest.raises(TrainingDivergedError) as raised:
+        train_mlps(spec, X, Y, fits, config)
+    assert (raised.value.epoch, repr(raised.value.loss)) == (expected.epoch, repr(expected.loss))
+
+
+def test_train_mlps_edge_cases():
+    spec = MLPSpec(input_dim=2, hidden_sizes=(3,), output_kind="softmax", n_outputs=2)
+    X, Y = np.zeros((4, 2)), np.tile([1.0, 0.0], (4, 1))
+    assert train_mlps(spec, X, Y, []) == []
+    with pytest.raises(DataError, match="at least one row"):
+        train_mlps(spec, X, Y, [(np.arange(4), 0), (np.array([], dtype=int), 1)])
 
 
 def test_save_load_roundtrip(tmp_path):
