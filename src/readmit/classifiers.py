@@ -1,13 +1,12 @@
 """Native implementations of the six-classifier suite.
 
 All kinds share the train / predict_proba / importances surface and are
-deterministic given their seed. The tree kinds can also grow several fits,
-each on its own rows of one ``presort``-ed matrix, in one ``train_trees``
-call, and the MLP can train several fits in one ``train_mlps`` call. Linear
-kinds and the MLP standardize features internally using training
-statistics; tree kinds consume raw values. Hinge-loss models map margins
-through the logistic function for probabilities, which is enough for
-ranking-based metrics.
+deterministic given their seed. ``train_fits`` fits many classifiers of one
+spec, each on its own rows of one ``fit_data`` matrix, in one call, and
+``train`` is its one-fit case. Linear kinds and the MLP standardize features
+internally using training statistics; tree kinds consume raw values.
+Hinge-loss models map margins through the logistic function for
+probabilities, which is enough for ranking-based metrics.
 """
 
 import math
@@ -43,6 +42,11 @@ DEFAULT_HYPERPARAMETERS = {
             "batch_size": 32, "epochs": 100, "patience": 20},
 }
 
+# Lower bounds of the numeric hyperparameters of the kinds other than the MLP.
+_LOWER_BOUNDS = {"c": (">", 0), "learning_rate": (">=", 0), "alpha": (">=", 0),
+                 **dict.fromkeys(("n_trees", "iterations", "epochs", "batch_size",
+                                  "min_samples_leaf", "max_depth"), (">=", 1))}
+
 _N_PERMUTATIONS = 3  # shuffled copies per column in permutation importance
 # The MLP's permutation importance scores its shuffled copies of the training
 # matrix in blocks of at most this many bytes, one stacked forward pass per
@@ -62,8 +66,9 @@ class ModelSpec:
         """The kind's defaults with ``hyper`` applied, each value of its
         default's type: an int also passes for a float, and a single int for
         a tuple as a one-element tuple; ``max_depth`` also takes None, and
-        ``max_features`` None, "sqrt" or an int. A float must be finite, and
-        the MLP's values must pass its ``MLPSpec`` and ``TrainConfig`` checks."""
+        ``max_features`` None, "sqrt" or an int. A float must be finite, a
+        value of another kind than the MLP must pass its ``_LOWER_BOUNDS``,
+        and the MLP's values must pass its ``MLPSpec`` and ``TrainConfig`` checks."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
         merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
@@ -84,6 +89,11 @@ class ModelSpec:
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} cannot be {value!r}")
             if type(value) is float and not math.isfinite(value):
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be finite, got {value!r}")
+            op, bound = _LOWER_BOUNDS.get(key, (None, None))
+            if (op and self.kind != "mlp" and value is not None
+                    and not (value > bound if op == ">" else value >= bound)):
+                raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be {op} {bound}, "
+                                  f"got {value!r}")
             merged[key] = value
         if self.kind == "mlp":
             try:
@@ -202,34 +212,41 @@ def _candidates(keys: np.ndarray, n_features: int, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Presorted:
-    """A finite matrix X with labels y, each column's values rank-coded.
+class FitData:
+    """A finite matrix X with binary 0/1 labels y, and for the tree kinds its
+    columns' rank codes (``low`` and ``values`` are None for the other kinds).
 
     Column j's distinct values get codes 0, 1, ... in ascending order, and
     ``values[j, c]`` is the value with code c. ``low[i, j]`` is the tail of
     row i's sort entry for column j: its code, then its label. A node's rows
     sort the same whatever other rows share the codes, so trees grown on any
-    rows of one presort equal trees grown on those rows alone.
+    rows of one FitData equal trees grown on those rows alone.
     """
 
     X: np.ndarray
     y: np.ndarray
-    low: np.ndarray
-    values: np.ndarray
-    code_bits: int
+    low: Optional[np.ndarray] = None
+    values: Optional[np.ndarray] = None
+    code_bits: int = 0
 
-    def columns(self, cols) -> "Presorted":
-        """The presort of ``X[:, cols]``, cut from this one."""
-        return Presorted(self.X[:, cols], self.y, self.low[:, cols], self.values[cols],
-                         self.code_bits)
+    def columns(self, cols) -> "FitData":
+        """The FitData of ``X[:, cols]``, cut from this one."""
+        if self.low is None:
+            return FitData(self.X[:, cols], self.y)
+        return FitData(self.X[:, cols], self.y, self.low[:, cols], self.values[cols], self.code_bits)
 
 
-def presort(X, y) -> Presorted:
-    """Rank-codes every column of (X, y) with one argsort over axis 0."""
+def fit_data(spec: ModelSpec, X, y) -> FitData:
+    """(X, y) checked for ``train_fits``; for a tree kind every column is
+    rank-coded with one argsort over axis 0."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("feature matrix contains non-finite entries; impute first")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataError(f"labels must be binary 0/1, got {np.unique(y).tolist()}")
+    if spec.kind not in TREE_KINDS:
+        return FitData(X, y)
     n, d = X.shape
     order = np.argsort(X, axis=0)
     Xs = np.take_along_axis(X, order, axis=0)
@@ -240,10 +257,10 @@ def presort(X, y) -> Presorted:
     low = np.empty_like(sorted_codes)
     np.put_along_axis(low, order, sorted_codes << 1, axis=0)
     low |= y.astype(np.int64)[:, None]
-    return Presorted(X, y, low, values, max(1, int(sorted_codes[-1].max()).bit_length()))
+    return FitData(X, y, low, values, max(1, int(sorted_codes.max(initial=0)).bit_length()))
 
 
-def _grow_trees(data: Presorted, rows, keys: np.ndarray, max_depth: Optional[int],
+def _grow_trees(data: FitData, rows, keys: np.ndarray, max_depth: Optional[int],
                 min_leaf: int, max_features: Optional[int]) -> _Forest:
     """Grows one CART tree per entry of ``rows`` (the rows of ``data`` it
     trains on, any number, repeats allowed), all trees of a batch together,
@@ -534,105 +551,75 @@ class TrainedClassifier:
         return (self.predict_proba(X) >= 0.5).astype(float)
 
 
-def _check_labels(y: np.ndarray) -> None:
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise DataError("training labels contain a single class")
-    if not set(classes.tolist()) <= {0.0, 1.0}:
-        raise DataError(f"labels must be binary 0/1, got {classes.tolist()}")
-
-
-def _checked_fit_data(X, y):
-    """(X, y) as float arrays; a DataError on a non-finite X or non-binary y."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DataError("feature matrix contains non-finite entries; impute first")
-    _check_labels(y)
-    return X, y
-
-
 def train(spec: ModelSpec, X, y) -> TrainedClassifier:
     """Fit one classifier on a finite matrix and binary 0/1 labels."""
-    X, y = _checked_fit_data(X, y)
-    if spec.kind in TREE_KINDS:
-        return train_trees(spec, presort(X, y), [(np.arange(len(y)), spec.seed)])[0]
-    if spec.kind == "mlp":
-        return train_mlps(spec, [(X, y, spec.seed)])[0]
-    hyper = spec.resolved()
-    kind = spec.kind
-    clf = TrainedClassifier(spec=spec, n_features=X.shape[1])
-    clf.standardizer = _Standardizer.fit(X)
-    Z = clf.standardizer.transform(X)
-    if kind == "logistic_regression":
-        clf.weights, clf.bias = _fit_logistic(Z, y, hyper)
-    elif kind == "linear_svc":
-        clf.weights, clf.bias = _fit_svc(Z, y, hyper)
-    else:  # sgd_linear
-        clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, spec.seed)
-    return clf
+    data = fit_data(spec, X, y)
+    return train_fits(spec, data, [(np.arange(len(data.y)), spec.seed)])[0]
 
 
-def train_mlps(spec: ModelSpec, fits) -> list[TrainedClassifier]:
-    """For each (X, y, seed) of ``fits``, the mlp classifier that
-    ``train(replace(spec, seed=seed), X, y)`` returns. Each fit is
-    standardized on its own rows, and all fits train in one
-    ``neural.train_mlps`` loop, on their standardized rows stacked.
+def train_fits(spec: ModelSpec, data: FitData, fits) -> list[TrainedClassifier]:
+    """For each (rows, seed) of ``fits``, the classifier that
+    ``train(replace(spec, seed=seed), X, data.y[rows])`` returns, X being
+    ``data.X[rows]`` in the memory order of ``data.X``.
+
+    The tree kinds grow the trees of all fits in one ``_grow_trees`` call.
+    The MLP standardizes each fit on its own rows and trains all fits in one
+    ``neural.train_mlps`` loop, on their standardized rows stacked. The
+    linear kinds fit one after another.
     """
-    if spec.kind != "mlp":
-        raise ConfigError(f"train_mlps trains the mlp kind, not {spec.kind!r}")
+    fits = list(fits)
+    for rows, _ in fits:
+        if len(np.unique(data.y[rows])) < 2:
+            raise DataError("training labels contain a single class")
     hyper = spec.resolved()
-    fits = [(*_checked_fit_data(X, y), seed) for X, y, seed in fits]
     if not fits:
         return []
-    if len({X.shape[1] for X, _, _ in fits}) > 1:
-        raise DataError("the fits of one train_mlps call must have the same number of columns")
-    clfs = [TrainedClassifier(spec=replace(spec, seed=seed), n_features=X.shape[1],
-                              standardizer=_Standardizer.fit(X)) for X, _, seed in fits]
-    # Each fit's standardized rows and one-hot targets, written into one stacked matrix.
-    ends = np.cumsum([len(y) for _, y, _ in fits])
-    rows = [np.arange(end - len(y), end) for end, (_, y, _) in zip(ends, fits)]
-    Z, Y = np.empty((ends[-1], clfs[0].n_features)), np.empty((ends[-1], 2))
-    for r, clf, (X, y, _) in zip(rows, clfs, fits):
-        Z[r] = clf.standardizer.transform(X)
-        Y[r] = np.stack([1.0 - y, y], axis=1)
-    mlp_spec, config = _mlp_configs(hyper, clfs[0].n_features)
-    models = neural.train_mlps(mlp_spec, Z, Y, [(r, clf.spec.seed) for r, clf in zip(rows, clfs)],
-                               config)
-    for clf, model in zip(clfs, models):
-        clf.mlp = model
-    return clfs
-
-
-def train_trees(spec: ModelSpec, data: Presorted, fits) -> list[TrainedClassifier]:
-    """For each (rows, seed) of ``fits``, the tree-kind classifier that
-    ``train(replace(spec, seed=seed), data.X[rows], data.y[rows])`` returns;
-    the trees of all fits grow in one ``_grow_trees`` call.
-    """
-    if spec.kind not in TREE_KINDS:
-        raise ConfigError(f"train_trees grows tree kinds {TREE_KINDS}, not {spec.kind!r}")
-    hyper = spec.resolved()
-    # A decision tree is grown exactly like a forest's one tree without bootstrap.
-    forest = spec.kind == "random_forest"
-    n_trees = hyper["n_trees"] if forest else 1
-    rows, keys = [], []
-    for fit_rows, seed in fits:
-        _check_labels(data.y[fit_rows])
-        n = len(fit_rows)
-        for t in range(n_trees):
-            keys.append(derive_seed(seed, "tree", t))
-            idx = fit_rows
-            if forest and hyper["bootstrap"]:
-                boot = fit_rows[rng_for(seed, "tree", t).integers(0, n, n)]
-                if data.y[boot].min() != data.y[boot].max():  # degenerate bootstrap: keep original
-                    idx = boot
-            rows.append(idx)
     d = data.X.shape[1]
-    grown = _grow_trees(data, rows, np.array(keys, dtype=np.uint64), hyper["max_depth"],
-                        hyper["min_samples_leaf"], _resolve_max_features(hyper["max_features"], d))
-    return [TrainedClassifier(spec=replace(spec, seed=seed), n_features=d,
-                              forest=grown.trees(i * n_trees, (i + 1) * n_trees))
-            for i, (_, seed) in enumerate(fits)]
+    if spec.kind in TREE_KINDS:
+        # A decision tree is grown exactly like a forest's one tree without bootstrap.
+        forest = spec.kind == "random_forest"
+        n_trees = hyper["n_trees"] if forest else 1
+        rows, keys = [], []
+        for fit_rows, seed in fits:
+            n = len(fit_rows)
+            for t in range(n_trees):
+                keys.append(derive_seed(seed, "tree", t))
+                idx = fit_rows
+                if forest and hyper["bootstrap"]:
+                    boot = fit_rows[rng_for(seed, "tree", t).integers(0, n, n)]
+                    if data.y[boot].min() != data.y[boot].max():  # degenerate bootstrap: keep original
+                        idx = boot
+                rows.append(idx)
+        grown = _grow_trees(data, rows, np.array(keys, dtype=np.uint64), hyper["max_depth"],
+                            hyper["min_samples_leaf"], _resolve_max_features(hyper["max_features"], d))
+        return [TrainedClassifier(spec=replace(spec, seed=seed), n_features=d,
+                                  forest=grown.trees(i * n_trees, (i + 1) * n_trees))
+                for i, (_, seed) in enumerate(fits)]
+
+    # A fit's rows keep data.X's memory order, on which numpy's column sums depend:
+    # it sums a column of a Fortran-ordered matrix, as RFE's cuts are, pairwise.
+    order = "F" if data.X.flags.f_contiguous else "C"
+    Xs = [np.asarray(data.X[rows], order=order) for rows, _ in fits]
+    clfs = [TrainedClassifier(spec=replace(spec, seed=seed), n_features=d,
+                              standardizer=_Standardizer.fit(X)) for X, (_, seed) in zip(Xs, fits)]
+    if spec.kind == "mlp":
+        # Each fit's standardized rows and labels, stacked in fit order.
+        Z = np.concatenate([clf.standardizer.transform(X) for clf, X in zip(clfs, Xs)])
+        y = np.concatenate([data.y[rows] for rows, _ in fits])
+        stacked = np.split(np.arange(len(y)), np.cumsum([len(rows) for rows, _ in fits])[:-1])
+        mlp_spec, config = _mlp_configs(hyper, d)
+        models = neural.train_mlps(mlp_spec, Z, np.stack([1.0 - y, y], axis=1),
+                                   [(at, clf.spec.seed) for at, clf in zip(stacked, clfs)], config)
+        return [replace(clf, mlp=model) for clf, model in zip(clfs, models)]
+    for clf, X, (rows, seed) in zip(clfs, Xs, fits):
+        Z, y = clf.standardizer.transform(X), data.y[rows]
+        if spec.kind == "logistic_regression":
+            clf.weights, clf.bias = _fit_logistic(Z, y, hyper)
+        elif spec.kind == "linear_svc":
+            clf.weights, clf.bias = _fit_svc(Z, y, hyper)
+        else:  # sgd_linear
+            clf.weights, clf.bias = _fit_sgd_hinge(Z, y, hyper, seed)
+    return clfs
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:

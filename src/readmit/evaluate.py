@@ -161,19 +161,18 @@ def _imputed(X: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray):
     return imputer.transform(X[train_idx]), imputer.transform(X[test_idx])
 
 
-def _fit(spec: ModelSpec, fits) -> list:
-    """``classifiers.train(replace(spec, seed=seed), X, y)`` for each (X, y,
-    seed) of ``fits``; the MLPs of all fits train in one loop."""
-    if spec.kind == "mlp":
-        return classifiers.train_mlps(spec, fits)
-    return [classifiers.train(replace(spec, seed=seed), X, y) for X, y, seed in fits]
+def _stacked(spec: ModelSpec, parts):
+    """The ``classifiers.fit_data`` of the (X, y) ``parts`` stacked, and each part's rows in it."""
+    data = classifiers.fit_data(spec, np.vstack([X for X, _ in parts]),
+                                np.concatenate([y for _, y in parts]))
+    return data, np.split(np.arange(len(data.y)), np.cumsum([len(y) for _, y in parts])[:-1])
 
 
 # Runs per block of repeated_eval. A block holds its runs' imputed and
-# standardized matrices at once, about 1.3 MB a run at CLI defaults (567
-# rows, 109 columns), and trains their MLPs in one loop. Per fit, a training
-# step on a 2-CPU Xeon cost 100 us alone, 57 in a stack of 3, 51 of 4 and
-# 43 of 8; larger stacks gained little more.
+# standardized matrices and their stacked training rows at once, about 1.7 MB
+# a run at CLI defaults (567 rows, 109 columns; 2.5 MB with a tree kind's rank
+# tables), for one train_fits call. Per MLP fit, a training step on a 2-CPU
+# Xeon cost 100 us alone, 57 in a stack of 3, 51 of 4, 43 of 8; more gained little.
 _BLOCK_RUNS = 8
 
 
@@ -187,7 +186,8 @@ def _blocks(n_runs: int, workers: int) -> list[range]:
 
 def _run_block(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
                master_seed: int, block: range) -> list:
-    """(RunRecord, importances) of each run of ``block``, fit in one ``_fit`` call.
+    """(RunRecord, importances) of each run of ``block``, fit in one
+    ``classifiers.train_fits`` call on the runs' training rows stacked.
 
     When a run fails, the block is redone one run at a time, so the error
     raised is that of its lowest failing run, as in a run-by-run loop.
@@ -199,8 +199,10 @@ def _run_block(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig
             train_idx, test_idx = split(matrix, replace(split_config,
                                                         seed=derive_seed(run_seed, "split")))
             runs.append((run_seed, train_idx, test_idx, *_imputed(matrix.X, train_idx, test_idx)))
-        clfs = _fit(spec, [(X_train, matrix.y[train_idx], derive_seed(run_seed, "fit"))
-                           for run_seed, train_idx, _, X_train, _ in runs])
+        data, rows = _stacked(spec, [(X_train, matrix.y[train_idx])
+                                     for _, train_idx, _, X_train, _ in runs])
+        clfs = classifiers.train_fits(spec, data, zip(rows, [derive_seed(run_seed, "fit")
+                                                              for run_seed, *_ in runs]))
         results = []
         for clf, (run_seed, train_idx, test_idx, X_train, X_test) in zip(clfs, runs):
             mset = metrics(matrix.y[test_idx], clf.predict_proba(X_test))
@@ -222,8 +224,9 @@ def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,
     """Split/fit/score ``n_runs`` times; aggregate means, stds, importances.
 
     Each run records its ten most important columns. Runs go to the
-    workers in contiguous blocks (``_blocks``), and a block's MLPs train
-    together; a run's result does not depend on its block.
+    workers in contiguous blocks (``_blocks``), and a block's runs fit in
+    one ``classifiers.train_fits`` call; a run's result does not depend on
+    its block.
     """
     split_config = split_config or SplitConfig()
     if n_runs < 1:
@@ -365,17 +368,14 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
     (ties favor the smaller set); the overall best is the repeat with the
     highest best score.
 
-    A repeat imputes each fold once and cuts each width's columns from
-    that; for tree kinds it presorts the folds' stacked training rows once
-    and grows all folds' trees of a width in one ``classifiers.train_trees``
-    call, and the MLPs of a width's folds train in one
-    ``classifiers.train_mlps`` call. Each fit equals ``classifiers.train``
-    on its fold imputed alone.
+    A repeat imputes each fold once and makes one ``classifiers.fit_data``
+    of the folds' training rows stacked; each width cuts its columns from
+    that and fits every fold in one ``classifiers.train_fits`` call. Each
+    fit equals ``classifiers.train`` on its fold imputed alone.
     """
     check_rfe(matrix, spec, folds, repeats)
     names = list(matrix.names)
     widths = range(len(names), 0, -1)
-    trees = spec.kind in classifiers.TREE_KINDS
 
     def one_repeat(rep: int) -> RfeRepeat:
         rep_seed = derive_seed(master_seed, "rfe", rep)
@@ -384,28 +384,21 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
         fold_idx = [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k))
                     for k in range(folds)]
         parts = [_imputed(matrix.X, tr, te) for tr, te in fold_idx]
-        y_train = [matrix.y[tr] for tr, _ in fold_idx]
-        if trees:
-            data = classifiers.presort(np.vstack([X_tr for X_tr, _ in parts]),
-                                       np.concatenate(y_train))
-            fold_rows = np.split(np.arange(len(data.y)), np.cumsum([len(y) for y in y_train])[:-1])
+        data, fold_rows = _stacked(spec, [(X_tr, matrix.y[tr])
+                                          for (X_tr, _), (tr, _) in zip(parts, fold_idx)])
         active = list(range(len(names)))
         order: list[str] = []
         scores: list[float] = []
         for width in widths:
             seeds = [derive_seed(rep_seed, "fold", k, width) for k in range(folds)]
-            X_parts = [(X_tr[:, active], X_te[:, active]) for X_tr, X_te in parts]
-            if trees:
-                clfs = classifiers.train_trees(spec, data.columns(active), list(zip(fold_rows, seeds)))
-            else:
-                clfs = _fit(spec, [(X_tr, y_tr, seed)
-                                   for seed, (X_tr, _), y_tr in zip(seeds, X_parts, y_train)])
-            scores.append(float(np.mean([metrics(matrix.y[te], clf.predict_proba(X_te)).f1
-                                         for clf, (_, X_te), (_, te) in zip(clfs, X_parts, fold_idx)])))
+            cut = data.columns(active)
+            clfs = classifiers.train_fits(spec, cut, zip(fold_rows, seeds))
+            scores.append(float(np.mean([metrics(matrix.y[te], clf.predict_proba(X_te[:, active])).f1
+                                         for clf, (_, X_te), (_, te) in zip(clfs, parts, fold_idx)])))
             if width > 1:
-                imp_sum = sum(classifiers.importances(clf, X_tr, y_tr,
+                imp_sum = sum(classifiers.importances(clf, cut.X[rows], cut.y[rows],
                                                       seed=derive_seed(rep_seed, "imp", k, width))
-                              for k, (clf, (X_tr, _), y_tr) in enumerate(zip(clfs, X_parts, y_train)))
+                              for k, (clf, rows) in enumerate(zip(clfs, fold_rows)))
                 order.append(names[active.pop(int(np.argmin(imp_sum / folds)))])
         # ties favor the smaller set, i.e. the latest width achieving the max
         best_pos = len(scores) - 1 - int(np.argmax(scores[::-1]))

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import readmit
 from readmit import classifiers
-from readmit.classifiers import (KINDS, ModelSpec, _grow_trees, importances, presort, train,
-                                 train_trees)
+from readmit.classifiers import (KINDS, ModelSpec, _grow_trees, fit_data, importances, train,
+                                 train_fits)
 from readmit.errors import ConfigError, DataError
 from readmit.evaluate import metrics
 from readmit.seeding import derive_seed, rng_for
@@ -101,7 +101,7 @@ def _assert_trees_match_reference(X, y, rows, keys, max_depth, min_leaf, max_fea
     """Grows the trees of ``rows`` in one call and checks each against the
     recursive reference; returns the reference trees' depths."""
     d = X.shape[1]
-    forest = _grow_trees(presort(X, y), list(rows), keys, max_depth, min_leaf, max_features)
+    forest = _grow_trees(_ranked(X, y), list(rows), keys, max_depth, min_leaf, max_features)
     assert len(forest.roots) == len(rows) and forest.importances.shape == (len(rows), d)
     Xte = np.vstack([X, np.random.default_rng(0).normal(0, 1, (60, d))])
     leaves = forest.leaf_values(Xte)
@@ -124,6 +124,11 @@ def _tree_problem(rng, n, d):
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
     return X, y
+
+
+def _ranked(X, y):
+    """(X, y) rank-coded for the tree grower."""
+    return fit_data(ModelSpec("decision_tree"), X, y)
 
 
 def _keys(seed, n_trees):
@@ -160,10 +165,10 @@ def test_grower_edge_cases_match_reference(monkeypatch):
     for max_features in (None, 2):
         # max_depth 0: every tree is one leaf
         _assert_trees_match_reference(X, y, boot, keys, 0, 1, max_features)
-        assert _grow_trees(presort(X, y), list(boot), keys, 0, 1, max_features).roots.tolist() == [0, 1, 2]
+        assert _grow_trees(_ranked(X, y), list(boot), keys, 0, 1, max_features).roots.tolist() == [0, 1, 2]
         # min_samples_leaf above half the rows: the root cannot split
         _assert_trees_match_reference(X, y, boot, keys, None, 31, max_features)
-        forest = _grow_trees(presort(X, y), list(boot), keys, None, 31, max_features)
+        forest = _grow_trees(_ranked(X, y), list(boot), keys, None, 31, max_features)
         assert forest.roots.tolist() == [0, 1, 2] and forest.skip.tolist() == [0, 0, 0]
 
     # A 385-row problem grown without a depth limit, one tree per batch:
@@ -172,7 +177,7 @@ def test_grower_edge_cases_match_reference(monkeypatch):
     rows = np.vstack([np.arange(385), rng.integers(0, 385, (2, 385))])
     monkeypatch.setattr(classifiers, "_MAX_ENTRIES", 1)
     assert max(_assert_trees_match_reference(X, y, rows, _keys(42, 3), None, 1, 3)) > 8
-    forest = _grow_trees(presort(X, y), list(rows), _keys(42, 3), None, 1, 3)
+    forest = _grow_trees(_ranked(X, y), list(rows), _keys(42, 3), None, 1, 3)
     leaf = forest.feature < 0
     assert np.all(forest.skip[leaf] == 0) and np.all(forest.skip[~leaf] >= 2)
 
@@ -187,7 +192,7 @@ def test_node_with_constant_candidates_is_a_leaf():
     keys = np.array([derive_seed(s, "tree", 0) for s in seeds[:4]], dtype=np.uint64)
     rows = np.tile(np.arange(40), (len(keys), 1))
     _assert_trees_match_reference(X, y, rows, keys, None, 1, 1)
-    assert _grow_trees(presort(X, y), list(rows), keys, None, 1, 1).roots.tolist() == [0, 1, 2, 3]
+    assert _grow_trees(_ranked(X, y), list(rows), keys, None, 1, 1).roots.tolist() == [0, 1, 2, 3]
     clf = train(ModelSpec("random_forest", {"n_trees": 4, "max_features": 1, "bootstrap": False},
                           seed=seeds[0]), X, y)
     assert clf.forest.roots[1] == 1 and clf.forest.value[0] == y.mean()
@@ -196,16 +201,18 @@ def test_node_with_constant_candidates_is_a_leaf():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fits_grown_together_equal_fits_grown_alone(data):
-    # Each fit's rows are any rows of the shared presort, in any order,
+    # Each fit's rows are any rows of the shared fit data, in any order,
     # repeats allowed; alone, the same rows are the fit's whole matrix.
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = draw(st.integers(6, 150)), draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40]))
     X, y = _tree_problem(rng, n, d)
-    kind = draw(st.sampled_from(classifiers.TREE_KINDS))
-    hyper = {"max_depth": draw(st.sampled_from([None, 0, 1, 3, 8])),
-             "min_samples_leaf": draw(st.integers(1, 4)),
-             "max_features": draw(st.sampled_from([None, "sqrt", 1, d]))}
+    kind = draw(st.sampled_from([k for k in KINDS if k != "mlp"]))
+    hyper = {}
+    if kind in classifiers.TREE_KINDS:
+        hyper = {"max_depth": draw(st.sampled_from([None, 1, 2, 3, 8])),
+                 "min_samples_leaf": draw(st.integers(1, 4)),
+                 "max_features": draw(st.sampled_from([None, "sqrt", 1, d]))}
     if kind == "random_forest":
         hyper.update(n_trees=draw(st.integers(1, 6)), bootstrap=draw(st.booleans()))
     fits = []
@@ -214,27 +221,37 @@ def test_fits_grown_together_equal_fits_grown_alone(data):
         rows[:2] = np.flatnonzero(y == 0)[0], np.flatnonzero(y == 1)[0]
         fits.append((rng.permutation(rows), seed))
     spec = ModelSpec(kind, hyper)
-    together = train_trees(spec, presort(X, y), fits)
+    together = train_fits(spec, fit_data(spec, X, y), iter(fits))
     assert len(together) == len(fits)
     for (rows, seed), clf in zip(fits, together):
         alone = train(replace(spec, seed=seed), X[rows], y[rows])
         assert (clf.spec, clf.n_features) == (alone.spec, alone.n_features)
-        for name in ("feature", "threshold", "skip", "value", "roots", "importances"):
-            a, b = getattr(clf.forest, name), getattr(alone.forest, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if clf.forest is None:
+            arrays = [(c.weights, c.bias, c.standardizer.mean, c.standardizer.scale)
+                      for c in (clf, alone)]
+        else:
+            arrays = [[getattr(c.forest, name) for name in
+                       ("feature", "threshold", "skip", "value", "roots", "importances")]
+                      for c in (clf, alone)]
+        for a, b in zip(*arrays):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_train_trees_rejects_other_kinds_and_single_class_fits():
+def test_train_fits_edge_cases():
     X, y = _tree_problem(np.random.default_rng(45), 30, 3)
-    data = presort(X, y)
-    with pytest.raises(ConfigError, match="tree kinds"):
-        train_trees(ModelSpec("mlp"), data, [(np.arange(30), 0)])
-    with pytest.raises(DataError, match="single class"):
-        train_trees(ModelSpec("decision_tree"), data,
-                    [(np.arange(30), 0), (np.flatnonzero(y == 1), 1)])
+    for kind in KINDS:
+        spec = ModelSpec(kind, KIND_HYPER[kind])
+        data = fit_data(spec, X, y)
+        assert (data.low is None) == (kind not in classifiers.TREE_KINDS)
+        assert train_fits(spec, data, []) == []
+        with pytest.raises(DataError, match="single class"):
+            train_fits(spec, data, [(np.arange(30), 0), (np.flatnonzero(y == 1), 1)])
+    with pytest.raises(DataError, match="binary 0/1"):
+        fit_data(ModelSpec("decision_tree"), X, np.where(y == 1, 2.0, 0.0))
     X[3, 1] = np.inf
     with pytest.raises(DataError, match="non-finite"):
-        presort(X, y)
+        fit_data(ModelSpec("decision_tree"), X, y)
 
 
 def test_single_class_bootstrap_trains_on_all_rows():
@@ -352,20 +369,34 @@ def test_mlp_fits_trained_together_equal_train():
     # Unequal row counts, so the folds' last batches are ragged at different lengths.
     X, y = _linear_problem(seed=4, n=120, d=6)
     spec = ModelSpec("mlp", {"hidden_sizes": (8, 4), "epochs": 12, "batch_size": 16})
-    fits = [(X[:n] * (1 + i), y[:n], 30 + i) for i, n in enumerate((100, 90, 91, 120))]
-    together = classifiers.train_mlps(spec, fits)
-    for (Xf, yf, seed), clf in zip(fits, together):
+    parts = [(X[:n] * (1 + i), y[:n]) for i, n in enumerate((100, 90, 91, 120))]
+    data = fit_data(spec, np.vstack([Xf for Xf, _ in parts]),
+                    np.concatenate([yf for _, yf in parts]))
+    ends = np.cumsum([len(yf) for _, yf in parts])
+    fits = [(np.arange(end - len(yf), end), 30 + i)
+            for i, (end, (_, yf)) in enumerate(zip(ends, parts))]
+    together = train_fits(spec, data, fits)
+    for (Xf, yf), (_, seed), clf in zip(parts, fits, together):
         alone = train(replace(spec, seed=seed), Xf, yf)
         assert (clf.spec, clf.n_features) == (alone.spec, alone.n_features)
         assert clf.predict_proba(X).tobytes() == alone.predict_proba(X).tobytes()
         for a, b in zip(clf.mlp.weights + clf.mlp.biases, alone.mlp.weights + alone.mlp.biases):
             assert a.tobytes() == b.tobytes()
         assert clf.mlp.loss_history == alone.mlp.loss_history
-    assert classifiers.train_mlps(spec, []) == []
-    with pytest.raises(ConfigError, match="mlp kind"):
-        classifiers.train_mlps(ModelSpec("decision_tree"), fits)
-    with pytest.raises(DataError, match="same number of columns"):
-        classifiers.train_mlps(spec, [fits[0], (X[:, :5], y, 1)])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_standardizer_sums_in_the_matrix_memory_order(order):
+    # RFE cuts columns with a fancy index, which gives a Fortran-ordered
+    # matrix; numpy sums its columns pairwise, and a C-ordered one row by
+    # row. A fit keeps its matrix's order, as fitting each cut alone does.
+    X, y = _linear_problem(seed=5, n=300, d=7)
+    X = np.asarray(X * 1e3 + 0.1, order=order)
+    assert (np.asfortranarray(X).mean(axis=0) != np.ascontiguousarray(X).mean(axis=0)).any()
+    for kind in ("logistic_regression", "mlp"):
+        clf = train(ModelSpec(kind, {"epochs": 2} if kind == "mlp" else {}), X, y)
+        assert clf.standardizer.mean.tobytes() == X.mean(axis=0).tobytes()
+        assert clf.standardizer.scale.tobytes() == X.std(axis=0).tobytes()
 
 
 def test_informative_column_ranks_first_in_forest():
@@ -463,6 +494,16 @@ def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
     ("mlp", {"dropout_rate": 1.5}, "dropout_rate must lie in [0, 1), got 1.5"),
     ("mlp", {"hidden_sizes": (8, 0)}, "all layer dimensions must be positive"),
     ("mlp", {"learning_rate": -0.1}, "learning_rate and weight_decay must be finite and non-negative"),
+    ("linear_svc", {"c": 0}, "hyperparameter 'c' must be > 0, got 0"),
+    ("logistic_regression", {"c": -1.0}, "hyperparameter 'c' must be > 0, got -1.0"),
+    ("random_forest", {"n_trees": 0}, "hyperparameter 'n_trees' must be >= 1, got 0"),
+    ("sgd_linear", {"batch_size": 0}, "hyperparameter 'batch_size' must be >= 1, got 0"),
+    ("sgd_linear", {"epochs": 0}, "hyperparameter 'epochs' must be >= 1, got 0"),
+    ("sgd_linear", {"alpha": -1}, "hyperparameter 'alpha' must be >= 0, got -1"),
+    ("sgd_linear", {"learning_rate": -1.0}, "hyperparameter 'learning_rate' must be >= 0, got -1.0"),
+    ("logistic_regression", {"iterations": -3}, "hyperparameter 'iterations' must be >= 1, got -3"),
+    ("decision_tree", {"min_samples_leaf": 0}, "hyperparameter 'min_samples_leaf' must be >= 1, got 0"),
+    ("random_forest", {"max_depth": 0}, "hyperparameter 'max_depth' must be >= 1, got 0"),
 ])
 def test_non_finite_or_out_of_range_hyperparameter_is_a_config_error(kind, hyper, message):
     with pytest.raises(ConfigError) as raised:

@@ -500,6 +500,17 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
     (["model.kind=logistic_regression", "model.learning_rate=nan"],
      "logistic_regression: hyperparameter 'learning_rate' must be finite, got nan"),
     (["model.kind=linear_svc", "model.c=nan"], "linear_svc: hyperparameter 'c' must be finite, got nan"),
+    (["model.kind=linear_svc", "model.c=0"], "linear_svc: hyperparameter 'c' must be > 0, got 0"),
+    (["model.kind=logistic_regression", "model.c=0"],
+     "logistic_regression: hyperparameter 'c' must be > 0, got 0"),
+    (["model.kind=random_forest", "model.n_trees=0"],
+     "random_forest: hyperparameter 'n_trees' must be >= 1, got 0"),
+    (["model.kind=sgd_linear", "model.batch_size=0"],
+     "sgd_linear: hyperparameter 'batch_size' must be >= 1, got 0"),
+    (["model.kind=decision_tree", "model.min_samples_leaf=0"],
+     "decision_tree: hyperparameter 'min_samples_leaf' must be >= 1, got 0"),
+    (["model.kind=logistic_regression", "model.iterations=-3"],
+     "logistic_regression: hyperparameter 'iterations' must be >= 1, got -3"),
 ])
 def test_eval_rejected_hyperparameter_leaves_no_out_directory(pipeline_dirs, tmp_path, capsys,
                                                               settings, message):
@@ -508,7 +519,8 @@ def test_eval_rejected_hyperparameter_leaves_no_out_directory(pipeline_dirs, tmp
                 *[a for setting in settings for a in ("--set", setting)],
                 "--out", tmp_path / "x" / "out"])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 

@@ -266,13 +266,14 @@ def test_repeated_eval_more_workers_than_runs(kind):
     assert multiprocessing.active_children() == []
 
 
-def test_mlp_repeated_eval_is_block_and_worker_invariant(monkeypatch):
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_repeated_eval_is_block_and_worker_invariant(monkeypatch, kind):
     # Five runs: blocks of 3 and 2 at two workers and 2, 2 and 1 at three;
     # a block cap of 2 cuts one worker's runs into 2, 2 and 1; a cap of 1
     # fits run by run.
     matrix = _matrix(n=70, d=5)
     matrix.X[::6, 1] = np.nan
-    spec = ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15})
+    spec = SMALL_SPECS[kind]
     monkeypatch.setattr(evaluate, "_BLOCK_RUNS", 1)
     expected = _dump(evaluate.runs_report_obj(repeated_eval(matrix, spec, n_runs=5, master_seed=4)))
     for cap, workers in ((1, 2), (2, 1), (2, 3), (8, 1), (8, 2), (8, 3)):
@@ -489,12 +490,14 @@ def test_rfe_fits_see_each_fold_imputed_on_its_own(monkeypatch):
     # six fits here, which the report's F1s do not show.
     matrix = _nan_signal_matrix()
     seen = {}
-    train = classifiers.train
+    train_fits = classifiers.train_fits
 
-    def recording(spec, X, y):
-        seen[spec.seed] = X.tobytes()
-        return train(spec, X, y)
-    monkeypatch.setattr(classifiers, "train", recording)
+    def recording(spec, data, fits):
+        fits = list(fits)
+        for rows, seed in fits:
+            seen[seed] = data.X[rows].tobytes()
+        return train_fits(spec, data, fits)
+    monkeypatch.setattr(classifiers, "train_fits", recording)
     outcome = rfe(matrix, ModelSpec("logistic_regression"), folds=3, repeats=2, master_seed=9)
     names = list(matrix.names)
     for rep, detail in enumerate(outcome.repeats_detail):
@@ -526,7 +529,7 @@ def test_rfe_rejects_degenerate_arguments_before_fitting(monkeypatch, args, erro
     def no_fit(*a, **k):
         raise AssertionError("fitted")
     monkeypatch.setattr(classifiers, "train", no_fit)
-    monkeypatch.setattr(classifiers, "train_trees", no_fit)
+    monkeypatch.setattr(classifiers, "train_fits", no_fit)
     with pytest.raises(error, match=re.escape(message)):
         rfe(matrix, **{"spec": ModelSpec("random_forest"), **args})
 
