@@ -45,7 +45,7 @@ DEFAULT_HYPERPARAMETERS = {
 # Lower bounds of the numeric hyperparameters of the kinds other than the MLP.
 _LOWER_BOUNDS = {"c": (">", 0), "learning_rate": (">=", 0), "alpha": (">=", 0),
                  **dict.fromkeys(("n_trees", "iterations", "epochs", "batch_size",
-                                  "min_samples_leaf", "max_depth"), (">=", 1))}
+                                  "min_samples_leaf", "max_depth", "max_features"), (">=", 1))}
 
 _N_PERMUTATIONS = 3  # shuffled copies per column in permutation importance
 # The MLP's permutation importance scores its shuffled copies of the training
@@ -90,7 +90,7 @@ class ModelSpec:
             if type(value) is float and not math.isfinite(value):
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be finite, got {value!r}")
             op, bound = _LOWER_BOUNDS.get(key, (None, None))
-            if (op and self.kind != "mlp" and value is not None
+            if (op and self.kind != "mlp" and isinstance(value, (int, float))
                     and not (value > bound if op == ">" else value >= bound)):
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be {op} {bound}, "
                                   f"got {value!r}")

@@ -213,6 +213,9 @@ def cmd_train_nlp(args) -> int:
     if micro_f1 < 0.5:
         print(f"warning: held-out topic micro-F1 {micro_f1:.3f} is below 0.5; "
               "the topic model tags sentences poorly", file=sys.stderr)
+    unseen_f1 = nlp.metrics["topic_micro_f1_unseen"]
+    print("topic micro-F1 (held-out sentences not among the training sentences): "
+          + ("no such held-out sentences" if unseen_f1 is None else f"{unseen_f1:.3f}"))
     for domain, accuracy in nlp.metrics["sentiment_accuracy"].items():
         print(f"sentiment accuracy ({domain}): "
               + ("no held-out sentences" if accuracy is None else f"{accuracy:.3f}"))
@@ -273,13 +276,20 @@ def cmd_eval(args) -> int:
             "carry; use the library API on a corpus-derived matrix instead")
     spec = ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"],
                      seed=settings["model.seed"])
-    spec.resolved()  # a bad kind or hyperparameter exits before any output is made
+    max_features = spec.resolved().get("max_features")  # a bad kind or hyperparameter exits here
     split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
                             stratified=settings["stratified"], grouping=settings["grouping"])
     if args.mode == "consensus":
         outcomes = [_read_json(path, evaluate.rfe_outcome_from_obj) for path in args.rfe]
     else:
         matrix = features.read_csv(args.features)
+    if args.mode in ("single", "ablation") and type(max_features) is int:
+        width = (len(evaluate.ablation_column_sets(matrix.names)["baseline"])
+                 if args.mode == "ablation" else matrix.X.shape[1])
+        if max_features > width:
+            raise ConfigError(f"{spec.kind}: hyperparameter 'max_features' must be <= {width}, "
+                              f"the width of the narrowest column set eval {args.mode} fits, "
+                              f"got {max_features}")
     if args.mode == "rfe":
         for key, least in (("rfe_folds", 2), ("rfe_repeats", 1)):
             if settings[key] < least:

@@ -135,14 +135,22 @@ def default_lexicon() -> Lexicon:
     return _DEFAULT_LEXICON
 
 
+def _corpus_sentences(corpus) -> list[list[str]]:
+    """Every sentence of the corpus as a token list, note by note in corpus order."""
+    return [tokens for admission in corpus.admissions for note in admission.notes
+            for tokens in textproc.split_sentences(note.text)]
+
+
 def weak_label(corpus, lexicon: Lexicon, encoder: HashingEncoder):
     """(vectors, multi-hot domain targets) for every sentence in the corpus.
 
     Sentences matching no pattern are kept as all-zero targets. Both arrays
     are float32, so the topic model trains in single precision.
     """
-    token_lists = [tokens for admission in corpus.admissions for note in admission.notes
-                   for tokens in textproc.split_sentences(note.text)]
+    return _weak_label_sentences(_corpus_sentences(corpus), lexicon, encoder)
+
+
+def _weak_label_sentences(token_lists, lexicon: Lexicon, encoder: HashingEncoder):
     Y = np.zeros((len(token_lists), len(RISK_DOMAINS)), dtype=np.float32)
     for i, tokens in enumerate(token_lists):
         for d in lexicon.match(tokens):
@@ -150,14 +158,18 @@ def weak_label(corpus, lexicon: Lexicon, encoder: HashingEncoder):
     return neural.encode_rows(encoder, token_lists), Y
 
 
-DEFAULT_TOPIC_CONFIG = TrainConfig(learning_rate=0.3, batch_size=128, epochs=40, patience=40)
-# Roughly how many parameter updates the default topic budget provides on a
-# corpus-sized dataset; small datasets get their epoch count scaled up to
+# The topic model holds out a random 10% of its training sentences and stops
+# 5 epochs after its held-out micro-F1 last gained, or at the 40-epoch cap.
+DEFAULT_TOPIC_CONFIG = TrainConfig(learning_rate=0.3, batch_size=128, epochs=40, patience=5,
+                                   validation_fraction=0.1)
+# Roughly how many parameter updates the default topic cap allows on a
+# corpus-sized dataset; small datasets get their epoch cap scaled up to
 # match it (40 epochs over ~10k sentences).
 _TOPIC_TARGET_UPDATES = 3200
 # Sentiment models train on little data; two hidden layers with heavy
 # dropout keep them from memorizing it. The dropout noise makes epoch
-# losses fluctuate, so patience is left equal to the epoch budget.
+# losses fluctuate, so patience is left equal to the epoch budget. They hold
+# out no validation slice: 10% of a domain's records can be as few as 8.
 SENTIMENT_DROPOUT = 0.75
 DEFAULT_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs=200, patience=200)
 MIN_SENTENCES_PER_DOMAIN = 50
@@ -166,14 +178,15 @@ MIN_SENTENCES_PER_DOMAIN = 50
 def topic_config(n_rows: int, seed: int = 0) -> TrainConfig:
     """The default topic config for a training set of ``n_rows`` sentences.
 
-    The epoch budget scales up on small datasets so the update count stays
-    near the corpus-scale default.
+    The epoch cap scales up on small datasets so the update count it allows
+    stays near the corpus-scale default; patience and the validation slice
+    stay the default's, so training still stops at a validation plateau.
     """
     base = DEFAULT_TOPIC_CONFIG
     batch_size = base.batch_size if n_rows >= 4000 else 32
     batches = max(1, -(-n_rows // batch_size))
     epochs = int(np.clip(-(-_TOPIC_TARGET_UPDATES // batches), base.epochs, 400))
-    return replace(base, batch_size=batch_size, epochs=epochs, patience=epochs, seed=seed)
+    return replace(base, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
 def train_topic_model(X: np.ndarray, Y: np.ndarray,
@@ -186,11 +199,12 @@ def train_topic_model(X: np.ndarray, Y: np.ndarray,
         raise DataError("cannot train a topic model on an empty dataset")
     if config is None:
         config = topic_config(len(X))
-    spec = MLPSpec(
-        input_dim=X.shape[1], hidden_sizes=(256, 64), activation="relu",
-        dropout_rate=0.0, output_kind="sigmoid", n_outputs=len(RISK_DOMAINS),
-    )
-    return neural.train_mlp(spec, X, Y, config)
+    return neural.train_mlp(_topic_spec(X.shape[1]), X, Y, config)
+
+
+def _topic_spec(input_dim: int) -> MLPSpec:
+    return MLPSpec(input_dim=input_dim, hidden_sizes=(256, 64), activation="relu",
+                   dropout_rate=0.0, output_kind="sigmoid", n_outputs=len(RISK_DOMAINS))
 
 
 def predict_domains(model: MLPModel, X: np.ndarray) -> np.ndarray:
@@ -282,8 +296,12 @@ def train_sentiment_models(records: Sequence[SeedRecord], encoder: HashingEncode
 
 @dataclass(frozen=True)
 class NlpModels:
-    """Trained NLP models. ``metrics`` is JSON-ready: ``topic_micro_f1`` and, per
-    domain, ``sentiment_accuracy``, None when none of its seed records was held out."""
+    """Trained NLP models. ``metrics`` is JSON-ready: ``topic_micro_f1`` on the
+    held-out sentences, ``topic_micro_f1_unseen`` on those of them that do not
+    occur verbatim among the topic training sentences (None when there are
+    none), ``topic_training`` (epochs run, best epoch, epoch cap and best
+    validation micro-F1) and, per domain, ``sentiment_accuracy``, None when
+    none of its seed records was held out."""
 
     topic: MLPModel
     sentiment: dict[str, MLPModel]
@@ -303,7 +321,9 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
               sentiment_epochs: Optional[int] = None) -> NlpModels:
     """The topic model trained on the corpus's weak labels and the sentiment models
     on the seed records, each scored on a seeded held-out fraction. The configs are
-    the defaults with ``seed``; an epoch override sets only epochs and patience."""
+    the defaults with ``seed``: the topic model's ``topic_config``, whose epoch count
+    is a cap, since it stops at a validation plateau. ``topic_epochs`` sets only
+    that cap; ``sentiment_epochs`` sets the sentiment models' epochs and patience."""
     if not 0.0 < holdout < 1.0:
         raise ConfigError(f"config key 'holdout_fraction' must lie in (0, 1), got {holdout}")
     for key, epochs in (("topic_epochs", topic_epochs), ("sentiment_epochs", sentiment_epochs)):
@@ -311,16 +331,26 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
             raise ConfigError(f"config key {key!r} must be positive, got {epochs}")
     encoder = HashingEncoder()
 
-    X, Y = weak_label(corpus, lexicon, encoder)
+    sentences = _corpus_sentences(corpus)
+    X, Y = _weak_label_sentences(sentences, lexicon, encoder)
     test_idx, train_idx = _holdout(len(X), holdout, seed, "topic-holdout")
     if topic_epochs is None:
         topic_cfg = topic_config(len(train_idx), seed=seed)
     else:
-        topic_cfg = replace(DEFAULT_TOPIC_CONFIG, epochs=topic_epochs, patience=topic_epochs,
-                            seed=seed)
-    topic = train_topic_model(X[train_idx], Y[train_idx], topic_cfg)
+        topic_cfg = replace(DEFAULT_TOPIC_CONFIG, epochs=topic_epochs, seed=seed)
+    # train_mlps reads the training rows of X in place: the model
+    # train_topic_model trains on X[train_idx], without that copy.
+    topic = neural.train_mlps(_topic_spec(X.shape[1]), X, Y, [(train_idx, seed)], topic_cfg)[0]
     pred = predict_domains(topic, X[test_idx])
-    micro_f1 = classifiers.f1_score((Y[test_idx] > 0.5).ravel(), pred.ravel())
+    truth = Y[test_idx] > 0.5
+    micro_f1 = classifiers.f1_score(truth.ravel(), pred.ravel())
+    seen = {tuple(sentences[i]) for i in train_idx}
+    unseen = np.array([tuple(sentences[i]) not in seen for i in test_idx], dtype=bool)
+    micro_f1_unseen = (classifiers.f1_score(truth[unseen].ravel(), pred[unseen].ravel())
+                       if unseen.any() else None)
+    topic_training = {"epochs_run": topic.epochs_run, "best_epoch": topic.best_epoch,
+                      "epoch_cap": topic_cfg.epochs,
+                      "best_validation_micro_f1": topic.validation_scores[topic.best_epoch]}
 
     sent_cfg = replace(DEFAULT_SENTIMENT_CONFIG, seed=seed)
     if sentiment_epochs is not None:
@@ -338,7 +368,8 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
         true_pol = np.array([POLARITIES.index(r.label) for r in recs])
         accuracy[domain] = float(np.mean(pred_pol == true_pol))
     return NlpModels(topic, sentiment,
-                     {"topic_micro_f1": micro_f1, "sentiment_accuracy": accuracy})
+                     {"topic_micro_f1": micro_f1, "topic_micro_f1_unseen": micro_f1_unseen,
+                      "topic_training": topic_training, "sentiment_accuracy": accuracy})
 
 
 def scalar_sentiment(dist):

@@ -12,7 +12,10 @@ implementation, the block path: ``rows`` encodes a whole list at once,
 
 The MLP engine has one training loop, ``train_mlps``: many fits of one spec
 in one minibatch SGD loop on stacked arrays, each fit byte-identical to
-itself trained alone. ``train_mlp`` is its one-fit case.
+itself trained alone. ``train_mlp`` is its one-fit case. With a
+``validation_fraction`` above 0, each fit holds out a seeded slice of its
+rows and stops when its score on that slice stops rising (Prechelt 1998,
+"Early Stopping -- But When?").
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -30,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .seeding import derive_seed
 
 
 def hash_gram(gram: str, dim: int) -> tuple[int, float]:
@@ -175,6 +179,8 @@ class TrainConfig:
     seed: int = 0
     weight_decay: float = 0.0
     patience: int = 20
+    # Above 0, the share of each fit's rows held out to decide when it stops.
+    validation_fraction: float = 0.0
 
     def validate(self) -> None:
         # Written so that NaN fails: every comparison with NaN is False.
@@ -183,6 +189,8 @@ class TrainConfig:
                               f"got {self.learning_rate!r} and {self.weight_decay!r}")
         if self.batch_size <= 0 or self.epochs <= 0 or self.patience <= 0:
             raise ConfigError("batch_size, epochs and patience must be positive")
+        if not 0 <= self.validation_fraction < 1:
+            raise ConfigError(f"validation_fraction must lie in [0, 1), got {self.validation_fraction!r}")
 
 
 @dataclass
@@ -194,6 +202,11 @@ class MLPModel:
     epochs_run: int = 0
     final_loss: float = float("nan")
     loss_history: list[float] = field(default_factory=list)
+    # The epoch whose weights the model holds: epochs_run unless it trained
+    # with validation. validation_scores[e] is the held-out score after e
+    # epochs, [0] at initialization; empty without validation.
+    best_epoch: int = 0
+    validation_scores: list[float] = field(default_factory=list)
 
 
 def _layer_dims(spec: MLPSpec) -> list[tuple[int, int]]:
@@ -356,15 +369,50 @@ def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
     case of ``train_mlps``, on every row of (X, Y) with seed ``config.seed``.
 
     Deterministic given (spec, data, config.seed): initialization, epoch
-    shuffles, and dropout masks all come from seeded generators, and
-    batches run sequentially. Early-stops after ``patience`` epochs without
-    improvement of the epoch loss.
+    shuffles, dropout masks and the validation slice all come from seeded
+    generators, and batches run sequentially. Training stops after
+    ``config.epochs`` epochs, or earlier after ``patience`` epochs without
+    improvement of the epoch loss; with a ``validation_fraction``, also
+    after ``patience`` epochs without a gain of the held-out score (see
+    ``train_mlps``).
 
     Parameters, targets and dropout masks take X's dtype: float32 if X is
     float32, float64 otherwise. The loss is always summed in float64.
     """
     config = config or TrainConfig()
     return train_mlps(spec, X, Y, [(np.arange(len(X)), config.seed)], config)[0]
+
+
+def validation_split(rows: np.ndarray, fraction: float, seed: int):
+    """(training rows, validation rows) of a fit on ``rows`` with ``seed``.
+
+    The validation slice is round(fraction * len(rows)) of the fit's own
+    positions, at least one, drawn by a generator seeded from ``seed`` alone
+    (not the ``seed + 1`` stream that shuffles the training rows); both parts
+    keep the order of ``rows``. A DataError when no row is left to train on.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    n_val = max(1, int(round(fraction * len(rows))))
+    if n_val >= len(rows):
+        raise DataError(f"a fit of {len(rows)} rows cannot hold out {n_val} for validation "
+                        "and keep a row to train on")
+    held = np.zeros(len(rows), dtype=bool)
+    held[np.random.default_rng(derive_seed(seed, "validation")).permutation(len(rows))[:n_val]] = True
+    return rows[~held], rows[held]
+
+
+# A held-out score counts as a gain only when it beats the best so far by more than this.
+_MIN_GAIN = 0.002
+
+
+def _validation_score(spec: MLPSpec, weights, biases, X: np.ndarray, Y: np.ndarray) -> float:
+    """Micro-F1 at 0.5 of sigmoid outputs, accuracy of softmax outputs."""
+    probs = _forward(spec, weights, biases, X)[2]
+    if spec.output_kind == "softmax":
+        return float(np.mean(probs.argmax(axis=-1) == Y.argmax(axis=-1)))
+    pred, truth = probs >= 0.5, Y > 0.5
+    marked = np.count_nonzero(pred) + np.count_nonzero(truth)  # 2 tp + fp + fn
+    return float(2 * np.count_nonzero(pred & truth) / marked) if marked else 0.0
 
 
 def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
@@ -380,7 +428,19 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
     with the most rows to the one with the fewest, so at every step the
     fits with a batch of one length are a contiguous slice of it: a full
     batch for the fits that have one, then the ragged last batches, one
-    slice per length. A fit that stops early leaves the stack.
+    slice per length. A fit leaves the stack after ``config.epochs``
+    epochs, or after ``patience`` epochs without improvement of its epoch
+    loss.
+
+    With a ``validation_fraction`` above 0, each fit trains on the rest of
+    its rows after ``validation_split`` and scores the slice after every
+    epoch. It also leaves after ``patience`` epochs without a gain above
+    ``_MIN_GAIN`` over its best score so far, counted only once the score
+    first rises above its value at initialization, and keeps the weights of
+    its best epoch: the one with the highest score, or the latest one while
+    the score has not yet risen. Its weights are then those of
+    ``train_mlp`` on its training rows with ``best_epoch`` as the epoch
+    budget and no validation.
 
     A diverging fit raises what a fit-by-fit loop raises: the
     ``TrainingDivergedError`` of the lowest-index fit that diverges.
@@ -401,17 +461,28 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
         raise DataError("every fit needs at least one row")
     if not fits:
         return []
+    validate = config.validation_fraction > 0
+    if validate:  # per fit, its validation slice's (X, Y)
+        rows, held = map(list, zip(*(validation_split(r, config.validation_fraction, seed)
+                                     for r, (_, seed) in zip(rows, fits))))
+        held = [(X[h], Y[h]) for h in held]
 
     models = []
-    for _, seed in fits:
+    for i, (_, seed) in enumerate(fits):
         model = init_mlp(spec, seed=seed)
         model.weights = [W.astype(dtype, copy=False) for W in model.weights]
         model.biases = [b.astype(dtype, copy=False) for b in model.biases]
+        if validate:
+            model.validation_scores = [_validation_score(spec, model.weights, model.biases,
+                                                         *held[i])]
         models.append(model)
     histories: list[list[float]] = [[] for _ in fits]
     diverged: dict[int, TrainingDivergedError] = {}
     best = np.full(len(fits), np.inf)  # per fit: best epoch loss, epochs without improvement
     stale = np.zeros(len(fits), dtype=np.intp)
+    # per fit, with validation: best score once it rose, epochs without a gain
+    best_score = np.full(len(fits), -np.inf)
+    score_stale = np.zeros(len(fits), dtype=np.intp)
     batch, lr = config.batch_size, config.learning_rate
 
     # The stack, by position: fit index, row count, generator, weights, biases.
@@ -458,12 +529,29 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
                 best[i], stale[i] = epoch_loss[p], 0
             else:
                 stale[i] += 1
+            if validate:
+                model = models[i]
+                weights, biases = [W[p] for W in Ws], [c[p] for c in Bs]
+                score = _validation_score(spec, weights, biases, *held[i])
+                model.validation_scores.append(score)
+                if best_score[i] == -np.inf and score <= model.validation_scores[0]:
+                    best_yet = True  # until the score first rises, the latest epoch is the best
+                else:
+                    score_stale[i] = 0 if score > best_score[i] + _MIN_GAIN else score_stale[i] + 1
+                    best_yet = score > best_score[i]
+                    best_score[i] = max(best_score[i], score)
+                if best_yet:
+                    model.best_epoch = epoch + 1
+                    model.weights = [W.copy() for W in weights]
+                    model.biases = [c[0].copy() for c in biases]
 
-        out = failed | (stale[fit] >= config.patience) | (epoch == config.epochs - 1)
+        out = (failed | (stale[fit] >= config.patience) | (score_stale[fit] >= config.patience)
+               | (epoch == config.epochs - 1))
         if out.any():  # those fits leave the stack
-            for p in np.flatnonzero(out):
-                models[fit[p]].weights = [W[p].copy() for W in Ws]
-                models[fit[p]].biases = [c[p, 0].copy() for c in Bs]
+            if not validate:
+                for p in np.flatnonzero(out):
+                    models[fit[p]].weights = [W[p].copy() for W in Ws]
+                    models[fit[p]].biases = [c[p, 0].copy() for c in Bs]
             keep = ~out
             fit, n, rngs = fit[keep], n[keep], [g for g, k in zip(rngs, keep) if k]
             Ws, Bs = [W[keep] for W in Ws], [c[keep] for c in Bs]
@@ -478,6 +566,8 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
         model.epochs_run = len(history)
         model.final_loss = history[-1] if history else float("nan")
         model.loss_history = history
+        if not validate:
+            model.best_epoch = len(history)
     return models
 
 
@@ -518,7 +608,13 @@ def decode_array(s: str, shape=(-1,), dtype=np.float64) -> np.ndarray:
 
 def save_mlp(model: MLPModel, path) -> None:
     """Versioned JSON container; weights stored row-major, bit-exact, in
-    the model's dtype, which the file records."""
+    the model's dtype, which the file records. The metadata records
+    ``best_epoch`` and ``validation_scores`` only for a model trained with
+    validation."""
+    metadata = {"seed": model.seed, "epochs_run": model.epochs_run,
+                "final_loss": model.final_loss, "loss_history": model.loss_history}
+    if model.validation_scores:
+        metadata.update(best_epoch=model.best_epoch, validation_scores=model.validation_scores)
     payload = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -526,12 +622,7 @@ def save_mlp(model: MLPModel, path) -> None:
         "spec": {**asdict(model.spec), "hidden_sizes": list(model.spec.hidden_sizes)},
         "weights": [encode_array(W) for W in model.weights],
         "biases": [encode_array(b) for b in model.biases],
-        "metadata": {
-            "seed": model.seed,
-            "epochs_run": model.epochs_run,
-            "final_loss": model.final_loss,
-            "loss_history": model.loss_history,
-        },
+        "metadata": metadata,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
@@ -569,6 +660,8 @@ def load_mlp(path) -> MLPModel:
                         biases=[decode_array(b, (d[1],), dtype)
                                 for b, d in zip(payload["biases"], dims)],
                         seed=meta["seed"], epochs_run=meta["epochs_run"],
-                        final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]))
+                        final_loss=meta["final_loss"], loss_history=list(meta["loss_history"]),
+                        best_epoch=meta.get("best_epoch", meta["epochs_run"]),
+                        validation_scores=list(meta.get("validation_scores", [])))
     except (KeyError, TypeError, ValueError, ConfigError) as e:  # a field missing or mistyped
         raise DataError(f"{path}: malformed {_FORMAT} container ({e!r})") from None

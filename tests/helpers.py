@@ -258,6 +258,37 @@ def reference_train_mlp(spec, X, Y, config):
     return model
 
 
+def reference_stopping(loss_history, validation_scores, patience, epochs, min_gain=0.002):
+    """(epochs run, best epoch) that the early-stopping rules give a fit with
+    these epoch losses and held-out scores (``validation_scores[0]`` at
+    initialization), replayed one epoch at a time: the best epoch has the
+    highest score, and patience counts epochs that do not beat the best so
+    far by more than ``min_gain``, from the first score above the initial one."""
+    best_loss, stale = np.inf, 0
+    best_score, score_stale, best_epoch = None, 0, 0
+    for epoch in range(1, epochs + 1):
+        if loss_history[epoch - 1] < best_loss - 1e-9:
+            best_loss, stale = loss_history[epoch - 1], 0
+        else:
+            stale += 1
+        score = validation_scores[epoch]
+        if best_score is None:
+            if score <= validation_scores[0]:  # not risen yet: the latest epoch is the best
+                best_epoch = epoch
+            else:
+                best_score, best_epoch = score, epoch
+        else:
+            if score > best_score + min_gain:
+                score_stale = 0
+            else:
+                score_stale += 1
+            if score > best_score:
+                best_score, best_epoch = score, epoch
+        if stale >= patience or score_stale >= patience:
+            return epoch, best_epoch
+    return epochs, best_epoch
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -504,6 +504,8 @@ def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
     ("logistic_regression", {"iterations": -3}, "hyperparameter 'iterations' must be >= 1, got -3"),
     ("decision_tree", {"min_samples_leaf": 0}, "hyperparameter 'min_samples_leaf' must be >= 1, got 0"),
     ("random_forest", {"max_depth": 0}, "hyperparameter 'max_depth' must be >= 1, got 0"),
+    ("random_forest", {"max_features": 0}, "hyperparameter 'max_features' must be >= 1, got 0"),
+    ("decision_tree", {"max_features": -2}, "hyperparameter 'max_features' must be >= 1, got -2"),
 ])
 def test_non_finite_or_out_of_range_hyperparameter_is_a_config_error(kind, hyper, message):
     with pytest.raises(ConfigError) as raised:

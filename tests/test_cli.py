@@ -129,7 +129,9 @@ def test_train_nlp_prints_heldout_metrics(pipeline_dirs, tmp_path, capsys):
                 "--seed-file", gen_dir / "sentiment_seed.jsonl", "--config", cfg,
                 "--out", out, "--set", "topic_epochs=None"] + NLP_ARGS) == 0
     stdout = capsys.readouterr().out
-    assert "topic micro-F1" in stdout
+    assert re.search(r"topic micro-F1 \(held-out 20%\): [0-9.]+\n"
+                     r"topic micro-F1 \(held-out sentences not among the training sentences\): "
+                     r"[0-9.]+\n", stdout)
     assert "sentiment accuracy (Mood)" in stdout
     assert (out / "topic_model.json").exists()
     for name in ("appearance", "mood", "substance_use"):
@@ -141,13 +143,22 @@ def test_train_nlp_prints_heldout_metrics(pipeline_dirs, tmp_path, capsys):
 
 
 def test_train_nlp_manifest_records_budget_and_metrics(pipeline_dirs):
-    _, _, models_dir, _ = pipeline_dirs
+    _, gen_dir, models_dir, _ = pipeline_dirs
     manifest = json.loads((models_dir / "manifest.json").read_text())
     assert manifest["config"] == {"seed": 0, "holdout_fraction": 0.2,
                                   "topic_epochs": None, "sentiment_epochs": 40}
     metrics = manifest["metrics"]
     assert 0.0 <= metrics["topic_micro_f1"] <= 1.0
+    assert 0.0 <= metrics["topic_micro_f1_unseen"] <= 1.0
     assert set(metrics["sentiment_accuracy"]) == set(RISK_DOMAINS)
+    n_sentences = len(domains.weak_label(derive_labels(load_corpus(gen_dir / "corpus.jsonl")),
+                                         domains.default_lexicon(), HashingEncoder())[0])
+    topic = neural.load_mlp(models_dir / "topic_model.json")
+    assert metrics["topic_training"] == {
+        "epochs_run": topic.epochs_run, "best_epoch": topic.best_epoch,
+        "epoch_cap": domains.topic_config(n_sentences - round(0.2 * n_sentences)).epochs,
+        "best_validation_micro_f1": topic.validation_scores[topic.best_epoch]}
+    assert 1 <= topic.best_epoch <= topic.epochs_run
 
 
 def test_train_nlp_heldout_label_rounds(pipeline_dirs, tmp_path, capsys):
@@ -197,9 +208,11 @@ def _library_train_nlp(gen_dir, seed, topic_config, sentiment_config, holdout=0.
 @pytest.mark.parametrize("settings, seed, topic_config, sentiment_config", [
     # no override: the library defaults, small-corpus epoch scaling included
     ([], 0, lambda n: None, None),
-    # an epoch override changes only epochs and patience; the seed reaches both
+    # a topic override sets only the epoch cap, a sentiment override epochs and
+    # patience; the seed reaches both
     (["topic_epochs=7", "sentiment_epochs=5"], 9,
-     lambda n: TrainConfig(learning_rate=0.3, batch_size=128, epochs=7, patience=7, seed=9),
+     lambda n: TrainConfig(learning_rate=0.3, batch_size=128, epochs=7, patience=5, seed=9,
+                           validation_fraction=0.1),
      TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
     (["sentiment_epochs=5"], 9, lambda n: domains.topic_config(n, seed=9),
      TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
@@ -233,8 +246,9 @@ def test_train_nlp_models_match_library(pipeline_dirs, tmp_path, capsys,
 def test_topic_config_scales_small_corpora():
     assert domains.topic_config(20_000) == domains.DEFAULT_TOPIC_CONFIG
     small = domains.topic_config(300, seed=4)
-    assert (small.batch_size, small.epochs, small.patience, small.seed) == (32, 320, 320, 4)
+    assert (small.batch_size, small.epochs, small.patience, small.seed) == (32, 320, 5, 4)
     assert small.learning_rate == domains.DEFAULT_TOPIC_CONFIG.learning_rate
+    assert small.validation_fraction == domains.DEFAULT_TOPIC_CONFIG.validation_fraction == 0.1
 
 
 def test_extract_row_count_and_header(pipeline_dirs):
@@ -521,6 +535,31 @@ def test_eval_rejected_hyperparameter_leaves_no_out_directory(pipeline_dirs, tmp
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("mode", ["single", "ablation"])
+@pytest.mark.parametrize("setting", ["0", "200", "width", "width+1"])
+def test_eval_max_features_outside_the_columns_leaves_no_out_directory(pipeline_dirs, tmp_path,
+                                                                       capsys, mode, setting):
+    # "width" is that of the narrowest column set the mode fits (the baseline
+    # set for ablation): the widest max_features that runs
+    *_, features_csv = pipeline_dirs
+    names = read_csv(features_csv).names
+    width = len([n for n in names if mode == "single" or not n.startswith(
+        ("sentence_fraction_", "clinical_sentiment_"))])
+    value = {"0": 0, "200": 200, "width": width, "width+1": width + 1}[setting]
+    code = run(["eval", mode, "--features", features_csv, "--set", "model.kind=random_forest",
+                "--set", f"model.max_features={value}", "--set", "model.n_trees=2",
+                "--set", "n_runs=2", "--out", tmp_path / "x" / "out"])
+    err = capsys.readouterr().err
+    if value == width:
+        assert code == 0 and (tmp_path / "x" / "out" / f"eval_{mode}.json").exists()
+        return
+    assert code == 2 and "Traceback" not in err
+    assert ("random_forest: hyperparameter 'max_features' must be >= 1, got 0" if value == 0
+            else f"random_forest: hyperparameter 'max_features' must be <= {width}, the width "
+                 f"of the narrowest column set eval {mode} fits, got {value}") in err
     assert not (tmp_path / "x").exists()
 
 

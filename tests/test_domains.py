@@ -20,6 +20,7 @@ from readmit.domains import (RISK_DOMAINS, Lexicon, aggregate_admission,
                              train_topic_model, weak_label)
 from readmit.errors import ConfigError, DataError, TrainingDivergedError
 from readmit.neural import MLPSpec, TrainConfig
+from readmit.seeding import derive_seed
 
 from helpers import lexicon_sentence_fractions, mlp_as_dtype
 
@@ -201,6 +202,29 @@ def test_train_nlp_without_heldout_domain_sentences(small_gen):
     assert sum(a is None for a in accuracy.values()) == 6
     assert all(0.0 <= a <= 1.0 for a in accuracy.values() if a is not None)
     assert set(nlp.sentiment) == set(RISK_DOMAINS)
+
+
+def test_train_nlp_scores_unseen_held_out_sentences_apart(small_gen, encoder):
+    config, corpus, _ = small_gen
+    nlp = domains.train_nlp(corpus, syngen.make_sentiment_seed(config, 700), default_lexicon(),
+                            seed=3, topic_epochs=6, sentiment_epochs=1)
+    texts = [" ".join(tokens) for a in corpus.admissions for note in a.notes
+             for tokens in textproc.split_sentences(note.text)]
+    X, Y = weak_label(corpus, default_lexicon(), encoder)
+    order = np.random.default_rng(derive_seed(3, "topic-holdout")).permutation(len(texts))
+    n_test = round(0.2 * len(texts))
+    test_idx, train_idx = order[:n_test], order[n_test:]
+    seen = {texts[i] for i in train_idx}
+    unseen = [i for i in test_idx if texts[i] not in seen]
+    assert 0 < len(unseen) < len(test_idx)
+    pred = domains.predict_domains(nlp.topic, X[unseen])
+    metrics = nlp.metrics
+    assert metrics["topic_micro_f1_unseen"] == f1_score((Y[unseen] > 0.5).ravel(), pred.ravel())
+    topic = nlp.topic
+    assert metrics["topic_training"] == {
+        "epochs_run": topic.epochs_run, "best_epoch": topic.best_epoch, "epoch_cap": 6,
+        "best_validation_micro_f1": topic.validation_scores[topic.best_epoch]}
+    assert len(topic.validation_scores) == topic.epochs_run + 1
 
 
 def _topic_split(n):

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from readmit import neural
 from readmit.errors import ConfigError, DataError, TrainingDivergedError
-from readmit.neural import (MLPSpec, TrainConfig, init_mlp,
-                            load_mlp, predict, save_mlp, train_mlp, train_mlps)
+from readmit.neural import (MLPSpec, TrainConfig, init_mlp, load_mlp, predict, save_mlp,
+                            train_mlp, train_mlps, validation_split)
+from readmit.seeding import derive_seed
 from readmit.textproc import split_sentences
 
-from helpers import gradient_check, mlp_as_dtype, reference_encode, reference_train_mlp
+from helpers import (confusion_tally, gradient_check, mlp_as_dtype, reference_encode,
+                     reference_stopping, reference_train_mlp)
 
 
 def test_encode_deterministic(encoder):
@@ -311,6 +313,158 @@ def test_train_mlps_edge_cases():
     assert train_mlps(spec, X, Y, []) == []
     with pytest.raises(DataError, match="at least one row"):
         train_mlps(spec, X, Y, [(np.arange(4), 0), (np.array([], dtype=int), 1)])
+
+
+def _held_out_score(model, X, Y):
+    """Micro-F1 at 0.5 of a sigmoid model or accuracy of a softmax one, by counting."""
+    probs = predict(model, X)
+    if model.spec.output_kind == "softmax":
+        return float(np.mean(probs.argmax(axis=1) == Y.argmax(axis=1)))
+    tp, fp, fn, _ = confusion_tally((Y > 0.5).ravel(), (probs >= 0.5).ravel())
+    return 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fits_with_validation_equal_train_mlp_stopped_at_their_best_epoch(data):
+    # Each fit holds out a slice of its own rows, trains on the rest, and
+    # keeps its best epoch's weights: those of a fit without validation on
+    # the rest, with the best epoch as its budget. Row counts differ, so the
+    # fits have ragged batches and stop at different epochs.
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    output_kind = draw(st.sampled_from(["softmax", "sigmoid"]))
+    spec = MLPSpec(input_dim=draw(st.integers(1, 6)),
+                   hidden_sizes=tuple(draw(st.lists(st.integers(1, 7), min_size=1, max_size=2))),
+                   activation=draw(st.sampled_from(["relu", "tanh"])),
+                   dropout_rate=draw(st.sampled_from([0.0, 0.0, 0.5])),
+                   output_kind=output_kind,
+                   n_outputs=draw(st.integers(2 if output_kind == "softmax" else 1, 4)))
+    config = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+                         batch_size=draw(st.integers(1, 12)), epochs=draw(st.integers(1, 25)),
+                         weight_decay=draw(st.sampled_from([0.0, 0.01])),
+                         patience=draw(st.integers(1, 4)),
+                         validation_fraction=draw(st.sampled_from([0.05, 0.2, 0.5])))
+    n = draw(st.integers(3, 50))
+    X = rng.normal(0, 1, (n, spec.input_dim)).astype(draw(st.sampled_from([np.float32, np.float64])))
+    Y = _targets(rng, n, spec)
+    fits = [(rng.choice(n, draw(st.integers(3, n)), replace=draw(st.booleans())), seed)
+            for seed in draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=4))]
+    together = train_mlps(spec, X, Y, fits, config)
+    for (rows, seed), model in zip(fits, together):
+        train_part, held = validation_split(rows, config.validation_fraction, seed)
+        assert 1 <= model.best_epoch <= model.epochs_run <= config.epochs
+        assert len(model.validation_scores) == model.epochs_run + 1
+        assert (model.epochs_run, model.best_epoch) == reference_stopping(
+            model.loss_history, model.validation_scores, config.patience, config.epochs)
+        stopped = train_mlp(spec, X[train_part], Y[train_part],
+                            replace(config, seed=seed, epochs=model.best_epoch, validation_fraction=0))
+        for x, y in zip(model.weights + model.biases, stopped.weights + stopped.biases):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert model.loss_history[:model.best_epoch] == stopped.loss_history
+        assert model.validation_scores[model.best_epoch] == _held_out_score(model, X[held], Y[held])
+        alone = train_mlp(spec, X[rows], Y[rows], replace(config, seed=seed))
+        _assert_same_model(model, alone)
+        assert (model.best_epoch, model.validation_scores) == (alone.best_epoch,
+                                                               alone.validation_scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), fraction=st.floats(0.0, 0.99, exclude_min=True),
+       seed=st.integers(0, 2**31), offset=st.integers(0, 1000))
+def test_validation_slice_comes_from_the_fits_own_rows(n, fraction, seed, offset):
+    rows = np.arange(offset, offset + n)[::-1]
+    n_held = max(1, round(fraction * n))
+    if n_held >= n:
+        with pytest.raises(DataError, match="keep a row to train on"):
+            validation_split(rows, fraction, seed)
+        return
+    train_part, held = validation_split(rows, fraction, seed)
+    assert len(held) == n_held and len(train_part) == n - n_held
+    assert sorted(np.concatenate([train_part, held]).tolist()) == sorted(rows.tolist())
+    # both parts keep the fit's order, and the draw depends on positions only
+    assert np.all(np.diff(train_part) < 0) and np.all(np.diff(held) < 0)
+    shifted = validation_split(rows + 7, fraction, seed)
+    assert np.array_equal(shifted[0], train_part + 7) and np.array_equal(shifted[1], held + 7)
+    # the slice's own stream, apart from the seed + 1 stream that shuffles the rows
+    drawn = np.random.default_rng(derive_seed(seed, "validation")).permutation(n)[:n_held]
+    assert sorted(held.tolist()) == sorted(rows[drawn].tolist())
+
+
+def test_fit_with_validation_does_not_depend_on_other_rows_or_fits():
+    rng = np.random.default_rng(8)
+    spec = MLPSpec(input_dim=4, hidden_sizes=(6,), output_kind="sigmoid", n_outputs=3)
+    config = TrainConfig(learning_rate=0.5, batch_size=8, epochs=30, patience=3,
+                         validation_fraction=0.2)
+    X = rng.normal(0, 1, (40, 4))
+    Y = (X[:, :3] > 0).astype(float)
+    alone = train_mlp(spec, X, Y, replace(config, seed=5))
+    assert alone.epochs_run < config.epochs  # the plateau stops it
+    # the same rows, in the same order, at other positions of a larger matrix
+    # whose other rows feed two more fits of the stack
+    big_X = rng.normal(0, 1, (100, 4))
+    big_Y = (rng.random((100, 3)) < 0.5).astype(float)
+    rows = np.arange(50, 90)
+    big_X[rows], big_Y[rows] = X, Y
+    together = train_mlps(spec, big_X, big_Y,
+                          [(np.arange(60), 1), (rows, 5), (np.arange(30, 100), 2)], config)
+    _assert_same_model(together[1], alone)
+    assert together[1].validation_scores == alone.validation_scores
+
+
+def test_score_that_stays_at_its_initial_value_does_not_stop_a_fit():
+    # Every target is 0 and so is the held-out micro-F1, at initialization and
+    # after every epoch. The epoch loss keeps falling, so the fit runs to the cap.
+    rng = np.random.default_rng(3)
+    spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="sigmoid", n_outputs=2)
+    config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=12, patience=2,
+                         validation_fraction=0.25, seed=4)
+    model = train_mlp(spec, rng.normal(0, 1, (24, 3)), np.zeros((24, 2)), config)
+    assert model.validation_scores == [0.0] * 13
+    assert model.epochs_run == model.best_epoch == 12
+    assert all(b < a for a, b in zip(model.loss_history, model.loss_history[1:]))
+
+
+def test_fraction_zero_keeps_training_loss_rule_and_records_no_scores():
+    rng = np.random.default_rng(1)
+    spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="softmax", n_outputs=2)
+    X, Y = rng.normal(0, 1, (20, 3)), np.eye(2)[rng.integers(0, 2, 20)]
+    model = train_mlp(spec, X, Y, TrainConfig(learning_rate=0.0, epochs=10, patience=3))
+    assert (model.epochs_run, model.best_epoch, model.validation_scores) == (4, 4, [])
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), -0.1, 1.0, 1.5])
+def test_train_config_rejects_validation_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ConfigError, match="validation_fraction must lie in"):
+        TrainConfig(validation_fraction=fraction).validate()
+
+
+@pytest.mark.parametrize("n_rows, fraction", [(1, 0.1), (2, 0.9), (4, 0.95)])
+def test_fit_too_small_to_hold_out_a_slice_is_a_data_error(n_rows, fraction):
+    spec = MLPSpec(input_dim=2, hidden_sizes=(3,), output_kind="softmax", n_outputs=2)
+    X, Y = np.zeros((8, 2)), np.tile([1.0, 0.0], (8, 1))
+    config = TrainConfig(validation_fraction=fraction)
+    with pytest.raises(DataError, match="keep a row to train on"):
+        train_mlps(spec, X, Y, [(np.arange(8), 0), (np.arange(n_rows), 1)], config)
+
+
+def test_save_load_keeps_validation_record(tmp_path):
+    rng = np.random.default_rng(2)
+    spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="sigmoid", n_outputs=2)
+    X = rng.normal(0, 1, (30, 3)).astype(np.float32)
+    Y = (X[:, :2] > 0).astype(float)
+    model = train_mlp(spec, X, Y, TrainConfig(learning_rate=0.5, batch_size=4, epochs=20,
+                                              patience=2, validation_fraction=0.2))
+    save_mlp(model, tmp_path / "m.json")
+    loaded = load_mlp(tmp_path / "m.json")
+    _assert_same_model(loaded, model)
+    assert (loaded.best_epoch, loaded.validation_scores) == (model.best_epoch,
+                                                             model.validation_scores)
+    plain = train_mlp(spec, X, Y, TrainConfig(epochs=3, patience=3))
+    save_mlp(plain, tmp_path / "plain.json")
+    metadata = json.loads((tmp_path / "plain.json").read_text(encoding="utf-8"))["metadata"]
+    assert sorted(metadata) == ["epochs_run", "final_loss", "loss_history", "seed"]
+    assert load_mlp(tmp_path / "plain.json").best_epoch == 3
 
 
 def test_save_load_roundtrip(tmp_path):
