@@ -17,6 +17,7 @@ import numpy as np
 
 from . import neural
 from .errors import ConfigError, DataError
+from .neural import f1_score
 from .seeding import derive_seed, rng_for
 
 KINDS = (
@@ -39,7 +40,7 @@ DEFAULT_HYPERPARAMETERS = {
     "random_forest": {"n_trees": 100, "max_depth": None, "min_samples_leaf": 1,
                       "max_features": "sqrt", "bootstrap": True},
     "mlp": {"hidden_sizes": (32, 16), "dropout_rate": 0.0, "learning_rate": 0.05,
-            "batch_size": 32, "epochs": 100, "patience": 20},
+            "batch_size": 32, "epochs": 100},
 }
 
 # Lower bounds of the numeric hyperparameters of the kinds other than the MLP.
@@ -119,14 +120,13 @@ class _Standardizer:
         return (X - self.mean) / self.scale
 
 
-def _mlp_configs(hyper: dict, input_dim: int, seed: int = 0):
+def _mlp_configs(hyper: dict, input_dim: int):
     """The checked ``MLPSpec`` and ``TrainConfig`` of an mlp classifier."""
     spec = neural.MLPSpec(input_dim=input_dim, hidden_sizes=tuple(hyper["hidden_sizes"]),
                           activation="relu", dropout_rate=hyper["dropout_rate"],
                           output_kind="softmax", n_outputs=2)
     config = neural.TrainConfig(learning_rate=hyper["learning_rate"],
-                                batch_size=hyper["batch_size"], epochs=hyper["epochs"],
-                                seed=seed, patience=hyper["patience"])
+                                batch_size=hyper["batch_size"], epochs=hyper["epochs"])
     spec.validate()
     config.validate()
     return spec, config
@@ -625,20 +625,6 @@ def train_fits(spec: ModelSpec, data: FitData, fits) -> list[TrainedClassifier]:
 def _normalize(v: np.ndarray) -> np.ndarray:
     total = v.sum()
     return v / total if total > 0 else v
-
-
-def f1_score(y_true, y_pred):
-    """Binary F1 of the positive class; 0 when there are no true or predicted
-    positives. A float for one vector of predictions; for stacked
-    predictions (..., n), the F1 of each along the last axis."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    tp = np.sum((y_pred == 1) & (y_true == 1), axis=-1)
-    fp = np.sum((y_pred == 1) & (y_true == 0), axis=-1)
-    fn = np.sum((y_pred == 0) & (y_true == 1), axis=-1)
-    denom = 2 * tp + fp + fn
-    f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
-    return float(f1) if f1.ndim == 0 else f1
 
 
 def importances(clf: TrainedClassifier, X, y, seed: int = 0) -> np.ndarray:

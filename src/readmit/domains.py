@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import classifiers, neural, pool, textproc
+from . import neural, pool, textproc
 from .errors import ConfigError, DataError, open_text
 from .neural import HashingEncoder, MLPModel, MLPSpec, TrainConfig
 from .seeding import derive_seed
@@ -167,11 +167,10 @@ DEFAULT_TOPIC_CONFIG = TrainConfig(learning_rate=0.3, batch_size=128, epochs=40,
 # match it (40 epochs over ~10k sentences).
 _TOPIC_TARGET_UPDATES = 3200
 # Sentiment models train on little data; two hidden layers with heavy
-# dropout keep them from memorizing it. The dropout noise makes epoch
-# losses fluctuate, so patience is left equal to the epoch budget. They hold
-# out no validation slice: 10% of a domain's records can be as few as 8.
+# dropout keep them from memorizing it. They hold out no validation slice
+# (10% of a domain's records can be as few as 8), so they run all 200 epochs.
 SENTIMENT_DROPOUT = 0.75
-DEFAULT_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs=200, patience=200)
+DEFAULT_SENTIMENT_CONFIG = TrainConfig(learning_rate=0.15, batch_size=32, epochs=200)
 MIN_SENTENCES_PER_DOMAIN = 50
 
 
@@ -189,17 +188,20 @@ def topic_config(n_rows: int, seed: int = 0) -> TrainConfig:
     return replace(base, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
-def train_topic_model(X: np.ndarray, Y: np.ndarray,
-                      config: Optional[TrainConfig] = None) -> MLPModel:
-    """Multi-label topic MLP (sigmoid over the seven domains).
+def train_topic_model(X: np.ndarray, Y: np.ndarray, config: Optional[TrainConfig] = None,
+                      rows=None) -> MLPModel:
+    """Multi-label topic MLP (sigmoid over the seven domains), trained on
+    ``rows`` of (X, Y), read in place; on every row by default.
 
-    Without an explicit config it trains with ``topic_config(len(X))``.
+    Without an explicit config it trains with ``topic_config`` of the row
+    count. A DataError names the topic model and the row count, such as when
+    too few rows are left to train on after the validation slice.
     """
-    if len(X) == 0:
-        raise DataError("cannot train a topic model on an empty dataset")
-    if config is None:
-        config = topic_config(len(X))
-    return neural.train_mlp(_topic_spec(X.shape[1]), X, Y, config)
+    n = len(X) if rows is None else len(rows)
+    try:
+        return neural.train_mlp(_topic_spec(X.shape[1]), X, Y, config or topic_config(n), rows)
+    except DataError as e:
+        raise DataError(f"cannot train the topic model on {n} training sentences: {e}") from None
 
 
 def _topic_spec(input_dim: int) -> MLPSpec:
@@ -300,8 +302,8 @@ class NlpModels:
     held-out sentences, ``topic_micro_f1_unseen`` on those of them that do not
     occur verbatim among the topic training sentences (None when there are
     none), ``topic_training`` (epochs run, best epoch, epoch cap and best
-    validation micro-F1) and, per domain, ``sentiment_accuracy``, None when
-    none of its seed records was held out."""
+    validation micro-F1, None without a validation slice) and, per domain,
+    ``sentiment_accuracy``, None when none of its seed records was held out."""
 
     topic: MLPModel
     sentiment: dict[str, MLPModel]
@@ -323,7 +325,7 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
     on the seed records, each scored on a seeded held-out fraction. The configs are
     the defaults with ``seed``: the topic model's ``topic_config``, whose epoch count
     is a cap, since it stops at a validation plateau. ``topic_epochs`` sets only
-    that cap; ``sentiment_epochs`` sets the sentiment models' epochs and patience."""
+    that cap; ``sentiment_epochs`` sets only the sentiment models' epochs."""
     if not 0.0 < holdout < 1.0:
         raise ConfigError(f"config key 'holdout_fraction' must lie in (0, 1), got {holdout}")
     for key, epochs in (("topic_epochs", topic_epochs), ("sentiment_epochs", sentiment_epochs)):
@@ -334,27 +336,25 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
     sentences = _corpus_sentences(corpus)
     X, Y = _weak_label_sentences(sentences, lexicon, encoder)
     test_idx, train_idx = _holdout(len(X), holdout, seed, "topic-holdout")
-    if topic_epochs is None:
-        topic_cfg = topic_config(len(train_idx), seed=seed)
-    else:
-        topic_cfg = replace(DEFAULT_TOPIC_CONFIG, epochs=topic_epochs, seed=seed)
-    # train_mlps reads the training rows of X in place: the model
-    # train_topic_model trains on X[train_idx], without that copy.
-    topic = neural.train_mlps(_topic_spec(X.shape[1]), X, Y, [(train_idx, seed)], topic_cfg)[0]
+    topic_cfg = topic_config(len(train_idx), seed=seed)
+    if topic_epochs is not None:
+        topic_cfg = replace(topic_cfg, epochs=topic_epochs)
+    topic = train_topic_model(X, Y, topic_cfg, train_idx)
     pred = predict_domains(topic, X[test_idx])
     truth = Y[test_idx] > 0.5
-    micro_f1 = classifiers.f1_score(truth.ravel(), pred.ravel())
+    micro_f1 = neural.f1_score(truth.ravel(), pred.ravel())
     seen = {tuple(sentences[i]) for i in train_idx}
     unseen = np.array([tuple(sentences[i]) not in seen for i in test_idx], dtype=bool)
-    micro_f1_unseen = (classifiers.f1_score(truth[unseen].ravel(), pred[unseen].ravel())
+    micro_f1_unseen = (neural.f1_score(truth[unseen].ravel(), pred[unseen].ravel())
                        if unseen.any() else None)
     topic_training = {"epochs_run": topic.epochs_run, "best_epoch": topic.best_epoch,
                       "epoch_cap": topic_cfg.epochs,
-                      "best_validation_micro_f1": topic.validation_scores[topic.best_epoch]}
+                      "best_validation_micro_f1": (topic.validation_scores[topic.best_epoch]
+                                                   if topic.validation_scores else None)}
 
     sent_cfg = replace(DEFAULT_SENTIMENT_CONFIG, seed=seed)
     if sentiment_epochs is not None:
-        sent_cfg = replace(sent_cfg, epochs=sentiment_epochs, patience=sentiment_epochs)
+        sent_cfg = replace(sent_cfg, epochs=sentiment_epochs)
     test_idx, train_idx = _holdout(len(records), holdout, seed, "sent-holdout")
     sentiment = train_sentiment_models([records[i] for i in train_idx], encoder, sent_cfg)
     accuracy: dict[str, Optional[float]] = {}

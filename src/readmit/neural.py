@@ -178,8 +178,9 @@ class TrainConfig:
     epochs: int = 200
     seed: int = 0
     weight_decay: float = 0.0
+    # Above 0, the share of each fit's rows held out: the fit stops after
+    # ``patience`` epochs without a gain of its score on them.
     patience: int = 20
-    # Above 0, the share of each fit's rows held out to decide when it stops.
     validation_fraction: float = 0.0
 
     def validate(self) -> None:
@@ -262,6 +263,20 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def f1_score(y_true, y_pred):
+    """Binary F1 of the positive class; 0 when there are no true or predicted
+    positives. A float for one vector of predictions; for stacked
+    predictions (..., n), the F1 of each along the last axis."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    tp = np.sum((y_pred == 1) & (y_true == 1), axis=-1)
+    fp = np.sum((y_pred == 1) & (y_true == 0), axis=-1)
+    fn = np.sum((y_pred == 0) & (y_true == 1), axis=-1)
+    denom = 2 * tp + fp + fn
+    f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+    return float(f1) if f1.ndim == 0 else f1
 
 
 def _forward(spec: MLPSpec, weights, biases, X: np.ndarray, masks=None):
@@ -364,23 +379,24 @@ def _validate_targets(spec: MLPSpec, Y: np.ndarray) -> None:
 
 
 def train_mlp(spec: MLPSpec, X: np.ndarray, Y: np.ndarray,
-              config: Optional[TrainConfig] = None) -> MLPModel:
+              config: Optional[TrainConfig] = None, rows=None) -> MLPModel:
     """Minibatch SGD on cross-entropy with inverted dropout: the one-fit
-    case of ``train_mlps``, on every row of (X, Y) with seed ``config.seed``.
+    case of ``train_mlps``, on ``rows`` of (X, Y), read in place (every row
+    by default), with seed ``config.seed``.
 
     Deterministic given (spec, data, config.seed): initialization, epoch
     shuffles, dropout masks and the validation slice all come from seeded
-    generators, and batches run sequentially. Training stops after
-    ``config.epochs`` epochs, or earlier after ``patience`` epochs without
-    improvement of the epoch loss; with a ``validation_fraction``, also
-    after ``patience`` epochs without a gain of the held-out score (see
+    generators, and batches run sequentially. Training runs ``config.epochs``
+    epochs; with a ``validation_fraction``, it stops earlier after
+    ``patience`` epochs without a gain of the held-out score (see
     ``train_mlps``).
 
     Parameters, targets and dropout masks take X's dtype: float32 if X is
     float32, float64 otherwise. The loss is always summed in float64.
     """
     config = config or TrainConfig()
-    return train_mlps(spec, X, Y, [(np.arange(len(X)), config.seed)], config)[0]
+    rows = np.arange(len(X)) if rows is None else rows
+    return train_mlps(spec, X, Y, [(rows, config.seed)], config)[0]
 
 
 def validation_split(rows: np.ndarray, fraction: float, seed: int):
@@ -410,9 +426,7 @@ def _validation_score(spec: MLPSpec, weights, biases, X: np.ndarray, Y: np.ndarr
     probs = _forward(spec, weights, biases, X)[2]
     if spec.output_kind == "softmax":
         return float(np.mean(probs.argmax(axis=-1) == Y.argmax(axis=-1)))
-    pred, truth = probs >= 0.5, Y > 0.5
-    marked = np.count_nonzero(pred) + np.count_nonzero(truth)  # 2 tp + fp + fn
-    return float(2 * np.count_nonzero(pred & truth) / marked) if marked else 0.0
+    return f1_score(Y.ravel() > 0.5, probs.ravel() >= 0.5)
 
 
 def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
@@ -429,12 +443,11 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
     fits with a batch of one length are a contiguous slice of it: a full
     batch for the fits that have one, then the ragged last batches, one
     slice per length. A fit leaves the stack after ``config.epochs``
-    epochs, or after ``patience`` epochs without improvement of its epoch
-    loss.
+    epochs, and earlier only at its held-out plateau or when it diverges.
 
     With a ``validation_fraction`` above 0, each fit trains on the rest of
     its rows after ``validation_split`` and scores the slice after every
-    epoch. It also leaves after ``patience`` epochs without a gain above
+    epoch. It leaves earlier after ``patience`` epochs without a gain above
     ``_MIN_GAIN`` over its best score so far, counted only once the score
     first rises above its value at initialization, and keeps the weights of
     its best epoch: the one with the highest score, or the latest one while
@@ -478,11 +491,9 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
         models.append(model)
     histories: list[list[float]] = [[] for _ in fits]
     diverged: dict[int, TrainingDivergedError] = {}
-    best = np.full(len(fits), np.inf)  # per fit: best epoch loss, epochs without improvement
-    stale = np.zeros(len(fits), dtype=np.intp)
     # per fit, with validation: best score once it rose, epochs without a gain
     best_score = np.full(len(fits), -np.inf)
-    score_stale = np.zeros(len(fits), dtype=np.intp)
+    stale = np.zeros(len(fits), dtype=np.intp)
     batch, lr = config.batch_size, config.learning_rate
 
     # The stack, by position: fit index, row count, generator, weights, biases.
@@ -525,10 +536,6 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
         for p in np.flatnonzero(~failed):
             i = fit[p]
             histories[i].append(float(epoch_loss[p]))
-            if epoch_loss[p] < best[i] - 1e-9:
-                best[i], stale[i] = epoch_loss[p], 0
-            else:
-                stale[i] += 1
             if validate:
                 model = models[i]
                 weights, biases = [W[p] for W in Ws], [c[p] for c in Bs]
@@ -537,7 +544,7 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
                 if best_score[i] == -np.inf and score <= model.validation_scores[0]:
                     best_yet = True  # until the score first rises, the latest epoch is the best
                 else:
-                    score_stale[i] = 0 if score > best_score[i] + _MIN_GAIN else score_stale[i] + 1
+                    stale[i] = 0 if score > best_score[i] + _MIN_GAIN else stale[i] + 1
                     best_yet = score > best_score[i]
                     best_score[i] = max(best_score[i], score)
                 if best_yet:
@@ -545,8 +552,7 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
                     model.weights = [W.copy() for W in weights]
                     model.biases = [c[0].copy() for c in biases]
 
-        out = (failed | (stale[fit] >= config.patience) | (score_stale[fit] >= config.patience)
-               | (epoch == config.epochs - 1))
+        out = failed | (stale[fit] >= config.patience) | (epoch == config.epochs - 1)
         if out.any():  # those fits leave the stack
             if not validate:
                 for p in np.flatnonzero(out):

@@ -223,7 +223,7 @@ def reference_train_mlp(spec, X, Y, config):
     model.biases = [b.astype(dtype, copy=False) for b in model.biases]
     rng = np.random.default_rng(config.seed + 1)
     n = X.shape[0]
-    best_loss, stale, history = np.inf, 0, []
+    history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
@@ -245,12 +245,6 @@ def reference_train_mlp(spec, X, Y, config):
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, epoch_loss)
         history.append(epoch_loss)
-        if epoch_loss < best_loss - 1e-9:
-            best_loss, stale = epoch_loss, 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
     model.seed = config.seed
     model.epochs_run = len(history)
     model.final_loss = history[-1] if history else float("nan")
@@ -258,19 +252,14 @@ def reference_train_mlp(spec, X, Y, config):
     return model
 
 
-def reference_stopping(loss_history, validation_scores, patience, epochs, min_gain=0.002):
-    """(epochs run, best epoch) that the early-stopping rules give a fit with
-    these epoch losses and held-out scores (``validation_scores[0]`` at
-    initialization), replayed one epoch at a time: the best epoch has the
-    highest score, and patience counts epochs that do not beat the best so
-    far by more than ``min_gain``, from the first score above the initial one."""
-    best_loss, stale = np.inf, 0
+def reference_stopping(validation_scores, patience, epochs, min_gain=0.002):
+    """(epochs run, best epoch) that the early-stopping rule gives a fit with
+    these held-out scores (``validation_scores[0]`` at initialization),
+    replayed one epoch at a time: the best epoch has the highest score, and
+    patience counts epochs that do not beat the best so far by more than
+    ``min_gain``, from the first score above the initial one."""
     best_score, score_stale, best_epoch = None, 0, 0
     for epoch in range(1, epochs + 1):
-        if loss_history[epoch - 1] < best_loss - 1e-9:
-            best_loss, stale = loss_history[epoch - 1], 0
-        else:
-            stale += 1
         score = validation_scores[epoch]
         if best_score is None:
             if score <= validation_scores[0]:  # not risen yet: the latest epoch is the best
@@ -284,7 +273,7 @@ def reference_stopping(loss_history, validation_scores, patience, epochs, min_ga
                 score_stale += 1
             if score > best_score:
                 best_score, best_epoch = score, epoch
-        if stale >= patience or score_stale >= patience:
+        if score_stale >= patience:
             return epoch, best_epoch
     return epochs, best_epoch
 

@@ -490,7 +490,7 @@ def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
     ("mlp", {"dropout_rate": float("inf")}, "hyperparameter 'dropout_rate' must be finite, got inf"),
     ("mlp", {"epochs": 0}, "batch_size, epochs and patience must be positive"),
     ("mlp", {"batch_size": 0}, "batch_size, epochs and patience must be positive"),
-    ("mlp", {"patience": -1}, "batch_size, epochs and patience must be positive"),
+    ("mlp", {"patience": -1}, "unknown hyperparameters ['patience']"),
     ("mlp", {"dropout_rate": 1.5}, "dropout_rate must lie in [0, 1), got 1.5"),
     ("mlp", {"hidden_sizes": (8, 0)}, "all layer dimensions must be positive"),
     ("mlp", {"learning_rate": -0.1}, "learning_rate and weight_decay must be finite and non-negative"),
@@ -521,6 +521,34 @@ def test_hyperparameters_of_related_types_pass():
             spec = ModelSpec(kind, {"max_depth": None, "max_features": max_features})
             assert spec.resolved()["max_features"] == max_features
         assert ModelSpec(kind, {"max_depth": 4}).resolved()["max_depth"] == 4
+
+
+# Per kind, a non-default value of each of its hyperparameters that a fit on
+# _linear_problem must feel.
+_FELT_VALUES = {
+    "sgd_linear": {"epochs": 3, "batch_size": 5, "learning_rate": 0.5, "alpha": 0.1},
+    "logistic_regression": {"c": 0.01, "iterations": 5, "learning_rate": 0.05},
+    "linear_svc": {"c": 0.01, "iterations": 5},
+    "decision_tree": {"max_depth": 1, "min_samples_leaf": 20, "max_features": 1},
+    "random_forest": {"n_trees": 3, "max_depth": 1, "min_samples_leaf": 20, "max_features": 1,
+                      "bootstrap": False},
+    "mlp": {"hidden_sizes": (4,), "dropout_rate": 0.5, "learning_rate": 0.5, "batch_size": 7,
+            "epochs": 3},
+}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, hyper in
+                                       classifiers.DEFAULT_HYPERPARAMETERS.items() for key in hyper])
+def test_every_hyperparameter_reaches_its_fitter(kind, key):
+    # A key that ModelSpec.resolved() accepts but no fitter reads fails here,
+    # and so does a new key without a felt value.
+    X, y = _linear_problem(n=80, d=5)
+    Xte, _ = _linear_problem(seed=1, n=80, d=5)  # unseen rows: a grown tree fits its own exactly
+    value = _FELT_VALUES[kind][key]
+    assert value != classifiers.DEFAULT_HYPERPARAMETERS[kind][key]
+    default = train(ModelSpec(kind, seed=3), X, y).predict_proba(Xte)
+    changed = train(ModelSpec(kind, {key: value}, seed=3), X, y).predict_proba(Xte)
+    assert not np.array_equal(default, changed)
 
 
 def test_public_api_resolves():

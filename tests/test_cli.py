@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,13 @@ import pytest
 from readmit import cli, domains, features, neural
 from readmit.classifiers import DEFAULT_HYPERPARAMETERS, ModelSpec
 from readmit.cli import main
-from readmit.corpus import derive_labels, load_corpus
+from readmit.corpus import derive_labels, load_corpus, write_corpus
 from readmit.domains import RISK_DOMAINS, domain_key
 from readmit.features import read_csv, write_csv
 from readmit.neural import HashingEncoder, TrainConfig
 from readmit.seeding import derive_seed
+
+from helpers import tiny_corpus
 
 
 def run(argv):
@@ -208,11 +211,10 @@ def _library_train_nlp(gen_dir, seed, topic_config, sentiment_config, holdout=0.
 @pytest.mark.parametrize("settings, seed, topic_config, sentiment_config", [
     # no override: the library defaults, small-corpus epoch scaling included
     ([], 0, lambda n: None, None),
-    # a topic override sets only the epoch cap, a sentiment override epochs and
-    # patience; the seed reaches both
+    # a topic override sets only the epoch cap, a sentiment override only the
+    # epochs; the seed reaches both
     (["topic_epochs=7", "sentiment_epochs=5"], 9,
-     lambda n: TrainConfig(learning_rate=0.3, batch_size=128, epochs=7, patience=5, seed=9,
-                           validation_fraction=0.1),
+     lambda n: replace(domains.topic_config(n, seed=9), epochs=7),
      TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
     (["sentiment_epochs=5"], 9, lambda n: domains.topic_config(n, seed=9),
      TrainConfig(learning_rate=0.15, batch_size=32, epochs=5, patience=5, seed=9)),
@@ -241,6 +243,21 @@ def test_train_nlp_models_match_library(pipeline_dirs, tmp_path, capsys,
         neural.save_mlp(sentiment[domain], lib_dir / names[-1])
     for name in names:
         assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("text, n_train", [("Sleeping well.", 0),
+                                           ("Sleeping well. Appetite poor.", 1)])
+def test_train_nlp_on_too_few_sentences_names_the_topic_model(pipeline_dirs, tmp_path, capsys,
+                                                              text, n_train):
+    # the 20% holdout takes one sentence, which leaves the topic model too
+    # few to hold out its validation slice and train on the rest
+    _, gen_dir, _, _ = pipeline_dirs
+    write_corpus(tiny_corpus((text,)), tmp_path / "corpus.jsonl")
+    code = run(["train-nlp", "--corpus", tmp_path / "corpus.jsonl",
+                "--seed-file", gen_dir / "sentiment_seed.jsonl", "--out", tmp_path / "m"])
+    assert code == 2
+    assert f"cannot train the topic model on {n_train} training sentences" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_topic_config_scales_small_corpora():
@@ -511,6 +528,7 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
     (["model.kind=mlp", "model.batch_size=0"],
      "mlp: batch_size, epochs and patience must be positive"),
     (["model.kind=mlp", "model.dropout_rate=1.5"], "mlp: dropout_rate must lie in [0, 1), got 1.5"),
+    (["model.kind=mlp", "model.patience=20"], "mlp: unknown hyperparameters ['patience']"),
     (["model.kind=logistic_regression", "model.learning_rate=nan"],
      "logistic_regression: hyperparameter 'learning_rate' must be finite, got nan"),
     (["model.kind=linear_svc", "model.c=nan"], "linear_svc: hyperparameter 'c' must be finite, got nan"),

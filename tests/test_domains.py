@@ -227,6 +227,39 @@ def test_train_nlp_scores_unseen_held_out_sentences_apart(small_gen, encoder):
     assert len(topic.validation_scores) == topic.epochs_run + 1
 
 
+def test_train_nlp_records_no_best_validation_score_without_a_slice(small_gen, monkeypatch):
+    config, corpus, _ = small_gen
+    monkeypatch.setattr(domains, "DEFAULT_TOPIC_CONFIG",
+                        replace(domains.DEFAULT_TOPIC_CONFIG, validation_fraction=0.0))
+    nlp = domains.train_nlp(corpus, syngen.make_sentiment_seed(config, 700), default_lexicon(),
+                            topic_epochs=2, sentiment_epochs=1)
+    assert nlp.topic.validation_scores == []
+    assert nlp.metrics["topic_training"] == {"epochs_run": 2, "best_epoch": 2, "epoch_cap": 2,
+                                             "best_validation_micro_f1": None}
+
+
+def test_topic_model_on_rows_read_in_place_equals_one_on_their_copy(small_gen, encoder, tmp_path):
+    _, corpus, _ = small_gen
+    X, Y = weak_label(corpus, default_lexicon(), encoder)
+    rows = np.random.default_rng(5).permutation(len(X))[:len(X) // 2]
+    config = replace(domains.topic_config(len(rows), seed=4), epochs=3)
+    neural.save_mlp(train_topic_model(X, Y, config, rows), tmp_path / "in_place.json")
+    neural.save_mlp(train_topic_model(X[rows], Y[rows], config), tmp_path / "copy.json")
+    assert (tmp_path / "in_place.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows, fraction, cause", [
+    (0, 0.0, "at least one row"), (0, 0.1, "at least one row"),
+    (1, 0.1, "keep a row to train on"), (4, 0.9, "keep a row to train on"),
+])
+def test_topic_model_on_too_few_sentences_is_a_data_error(encoder, n_rows, fraction, cause):
+    X, Y = np.zeros((n_rows, encoder.dim), np.float32), np.zeros((n_rows, len(RISK_DOMAINS)))
+    config = replace(domains.DEFAULT_TOPIC_CONFIG, validation_fraction=fraction)
+    with pytest.raises(DataError, match=f"^cannot train the topic model on {n_rows} training "
+                                        f"sentences: .*{cause}"):
+        train_topic_model(X, Y, config)
+
+
 def _topic_split(n):
     """(held-out rows, training rows) of the ``trained_pipeline`` topic model."""
     order = np.random.default_rng(77).permutation(n)

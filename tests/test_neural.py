@@ -251,8 +251,7 @@ def _assert_same_model(a, b):
 def test_fits_trained_together_equal_fits_trained_alone(data):
     # Each fit trains on its own rows of one shared matrix, any number of
     # them in any order; alone, the same rows are its whole matrix. Row
-    # counts differ, so fits have ragged last batches of different lengths,
-    # and a small patience stops them at different epochs.
+    # counts differ, so fits have ragged last batches of different lengths.
     draw = data.draw
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     output_kind = draw(st.sampled_from(["softmax", "sigmoid"]))
@@ -356,7 +355,7 @@ def test_fits_with_validation_equal_train_mlp_stopped_at_their_best_epoch(data):
         assert 1 <= model.best_epoch <= model.epochs_run <= config.epochs
         assert len(model.validation_scores) == model.epochs_run + 1
         assert (model.epochs_run, model.best_epoch) == reference_stopping(
-            model.loss_history, model.validation_scores, config.patience, config.epochs)
+            model.validation_scores, config.patience, config.epochs)
         stopped = train_mlp(spec, X[train_part], Y[train_part],
                             replace(config, seed=seed, epochs=model.best_epoch, validation_fraction=0))
         for x, y in zip(model.weights + model.biases, stopped.weights + stopped.biases):
@@ -414,7 +413,8 @@ def test_fit_with_validation_does_not_depend_on_other_rows_or_fits():
 
 def test_score_that_stays_at_its_initial_value_does_not_stop_a_fit():
     # Every target is 0 and so is the held-out micro-F1, at initialization and
-    # after every epoch. The epoch loss keeps falling, so the fit runs to the cap.
+    # after every epoch, while the epoch loss keeps falling. A score that never
+    # rises stops nothing, so the fit runs to the cap.
     rng = np.random.default_rng(3)
     spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="sigmoid", n_outputs=2)
     config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=12, patience=2,
@@ -425,12 +425,16 @@ def test_score_that_stays_at_its_initial_value_does_not_stop_a_fit():
     assert all(b < a for a, b in zip(model.loss_history, model.loss_history[1:]))
 
 
-def test_fraction_zero_keeps_training_loss_rule_and_records_no_scores():
+def test_fit_without_validation_runs_every_epoch_and_records_no_scores():
+    # At learning rate 0 the epoch loss does not fall (it moves only by
+    # rounding); without a held-out slice nothing but the epoch budget stops
+    # the fit, whatever its patience.
     rng = np.random.default_rng(1)
     spec = MLPSpec(input_dim=3, hidden_sizes=(4,), output_kind="softmax", n_outputs=2)
     X, Y = rng.normal(0, 1, (20, 3)), np.eye(2)[rng.integers(0, 2, 20)]
     model = train_mlp(spec, X, Y, TrainConfig(learning_rate=0.0, epochs=10, patience=3))
-    assert (model.epochs_run, model.best_epoch, model.validation_scores) == (4, 4, [])
+    assert (model.epochs_run, model.best_epoch, model.validation_scores) == (10, 10, [])
+    assert np.ptp(model.loss_history) < 1e-12
 
 
 @pytest.mark.parametrize("fraction", [float("nan"), -0.1, 1.0, 1.5])
