@@ -303,7 +303,9 @@ class NlpModels:
     occur verbatim among the topic training sentences (None when there are
     none), ``topic_training`` (epochs run, best epoch, epoch cap and best
     validation micro-F1, None without a validation slice) and, per domain,
-    ``sentiment_accuracy``, None when none of its seed records was held out."""
+    ``sentiment_accuracy``, None when none of its seed records was held out,
+    and ``sentiment_training``: training rows, epochs run, final loss and
+    ``first_layer``, how ``neural.train_mlps`` trained that layer."""
 
     topic: MLPModel
     sentiment: dict[str, MLPModel]
@@ -358,7 +360,13 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
     test_idx, train_idx = _holdout(len(records), holdout, seed, "sent-holdout")
     sentiment = train_sentiment_models([records[i] for i in train_idx], encoder, sent_cfg)
     accuracy: dict[str, Optional[float]] = {}
+    training: dict[str, dict] = {}
     for domain in RISK_DOMAINS:
+        model = sentiment[domain]
+        n_train = sum(records[i].domain == domain for i in train_idx)
+        training[domain] = {"training_rows": n_train, "epochs_run": model.epochs_run,
+                            "final_loss": model.final_loss,
+                            "first_layer": neural.first_layer(model.spec, sent_cfg, n_train)}
         recs = [records[i] for i in test_idx if records[i].domain == domain]
         if not recs:
             accuracy[domain] = None
@@ -369,7 +377,8 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
         accuracy[domain] = float(np.mean(pred_pol == true_pol))
     return NlpModels(topic, sentiment,
                      {"topic_micro_f1": micro_f1, "topic_micro_f1_unseen": micro_f1_unseen,
-                      "topic_training": topic_training, "sentiment_accuracy": accuracy})
+                      "topic_training": topic_training, "sentiment_accuracy": accuracy,
+                      "sentiment_training": training})
 
 
 def scalar_sentiment(dist):

@@ -160,19 +160,21 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
     return worst
 
 
-def _reference_forward(model, X, masks=None):
-    """One model's forward pass on a (rows, d) matrix, layer by layer."""
+def _reference_forward(model, X, masks=None, first=None):
+    """One model's forward pass on a (rows, d) matrix, layer by layer;
+    ``first`` in place of the first layer's product ``X @ W0`` if given."""
     spec = model.spec
     inputs, zs, hs = [X], [], []
     h = X
+    products = [first] + [None] * (len(model.weights) - 1)
     for l in range(len(spec.hidden_sizes)):
-        z = h @ model.weights[l] + model.biases[l]
+        z = (h @ model.weights[l] if products[l] is None else products[l]) + model.biases[l]
         a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
         zs.append(z)
         hs.append(a)
         h = a if masks is None else a * masks[l]
         inputs.append(h)
-    z_out = h @ model.weights[-1] + model.biases[-1]
+    z_out = (h @ model.weights[-1] if products[-1] is None else products[-1]) + model.biases[-1]
     if spec.output_kind == "softmax":
         with np.errstate(invalid="ignore", over="ignore"):
             e = np.exp(z_out - z_out.max(axis=1, keepdims=True))
@@ -182,10 +184,12 @@ def _reference_forward(model, X, masks=None):
     return inputs, zs, hs, probs
 
 
-def _reference_loss_and_gradients(model, X, Y, weight_decay, masks):
-    """Mean cross-entropy plus L2 penalty, and its gradients, for one model."""
+def _reference_loss_and_gradients(model, X, Y, weight_decay, masks, first=None):
+    """Mean cross-entropy plus L2 penalty, and its gradients, for one model.
+    With ``first``, the first layer's product, its gradient is the first
+    weight gradient."""
     spec = model.spec
-    inputs, zs, hs, probs = _reference_forward(model, X, masks)
+    inputs, zs, hs, probs = _reference_forward(model, X, masks, first)
     p = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     Y64 = np.asarray(Y, dtype=np.float64)
     if spec.output_kind == "softmax":
@@ -194,10 +198,10 @@ def _reference_loss_and_gradients(model, X, Y, weight_decay, masks):
         loss = float(-(Y64 * np.log(p) + (1.0 - Y64) * np.log(1.0 - p)).sum(axis=1).mean())
     if weight_decay:
         loss += 0.5 * weight_decay * sum(float((W * W).sum()) for W in model.weights)
-    delta = (probs - Y) / X.shape[0]
+    delta = (probs - Y) / Y.shape[0]
     grads_W, grads_b = [None] * len(model.weights), [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_W[l] = inputs[l].T @ delta
+        grads_W[l] = delta if l == 0 and first is not None else inputs[l].T @ delta
         grads_b[l] = delta.sum(axis=0)
         if weight_decay:
             grads_W[l] = grads_W[l] + weight_decay * model.weights[l]
@@ -211,9 +215,15 @@ def _reference_loss_and_gradients(model, X, Y, weight_decay, masks):
     return loss, grads_W, grads_b
 
 
-def reference_train_mlp(spec, X, Y, config):
+def reference_train_mlp(spec, X, Y, config, row_space=None):
     """One MLP trained alone, batch by batch on 2-D arrays: the minibatch SGD
-    loop that ``neural.train_mlps`` runs for many fits at once."""
+    loop that ``neural.train_mlps`` runs for many fits at once.
+
+    With fewer rows than inputs and no weight decay (or with ``row_space``
+    True; False forces input space), the first layer trains in the span of
+    the rows: its weights are ``W0 + X.T @ A``, a batch's products are
+    ``P[idx] + K[idx] @ A`` for ``P = X @ W0`` and ``K = X @ X.T``, and a
+    step moves only the batch's rows of ``A``."""
     X = np.asarray(X)
     dtype = np.float32 if X.dtype == np.float32 else np.float64
     X = X.astype(dtype, copy=False)
@@ -223,6 +233,11 @@ def reference_train_mlp(spec, X, Y, config):
     model.biases = [b.astype(dtype, copy=False) for b in model.biases]
     rng = np.random.default_rng(config.seed + 1)
     n = X.shape[0]
+    if row_space is None:
+        row_space = n < spec.input_dim and not config.weight_decay
+    if row_space:
+        W0 = model.weights[0]
+        P, K, A = X @ W0, X @ X.T, np.zeros((n, W0.shape[1]), dtype)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -233,18 +248,25 @@ def reference_train_mlp(spec, X, Y, config):
             if spec.dropout_rate > 0.0:
                 masks = [neural.dropout_mask((len(idx), h), spec.dropout_rate, rng).astype(dtype)
                          for h in spec.hidden_sizes]
+            first = P[idx] + K[idx] @ A if row_space else None
             loss, gW, gb = _reference_loss_and_gradients(model, X[idx], Y[idx],
-                                                         config.weight_decay, masks)
+                                                         config.weight_decay, masks, first)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             for l in range(len(model.weights)):
-                model.weights[l] -= np.multiply(gW[l], config.learning_rate, out=gW[l])
+                step = np.multiply(gW[l], config.learning_rate, out=gW[l])
+                if l == 0 and row_space:
+                    A[idx] -= step
+                else:
+                    model.weights[l] -= step
                 model.biases[l] -= np.multiply(gb[l], config.learning_rate, out=gb[l])
             total += loss * len(idx)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, epoch_loss)
         history.append(epoch_loss)
+    if row_space:
+        model.weights[0] = W0 + X.T @ A
     model.seed = config.seed
     model.epochs_run = len(history)
     model.final_loss = history[-1] if history else float("nan")

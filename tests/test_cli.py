@@ -162,6 +162,18 @@ def test_train_nlp_manifest_records_budget_and_metrics(pipeline_dirs):
         "epoch_cap": domains.topic_config(n_sentences - round(0.2 * n_sentences)).epochs,
         "best_validation_micro_f1": topic.validation_scores[topic.best_epoch]}
     assert 1 <= topic.best_epoch <= topic.epochs_run
+    # 560 of the 700 seed records train: every domain has fewer training rows
+    # than the encoder's 512 inputs, so trains its first layer in row space.
+    records = domains.read_seed_file(gen_dir / "sentiment_seed.jsonl")
+    order = np.random.default_rng(derive_seed(0, "sent-holdout")).permutation(len(records))
+    assert len(records) == 700
+    training_domains = [records[i].domain for i in order[140:]]
+    assert set(metrics["sentiment_training"]) == set(RISK_DOMAINS)
+    for domain, training in metrics["sentiment_training"].items():
+        model = neural.load_mlp(models_dir / f"sentiment_{domain_key(domain)}.json")
+        assert training == {"training_rows": training_domains.count(domain), "epochs_run": 40,
+                            "final_loss": model.final_loss, "first_layer": "row_space"}
+        assert model.epochs_run == 40
 
 
 def test_train_nlp_heldout_label_rounds(pipeline_dirs, tmp_path, capsys):

@@ -278,6 +278,61 @@ def test_fits_trained_together_equal_fits_trained_alone(data):
         _assert_same_model(model, train_mlp(spec, X[rows], Y[rows], alone))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_space_first_layer_equals_input_space_to_rounding(data):
+    # Fits with fewer training rows than inputs train their first layer in
+    # the span of their rows, in one stack with fits that have more rows than
+    # inputs. Each must be byte-identical to itself trained alone and to the
+    # reference loop on its training rows, and equal input-space training up
+    # to rounding, with validation on or off.
+    draw = data.draw
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    output_kind = draw(st.sampled_from(["softmax", "sigmoid"]))
+    d = draw(st.integers(8, 40))
+    spec = MLPSpec(input_dim=d,
+                   hidden_sizes=tuple(draw(st.lists(st.integers(1, 8), max_size=2))),
+                   activation=draw(st.sampled_from(["relu", "tanh"])),
+                   dropout_rate=draw(st.sampled_from([0.0, 0.5])),
+                   output_kind=output_kind,
+                   n_outputs=draw(st.integers(2 if output_kind == "softmax" else 1, 3)))
+    config = TrainConfig(learning_rate=draw(st.sampled_from([0.05, 0.3])),
+                         batch_size=draw(st.integers(1, 12)), epochs=draw(st.integers(1, 4)),
+                         patience=draw(st.integers(1, 3)),
+                         validation_fraction=draw(st.sampled_from([0.0, 0.2])))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = 2 * d
+    X = rng.normal(0, 1, (n, d)).astype(dtype)
+    Y = _targets(rng, n, spec)
+    sizes = [draw(st.integers(2, d - 1))] + draw(st.lists(st.integers(2, n), max_size=3))
+    fits = [(rng.choice(n, size, replace=False), draw(st.integers(0, 2**31))) for size in sizes]
+    together = train_mlps(spec, X, Y, fits, config)
+    tolerance = 1000 * np.finfo(dtype).eps
+    for (rows, seed), model in zip(fits, together):
+        alone = train_mlp(spec, X[rows], Y[rows], replace(config, seed=seed))
+        _assert_same_model(model, alone)
+        assert model.validation_scores == alone.validation_scores
+        train_part, epochs = rows, config.epochs
+        if config.validation_fraction:
+            train_part, epochs = validation_split(rows, config.validation_fraction, seed)[0], model.best_epoch
+        row_space = len(train_part) < d
+        assert neural.first_layer(spec, config, len(train_part)) == ("row_space" if row_space
+                                                                      else "input_space")
+        plain = replace(config, seed=seed, epochs=epochs, validation_fraction=0)
+        reference = reference_train_mlp(spec, X[train_part], Y[train_part], plain)
+        input_space = reference_train_mlp(spec, X[train_part], Y[train_part], plain, row_space=False)
+        for x, y, z in zip(model.weights + model.biases, reference.weights + reference.biases,
+                           input_space.weights + input_space.biases):
+            assert x.dtype == y.dtype == z.dtype and x.shape == y.shape == z.shape
+            assert x.tobytes() == y.tobytes()
+            if row_space:
+                np.testing.assert_allclose(x, z, rtol=tolerance, atol=tolerance)
+            else:
+                assert x.tobytes() == z.tobytes()
+        assert model.loss_history[:epochs] == reference.loss_history
+        np.testing.assert_allclose(reference.loss_history, input_space.loss_history, rtol=tolerance)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scales", [
     (1.0, 1e6, 1.0, 1e150),   # fit 1 diverges at epoch 5, after fit 3 at epoch 0
