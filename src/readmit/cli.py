@@ -290,12 +290,15 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"{spec.kind}: hyperparameter 'max_features' must be <= {width}, "
                               f"the width of the narrowest column set eval {args.mode} fits, "
                               f"got {max_features}")
+    least_counts = {"rfe": (("rfe_folds", 2), ("rfe_repeats", 1)),
+                    "single": (("n_runs", 1),), "ablation": (("n_runs", 1),)}
+    for key, least in least_counts.get(args.mode, ()):
+        if settings[key] < least:
+            raise ConfigError(f"config key {key!r} must be at least {least}, got {settings[key]}")
     if args.mode == "rfe":
-        for key, least in (("rfe_folds", 2), ("rfe_repeats", 1)):
-            if settings[key] < least:
-                raise ConfigError(f"config key {key!r} must be at least {least}, "
-                                  f"got {settings[key]}")
         evaluate.check_rfe(matrix, spec, settings["rfe_folds"], settings["rfe_repeats"])
+    elif args.mode in ("single", "ablation"):
+        split_cfg.validate()
     # Only once the inputs have loaded and been checked, so a rejected input leaves no directory.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

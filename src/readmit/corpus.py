@@ -96,6 +96,15 @@ def _check_enum(value, allowed, what, owner):
     _require(value in allowed, f"{owner}: {what} {value!r} not one of {allowed}")
 
 
+def patient_timelines(corpus: Corpus) -> dict[str, list[Admission]]:
+    """Each patient's admissions in a stable admit-date sort, keyed by
+    patient_id in the order the patients first appear in ``corpus.admissions``."""
+    by_patient: dict[str, list[Admission]] = {}
+    for a in corpus.admissions:
+        by_patient.setdefault(a.patient_id, []).append(a)
+    return {pid: sorted(adms, key=lambda a: a.admit_date) for pid, adms in by_patient.items()}
+
+
 def validate_corpus(corpus: Corpus) -> None:
     """Check every structural invariant; raise naming the offending id."""
     seen_patients = set()
@@ -109,7 +118,6 @@ def validate_corpus(corpus: Corpus) -> None:
 
     patients_by_id = {p.patient_id: p for p in corpus.patients}
     seen_admissions = set()
-    by_patient: dict[str, list[Admission]] = {}
     for a in corpus.admissions:
         _require(a.admission_id not in seen_admissions, f"duplicate admission_id {a.admission_id!r}")
         seen_admissions.add(a.admission_id)
@@ -134,10 +142,8 @@ def validate_corpus(corpus: Corpus) -> None:
         age = age_at(patients_by_id[a.patient_id].birth_date, a.admit_date)
         _require(18 <= age <= 100,
                  f"admission {a.admission_id}: patient age {age} outside [18, 100]")
-        by_patient.setdefault(a.patient_id, []).append(a)
 
-    for pid, adms in by_patient.items():
-        ordered = sorted(adms, key=lambda a: a.admit_date)
+    for pid, ordered in patient_timelines(corpus).items():
         for prev, nxt in zip(ordered, ordered[1:]):
             _require(nxt.admit_date > prev.discharge_date,
                      f"patient {pid}: admissions {prev.admission_id} and "
@@ -233,7 +239,9 @@ def load_corpus(path) -> Corpus:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    """Write JSONL in the canonical key order; load_corpus round-trips it."""
+    """Write JSONL in the canonical key order, each patient's admissions in
+    admit-date order; load_corpus round-trips it."""
+    timelines = patient_timelines(corpus)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in corpus.patients:
             obj = {
@@ -243,9 +251,7 @@ def write_corpus(corpus: Corpus, path) -> None:
                 "marital_status": p.marital_status,
                 "veteran": p.veteran,
                 "birth_date": p.birth_date.isoformat(),
-                "admissions": [
-                    _admission_to_obj(a) for a in corpus.admissions if a.patient_id == p.patient_id
-                ],
+                "admissions": [_admission_to_obj(a) for a in timelines.get(p.patient_id, [])],
             }
             fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
@@ -281,11 +287,7 @@ def derive_labels(corpus: Corpus) -> Corpus:
     False. Idempotent.
     """
     labeled: dict[str, bool] = {}
-    by_patient: dict[str, list[Admission]] = {}
-    for a in corpus.admissions:
-        by_patient.setdefault(a.patient_id, []).append(a)
-    for adms in by_patient.values():
-        ordered = sorted(adms, key=lambda a: a.admit_date)
+    for ordered in patient_timelines(corpus).values():
         for cur, nxt in zip(ordered, ordered[1:]):
             gap = (nxt.admit_date - cur.discharge_date).days
             labeled[cur.admission_id] = gap <= READMISSION_WINDOW_DAYS

@@ -3,6 +3,9 @@
 Every run, fold and repeat draws its seed from the master seed via
 ``derive_seed``, so reports are pure functions of (data, master seed,
 config) and identical whether work runs sequentially or in parallel.
+Repeated evaluation and RFE share one impute-fit-score step: ``_fold_data``
+imputes each split on its own training rows, then ``_fit_and_score`` fits,
+scores and explains every split.
 """
 
 from dataclasses import asdict, dataclass, replace
@@ -155,17 +158,29 @@ class RunsReport:
     mean_importance: dict[str, float]
 
 
-def _imputed(X: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray):
-    """(training rows, test rows) of X, NaNs filled with the training rows' column means."""
-    imputer = Imputer.fit(X[train_idx])
-    return imputer.transform(X[train_idx]), imputer.transform(X[test_idx])
-
-
-def _stacked(spec: ModelSpec, parts):
-    """The ``classifiers.fit_data`` of the (X, y) ``parts`` stacked, and each part's rows in it."""
+def _fold_data(spec: ModelSpec, matrix: FeatureMatrix, splits):
+    """Each (train, test) split of ``matrix`` imputed with its training rows'
+    column means: the ``classifiers.fit_data`` of the training parts stacked,
+    each split's rows in it, and each split's (imputed test rows, labels)."""
+    parts = []
+    for train, test in splits:
+        imputer = Imputer.fit(matrix.X[train])
+        parts.append((imputer.transform(matrix.X[train]), imputer.transform(matrix.X[test])))
     data = classifiers.fit_data(spec, np.vstack([X for X, _ in parts]),
-                                np.concatenate([y for _, y in parts]))
-    return data, np.split(np.arange(len(data.y)), np.cumsum([len(y) for _, y in parts])[:-1])
+                                np.concatenate([matrix.y[train] for train, _ in splits]))
+    bounds = np.cumsum([len(train) for train, _ in splits])
+    return (data, np.split(np.arange(bounds[-1]), bounds[:-1]),
+            [(X_test, matrix.y[test]) for (_, X_test), (_, test) in zip(parts, splits)])
+
+
+def _fit_and_score(spec: ModelSpec, data: classifiers.FitData, rows, tests, seeds) -> list:
+    """Per split i, (MetricSet on ``tests[i]`` = (X, y), importances on its
+    training rows), fit on ``data`` at ``rows[i]`` with ``seeds[i]`` = (fit
+    seed, importance seed); all fits run in one ``classifiers.train_fits`` call."""
+    clfs = classifiers.train_fits(spec, data, zip(rows, [fit for fit, _ in seeds]))
+    return [(metrics(y_test, clf.predict_proba(X_test)),
+             classifiers.importances(clf, data.X[r], data.y[r], seed=imp_seed))
+            for clf, r, (X_test, y_test), (_, imp_seed) in zip(clfs, rows, tests, seeds)]
 
 
 # Runs per block of repeated_eval. A block holds its runs' imputed and
@@ -186,31 +201,21 @@ def _blocks(n_runs: int, workers: int) -> list[range]:
 
 def _run_block(matrix: FeatureMatrix, spec: ModelSpec, split_config: SplitConfig,
                master_seed: int, block: range) -> list:
-    """(RunRecord, importances) of each run of ``block``, fit in one
-    ``classifiers.train_fits`` call on the runs' training rows stacked.
+    """(RunRecord, importances) of each run of ``block``, from one impute-fit-score step.
 
     When a run fails, the block is redone one run at a time, so the error
     raised is that of its lowest failing run, as in a run-by-run loop.
     """
     try:
-        runs = []
-        for r in block:
-            run_seed = derive_seed(master_seed, "run", r)
-            train_idx, test_idx = split(matrix, replace(split_config,
-                                                        seed=derive_seed(run_seed, "split")))
-            runs.append((run_seed, train_idx, test_idx, *_imputed(matrix.X, train_idx, test_idx)))
-        data, rows = _stacked(spec, [(X_train, matrix.y[train_idx])
-                                     for _, train_idx, _, X_train, _ in runs])
-        clfs = classifiers.train_fits(spec, data, zip(rows, [derive_seed(run_seed, "fit")
-                                                              for run_seed, *_ in runs]))
-        results = []
-        for clf, (run_seed, train_idx, test_idx, X_train, X_test) in zip(clfs, runs):
-            mset = metrics(matrix.y[test_idx], clf.predict_proba(X_test))
-            imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
-                                          seed=derive_seed(run_seed, "importance"))
-            top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
-            results.append((RunRecord(seed=run_seed, metrics=mset, top_features=top), imp))
-        return results
+        run_seeds = [derive_seed(master_seed, "run", r) for r in block]
+        splits = [split(matrix, replace(split_config, seed=derive_seed(s, "split")))
+                  for s in run_seeds]
+        scored = _fit_and_score(spec, *_fold_data(spec, matrix, splits),
+                                [(derive_seed(s, "fit"), derive_seed(s, "importance"))
+                                 for s in run_seeds])
+        return [(RunRecord(seed=s, metrics=mset, top_features=[
+                     matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]), imp)
+                for s, (mset, imp) in zip(run_seeds, scored)]
     except Exception:
         if len(block) == 1:
             raise
@@ -224,9 +229,9 @@ def repeated_eval(matrix: FeatureMatrix, spec: ModelSpec,
     """Split/fit/score ``n_runs`` times; aggregate means, stds, importances.
 
     Each run records its ten most important columns. Runs go to the
-    workers in contiguous blocks (``_blocks``), and a block's runs fit in
-    one ``classifiers.train_fits`` call; a run's result does not depend on
-    its block.
+    workers in contiguous blocks (``_blocks``), and each block is one
+    impute-fit-score step (``_fold_data``, then ``_fit_and_score``) over its
+    runs' splits; a run's result does not depend on its block.
     """
     split_config = split_config or SplitConfig()
     if n_runs < 1:
@@ -368,10 +373,9 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
     (ties favor the smaller set); the overall best is the repeat with the
     highest best score.
 
-    A repeat imputes each fold once and makes one ``classifiers.fit_data``
-    of the folds' training rows stacked; each width cuts its columns from
-    that and fits every fold in one ``classifiers.train_fits`` call. Each
-    fit equals ``classifiers.train`` on its fold imputed alone.
+    A repeat runs ``_fold_data`` once over its folds, and each width runs
+    ``_fit_and_score`` on the columns still standing, cut from it. Each fit
+    equals ``classifiers.train`` on its fold imputed alone.
     """
     check_rfe(matrix, spec, folds, repeats)
     names = list(matrix.names)
@@ -379,26 +383,21 @@ def rfe(matrix: FeatureMatrix, spec: ModelSpec, folds: int = 3, repeats: int = 3
 
     def one_repeat(rep: int) -> RfeRepeat:
         rep_seed = derive_seed(master_seed, "rfe", rep)
-        rng = np.random.default_rng(rep_seed)
-        fold_of = _stratified_folds(matrix.y, folds, rng)
-        fold_idx = [(np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k))
-                    for k in range(folds)]
-        parts = [_imputed(matrix.X, tr, te) for tr, te in fold_idx]
-        data, fold_rows = _stacked(spec, [(X_tr, matrix.y[tr])
-                                          for (X_tr, _), (tr, _) in zip(parts, fold_idx)])
+        fold_of = _stratified_folds(matrix.y, folds, np.random.default_rng(rep_seed))
+        data, fold_rows, tests = _fold_data(spec, matrix, [
+            (np.flatnonzero(fold_of != k), np.flatnonzero(fold_of == k)) for k in range(folds)])
         active = list(range(len(names)))
         order: list[str] = []
         scores: list[float] = []
         for width in widths:
-            seeds = [derive_seed(rep_seed, "fold", k, width) for k in range(folds)]
-            cut = data.columns(active)
-            clfs = classifiers.train_fits(spec, cut, zip(fold_rows, seeds))
-            scores.append(float(np.mean([metrics(matrix.y[te], clf.predict_proba(X_te[:, active])).f1
-                                         for clf, (_, X_te), (_, te) in zip(clfs, parts, fold_idx)])))
+            # Fortran-ordered cuts: C-ordered ones move linear fits' last bits.
+            scored = _fit_and_score(spec, data.columns(active), fold_rows,
+                                    [(X[:, active], y) for X, y in tests],
+                                    [(derive_seed(rep_seed, "fold", k, width),
+                                      derive_seed(rep_seed, "imp", k, width)) for k in range(folds)])
+            scores.append(float(np.mean([mset.f1 for mset, _ in scored])))
             if width > 1:
-                imp_sum = sum(classifiers.importances(clf, cut.X[rows], cut.y[rows],
-                                                      seed=derive_seed(rep_seed, "imp", k, width))
-                              for k, (clf, rows) in enumerate(zip(clfs, fold_rows)))
+                imp_sum = sum(imp for _, imp in scored)
                 order.append(names[active.pop(int(np.argmin(imp_sum / folds)))])
         # ties favor the smaller set, i.e. the latest width achieving the max
         best_pos = len(scores) - 1 - int(np.argmax(scores[::-1]))

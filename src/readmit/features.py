@@ -16,7 +16,7 @@ import numpy as np
 
 from . import domains, textproc
 from .corpus import (GENDERS, MARITAL_STATUSES, RACES, YES_NO_UNKNOWN,
-                     Admission, Corpus, Patient, age_at)
+                     Admission, Corpus, Patient, age_at, patient_timelines)
 from .domains import RISK_DOMAINS, AdmissionDomainSummary, domain_key
 from .errors import DataError, open_text
 from .neural import HashingEncoder, MLPModel
@@ -237,11 +237,7 @@ def build_features(corp: Corpus,
     """Assemble one row per admission; ``summaries`` keyed by admission_id."""
     patients = {p.patient_id: p for p in corp.patients}
     rows: list[AdmissionFeatures] = []
-    by_patient: dict[str, list[Admission]] = {}
-    for a in corp.admissions:
-        by_patient.setdefault(a.patient_id, []).append(a)
-    for pid, adms in by_patient.items():
-        ordered = sorted(adms, key=lambda a: a.admit_date)
+    for pid, ordered in patient_timelines(corp).items():
         resolved = [textproc.resolve_admission_fields(a.notes) for a in ordered]
         for k, admission in enumerate(ordered):
             prior = list(zip(ordered[:k], resolved[:k]))

@@ -19,8 +19,7 @@ rows and stops when its score on that slice stops rising (Prechelt 1998,
 and no weight decay trains its first layer in the span of those rows
 (``first_layer``, ``_RowSpace``): equal to input space up to rounding, and
 cheaper per step. The seven sentiment models, and topic models on fewer
-than 512 training sentences, train this way; their bytes moved once with
-this rule.
+than 512 training sentences, train this way.
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -511,12 +510,10 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
     batch's rows of the (n, h) coefficients ``A``. The explicit weights
     ``W0 + X.T @ A`` are formed only for a validation score, the best-epoch
     snapshot and the returned model. The result equals input-space training
-    up to rounding, not byte for byte: the rule moved the bytes of the
-    seven sentiment model files, the ``clinical_sentiment_*`` features and
-    topic models on fewer than 512 training sentences. Dropout masks,
-    shuffles and every later layer are those of input space. These fits
-    sit at the stack's tail, each running its first layer alone, so a
-    fit's bytes still do not depend on its stack.
+    up to rounding, not byte for byte. Dropout masks, shuffles and every
+    later layer are those of input space. These fits sit at the stack's
+    tail, each running its first layer alone, so a fit's bytes still do not
+    depend on its stack.
 
     A diverging fit raises what a fit-by-fit loop raises: the
     ``TrainingDivergedError`` of the lowest-index fit that diverges.

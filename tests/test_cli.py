@@ -386,13 +386,32 @@ def test_eval_rfe_elimination_length_five_columns(tmp_path):
     ("model.max_features=2", "RFE fits down to 1 column, so an integer max_features must be 1"),
 ])
 def test_eval_rfe_rejected_count_leaves_no_out_directory(tmp_path, capsys, setting, message):
+    assert run(["eval", "rfe", "--features", _three_column_csv(tmp_path), "--set", setting,
+                "--out", tmp_path / "x" / "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _three_column_csv(tmp_path):
     import numpy as np
     from readmit.features import FeatureMatrix, FeatureSchema, write_csv
     X = np.random.default_rng(0).normal(0, 1, (12, 3))
     csv_path = tmp_path / "three.csv"
     write_csv(FeatureMatrix(schema=FeatureSchema(["a", "b", "c"]), X=X,
                             y=(X[:, 0] > 0).astype(float)), csv_path)
-    assert run(["eval", "rfe", "--features", csv_path, "--set", setting,
+    return csv_path
+
+
+@pytest.mark.parametrize("mode", ["single", "ablation"])
+@pytest.mark.parametrize("setting, message", [
+    ("n_runs=0", "config key 'n_runs' must be at least 1, got 0"),
+    ("test_fraction=1.5", "test_fraction must lie in (0, 1), got 1.5"),
+    ("test_fraction=0", "test_fraction must lie in (0, 1), got 0"),
+    ("grouping=bogus", "unknown grouping 'bogus'"),
+])
+def test_eval_rejected_split_setting_leaves_no_out_directory(tmp_path, capsys, mode, setting,
+                                                             message):
+    assert run(["eval", mode, "--features", _three_column_csv(tmp_path), "--set", setting,
                 "--out", tmp_path / "x" / "out"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()

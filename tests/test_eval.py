@@ -201,27 +201,66 @@ def test_f1_accuracy_match_confusion_tally():
         assert m.f1 == expected_f1
 
 
-def test_repeated_eval_single_run_matches_manual():
-    # The MLP's fit and its permutation importances both depend on their seeds.
+@pytest.mark.parametrize("block_runs", [1, 8])
+@pytest.mark.parametrize("kind", classifiers.KINDS)
+def test_repeated_eval_matches_run_by_run_oracle(monkeypatch, kind, block_runs):
+    # Each run imputes, fits, scores and explains its own split alone. The
+    # MLP's fit and its permutation importances both depend on their seeds.
     matrix = _matrix(n=80)
     matrix.X[::7, 2] = np.nan
-    spec = ModelSpec("mlp", {"hidden_sizes": (8,), "epochs": 15}, seed=0)
-    report = repeated_eval(matrix, spec, SplitConfig(), n_runs=1, master_seed=11)
+    matrix.X[3::5, 4] = np.nan
+    spec = SMALL_SPECS[kind]
+    monkeypatch.setattr(evaluate, "_BLOCK_RUNS", block_runs)
+    report = repeated_eval(matrix, spec, SplitConfig(), n_runs=3, master_seed=11)
 
-    run_seed = derive_seed(11, "run", 0)
-    cfg = replace(SplitConfig(), seed=derive_seed(run_seed, "split"))
-    train_idx, test_idx = split(matrix, cfg)
-    imputer = Imputer.fit(matrix.X[train_idx])
-    X_train = imputer.transform(matrix.X[train_idx])
-    clf = classifiers.train(replace(spec, seed=derive_seed(run_seed, "fit")),
-                            X_train, matrix.y[train_idx])
-    m = metrics(matrix.y[test_idx], clf.predict_proba(imputer.transform(matrix.X[test_idx])))
-    assert report.runs[0].metrics == m
-    imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
-                                  seed=derive_seed(run_seed, "importance"))
-    assert report.mean_importance == {n: float(v) for n, v in zip(matrix.names, imp)}
-    assert report.runs[0].top_features == [matrix.names[j]
-                                           for j in np.argsort(-imp, kind="stable")[:10]]
+    runs, imps = [], []
+    for r in range(3):
+        run_seed = derive_seed(11, "run", r)
+        train_idx, test_idx = split(matrix, replace(SplitConfig(),
+                                                    seed=derive_seed(run_seed, "split")))
+        imputer = Imputer.fit(matrix.X[train_idx])
+        X_train = imputer.transform(matrix.X[train_idx])
+        clf = classifiers.train(replace(spec, seed=derive_seed(run_seed, "fit")),
+                                X_train, matrix.y[train_idx])
+        m = metrics(matrix.y[test_idx], clf.predict_proba(imputer.transform(matrix.X[test_idx])))
+        imp = classifiers.importances(clf, X_train, matrix.y[train_idx],
+                                      seed=derive_seed(run_seed, "importance"))
+        top = [matrix.names[j] for j in np.argsort(-imp, kind="stable")[:10]]
+        runs.append(evaluate.RunRecord(seed=run_seed, metrics=m, top_features=top))
+        imps.append(imp)
+    per_metric = {name: [getattr(r.metrics, name) for r in runs]
+                  for name in ("accuracy", "auc", "f1")}
+    expected = evaluate.RunsReport(
+        model_kind=kind, n_runs=3, master_seed=11, runs=runs,
+        mean={k: float(np.mean(v)) for k, v in per_metric.items()},
+        std={k: float(np.std(v)) for k, v in per_metric.items()},
+        mean_importance={n: float(v) for n, v in zip(matrix.names, sum(imps) / 3)})
+    assert _dump(evaluate.runs_report_obj(report)) == _dump(evaluate.runs_report_obj(expected))
+
+
+def test_run_block_fits_see_each_run_imputed_on_its_own(monkeypatch):
+    # A block stacks its runs' training rows for one train_fits call, so each
+    # fit must see the bytes of its run imputed alone, not of the stack.
+    matrix = _nan_signal_matrix()
+    calls, seen = [], {}
+    train_fits = classifiers.train_fits
+
+    def recording(spec, data, fits):
+        fits = list(fits)
+        calls.append(len(fits))
+        for rows, seed in fits:
+            seen[seed] = data.X[rows].tobytes()
+        return train_fits(spec, data, fits)
+    monkeypatch.setattr(classifiers, "train_fits", recording)
+    repeated_eval(matrix, ModelSpec("logistic_regression"), n_runs=3, master_seed=9)
+    assert calls == [3]
+    for r in range(3):
+        run_seed = derive_seed(9, "run", r)
+        train_idx, _ = split(matrix, replace(SplitConfig(), seed=derive_seed(run_seed, "split")))
+        X_train = matrix.X[train_idx]
+        expected = Imputer.fit(X_train).transform(X_train)
+        assert seen.pop(derive_seed(run_seed, "fit")) == expected.tobytes()
+    assert not seen
 
 
 def test_repeated_eval_varies_and_aggregates():
