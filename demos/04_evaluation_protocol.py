@@ -18,7 +18,7 @@ corp = corpus.derive_labels(syngen.generate(config))
 nlp = domains.train_nlp(corp, syngen.make_sentiment_seed(config, 1400), domains.default_lexicon())
 matrix = features.extract(corp, nlp.topic, nlp.sentiment)
 
-spec = ModelSpec("logistic_regression", seed=0)
+spec = ModelSpec("logistic_regression")
 report = evaluate.ablation(matrix, spec, n_runs=60, master_seed=9)
 print(evaluate.render_ablation_text(evaluate.ablation_report_obj(report)))
 
@@ -36,7 +36,7 @@ planted = FeatureMatrix(
 
 outcomes = []
 for k in range(3):
-    outcome = evaluate.rfe(planted, ModelSpec("decision_tree", {"min_samples_leaf": 2}, seed=k),
+    outcome = evaluate.rfe(planted, ModelSpec("decision_tree", {"min_samples_leaf": 2}),
                            folds=3, repeats=5, master_seed=100 + k)
     outcomes.append(outcome)
     print(f"RFE run {k}: best set {sorted(outcome.best_set)} (CV F1 {outcome.best_score:.3f})")

@@ -43,7 +43,7 @@ DEFAULT_HYPERPARAMETERS = {
             "batch_size": 32, "epochs": 100},
 }
 
-# Lower bounds of the numeric hyperparameters of the kinds other than the MLP.
+# Lower bounds of the numeric hyperparameters, checked for every kind.
 _LOWER_BOUNDS = {"c": (">", 0), "learning_rate": (">=", 0), "alpha": (">=", 0),
                  **dict.fromkeys(("n_trees", "iterations", "epochs", "batch_size",
                                   "min_samples_leaf", "max_depth", "max_features"), (">=", 1))}
@@ -59,6 +59,10 @@ _PERMUTATION_BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A classifier kind and its hyperparameters. ``seed`` seeds ``train``'s one
+    fit; ``evaluate.repeated_eval``, ``ablation`` and ``rfe`` derive each fit's
+    seed from their ``master_seed`` and do not read it."""
+
     kind: str
     hyper: dict = field(default_factory=dict)
     seed: int = 0
@@ -68,8 +72,8 @@ class ModelSpec:
         default's type: an int also passes for a float, and a single int for
         a tuple as a one-element tuple; ``max_depth`` also takes None, and
         ``max_features`` None, "sqrt" or an int. A float must be finite, a
-        value of another kind than the MLP must pass its ``_LOWER_BOUNDS``,
-        and the MLP's values must pass its ``MLPSpec`` and ``TrainConfig`` checks."""
+        numeric value must pass its ``_LOWER_BOUNDS``, and the MLP's values
+        must pass its ``MLPSpec`` and ``TrainConfig`` checks."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
         merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
@@ -91,7 +95,7 @@ class ModelSpec:
             if type(value) is float and not math.isfinite(value):
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be finite, got {value!r}")
             op, bound = _LOWER_BOUNDS.get(key, (None, None))
-            if (op and self.kind != "mlp" and isinstance(value, (int, float))
+            if (op and isinstance(value, (int, float))
                     and not (value > bound if op == ">" else value >= bound)):
                 raise ConfigError(f"{self.kind}: hyperparameter {key!r} must be {op} {bound}, "
                                   f"got {value!r}")

@@ -36,7 +36,6 @@ EVAL_DEFAULTS = {
     "rfe_folds": 3,
     "rfe_repeats": 30,
     "model.kind": "random_forest",
-    "model.seed": 0,
 }
 
 # An unset epoch budget (None) leaves the count to the training protocol.
@@ -274,8 +273,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             "patient_grouped evaluation needs patient ids, which feature CSVs do not "
             "carry; use the library API on a corpus-derived matrix instead")
-    spec = ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"],
-                     seed=settings["model.seed"])
+    spec = ModelSpec(kind=settings["model.kind"], hyper=settings["model.hyper"])
     max_features = spec.resolved().get("max_features")  # a bad kind or hyperparameter exits here
     split_cfg = SplitConfig(test_fraction=settings["test_fraction"],
                             stratified=settings["stratified"], grouping=settings["grouping"])

@@ -366,7 +366,7 @@ def train_nlp(corpus, records: Sequence[SeedRecord], lexicon: Lexicon, seed: int
         n_train = sum(records[i].domain == domain for i in train_idx)
         training[domain] = {"training_rows": n_train, "epochs_run": model.epochs_run,
                             "final_loss": model.final_loss,
-                            "first_layer": neural.first_layer(model.spec, sent_cfg, n_train)}
+                            "first_layer": neural.first_layer(model.spec, n_train)}
         recs = [records[i] for i in test_idx if records[i].domain == domain]
         if not recs:
             accuracy[domain] = None

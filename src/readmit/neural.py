@@ -16,10 +16,10 @@ itself trained alone. ``train_mlp`` is its one-fit case. With a
 ``validation_fraction`` above 0, each fit holds out a seeded slice of its
 rows and stops when its score on that slice stops rising (Prechelt 1998,
 "Early Stopping -- But When?"). A fit with fewer training rows than inputs
-and no weight decay trains its first layer in the span of those rows
-(``first_layer``, ``_RowSpace``): equal to input space up to rounding, and
-cheaper per step. The seven sentiment models, and topic models on fewer
-than 512 training sentences, train this way.
+trains its first layer in the span of those rows (``first_layer``,
+``_RowSpace``): equal to input space up to rounding, and cheaper per step.
+The seven sentiment models, and topic models on fewer than 512 training
+sentences, train this way.
 
 Hashing contract (stable across platforms): for an n-gram string g,
 ``d = blake2b(g.encode(), digest_size=9)``; bucket = first 8 bytes as a
@@ -181,7 +181,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
-    weight_decay: float = 0.0
     # Above 0, the share of each fit's rows held out: the fit stops after
     # ``patience`` epochs without a gain of its score on them.
     patience: int = 20
@@ -189,9 +188,9 @@ class TrainConfig:
 
     def validate(self) -> None:
         # Written so that NaN fails: every comparison with NaN is False.
-        if not (0 <= self.learning_rate < np.inf and 0 <= self.weight_decay < np.inf):
-            raise ConfigError(f"learning_rate and weight_decay must be finite and non-negative, "
-                              f"got {self.learning_rate!r} and {self.weight_decay!r}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and non-negative, "
+                              f"got {self.learning_rate!r}")
         if self.batch_size <= 0 or self.epochs <= 0 or self.patience <= 0:
             raise ConfigError("batch_size, epochs and patience must be positive")
         if not 0 <= self.validation_fraction < 1:
@@ -339,18 +338,14 @@ def _losses(probs: np.ndarray, Y: np.ndarray, kind: str) -> np.ndarray:
     return row_losses.sum(axis=-1) / row_losses.shape[-1]  # the mean, as numpy computes it
 
 
-def _stacked_loss_and_gradients(spec: MLPSpec, weights, biases, X, Y, weight_decay: float,
-                                masks=None, first=None):
+def _stacked_loss_and_gradients(spec: MLPSpec, weights, biases, X, Y, masks=None, first=None):
     """Per-fit losses (k,) and gradients of k stacked fits, as ``_forward``
     stacks them: weights (k, fan_in, fan_out), biases (k, 1, fan_out),
     X (k, rows, d), Y (k, rows, n_outputs). With ``first``, the first
     layer's products in row space, the first weight gradient is the one of
-    those products, (k, rows, fan_out), and there is no weight decay."""
+    those products, (k, rows, fan_out)."""
     inputs, hs, probs = _forward(spec, weights, biases, X, masks=masks, first=first)
     losses = _losses(probs, Y, spec.output_kind)
-    if weight_decay:
-        losses += [0.5 * weight_decay * sum(float((W[i] * W[i]).sum()) for W in weights)
-                   for i in range(len(losses))]
 
     delta = (probs - Y) / Y.shape[-2]  # gradient of mean CE wrt output pre-activations
     grads_W = [None] * len(weights)
@@ -358,8 +353,6 @@ def _stacked_loss_and_gradients(spec: MLPSpec, weights, biases, X, Y, weight_dec
     for l in range(len(weights) - 1, -1, -1):
         grads_W[l] = delta if l == 0 and first is not None else inputs[l].swapaxes(-1, -2) @ delta
         grads_b[l] = delta.sum(axis=-2, keepdims=True)
-        if weight_decay:
-            grads_W[l] = grads_W[l] + weight_decay * weights[l]
         if l > 0:
             upstream = delta @ weights[l].swapaxes(-1, -2)
             if masks is not None:
@@ -368,12 +361,11 @@ def _stacked_loss_and_gradients(spec: MLPSpec, weights, biases, X, Y, weight_dec
     return losses, grads_W, grads_b
 
 
-def loss_and_gradients(model: MLPModel, X: np.ndarray, Y: np.ndarray,
-                       weight_decay: float = 0.0, masks=None):
-    """Mean cross-entropy (plus L2 penalty) and analytic parameter gradients."""
+def loss_and_gradients(model: MLPModel, X: np.ndarray, Y: np.ndarray, masks=None):
+    """Mean cross-entropy and analytic parameter gradients."""
     losses, grads_W, grads_b = _stacked_loss_and_gradients(
         model.spec, [W[None] for W in model.weights], [b[None, None] for b in model.biases],
-        X[None], Y[None], weight_decay, None if masks is None else [m[None] for m in masks])
+        X[None], Y[None], None if masks is None else [m[None] for m in masks])
     return float(losses[0]), [g[0] for g in grads_W], [g[0, 0] for g in grads_b]
 
 
@@ -429,11 +421,11 @@ def validation_split(rows: np.ndarray, fraction: float, seed: int):
 _MIN_GAIN = 0.002
 
 
-def first_layer(spec: MLPSpec, config: TrainConfig, n_train: int) -> str:
+def first_layer(spec: MLPSpec, n_train: int) -> str:
     """How ``train_mlps`` trains the first layer of a fit with ``n_train``
     training rows (after its validation slice): ``"row_space"`` with fewer
-    rows than inputs and no weight decay, ``"input_space"`` otherwise."""
-    return "row_space" if n_train < spec.input_dim and not config.weight_decay else "input_space"
+    rows than inputs, ``"input_space"`` otherwise."""
+    return "row_space" if n_train < spec.input_dim else "input_space"
 
 
 class _RowSpace:
@@ -503,17 +495,16 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
     ``train_mlp`` on its training rows with ``best_epoch`` as the epoch
     budget and no validation.
 
-    A fit with fewer training rows than ``spec.input_dim`` and no
-    ``weight_decay`` trains its first layer in the span of its training
-    rows (``first_layer``, ``_RowSpace``): each step reads the batch's rows
-    of ``X @ W0`` and ``X @ X.T`` instead of ``X``, and moves only the
-    batch's rows of the (n, h) coefficients ``A``. The explicit weights
-    ``W0 + X.T @ A`` are formed only for a validation score, the best-epoch
-    snapshot and the returned model. The result equals input-space training
-    up to rounding, not byte for byte. Dropout masks, shuffles and every
-    later layer are those of input space. These fits sit at the stack's
-    tail, each running its first layer alone, so a fit's bytes still do not
-    depend on its stack.
+    A fit with fewer training rows than ``spec.input_dim`` trains its first
+    layer in the span of its training rows (``first_layer``, ``_RowSpace``):
+    each step reads the batch's rows of ``X @ W0`` and ``X @ X.T`` instead
+    of ``X``, and moves only the batch's rows of the (n, h) coefficients
+    ``A``. The explicit weights ``W0 + X.T @ A`` are formed only for a
+    validation score, the best-epoch snapshot and the returned model. The
+    result equals input-space training up to rounding, not byte for byte.
+    Dropout masks, shuffles and every later layer are those of input space.
+    These fits sit at the stack's tail, each running its first layer alone,
+    so a fit's bytes still do not depend on its stack.
 
     A diverging fit raises what a fit-by-fit loop raises: the
     ``TrainingDivergedError`` of the lowest-index fit that diverges.
@@ -564,7 +555,7 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
     Ws = [np.stack([models[i].weights[l] for i in fit]) for l in range(len(models[0].weights))]
     Bs = [np.stack([models[i].biases[l] for i in fit])[:, None, :] for l in range(len(Ws))]
     spaces = [_RowSpace(X[rows[i]], models[i].weights[0])
-              if first_layer(spec, config, len(rows[i])) == "row_space" else None for i in fit]
+              if first_layer(spec, len(rows[i])) == "row_space" else None for i in fit]
     steps = _batch_slices(n.tolist(), batch, spaces.count(None))
 
     def weights_at(p):
@@ -599,7 +590,7 @@ def train_mlps(spec: MLPSpec, X: np.ndarray, Y: np.ndarray, fits,
                         spaces[p].products(pos[p - lo], first[p - lo])
                 losses, gW, gb = _stacked_loss_and_gradients(
                     spec, params[:len(Ws)], params[len(Ws):], None if first is not None else X[idx],
-                    Y[idx], config.weight_decay, masks=masks, first=first)
+                    Y[idx], masks=masks, first=first)
                 if first is not None:
                     for p in range(lo, hi):
                         spaces[p].step(pos[p - lo], gW[0][p - lo], lr)

@@ -9,12 +9,13 @@ matches a sequential one byte for byte.
 import ctypes
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 _BLAS_THREAD_FUNCTIONS = ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
                           "openblas_{}_num_threads64_")
 
-# The job of a pool worker; set only in forked children, by _start_worker.
-_worker_job = None
+# A pool worker's job and its pool's stop event; set only in forked children.
+_worker_job = _cancelled = None
 
 
 def usable_cpus() -> int:
@@ -49,13 +50,17 @@ def openblas_threads():
     return None
 
 
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
+def _start_worker(job, cancelled) -> None:
+    global _worker_job, _cancelled
+    _worker_job, _cancelled = job, cancelled
 
 
 def _run_job(i: int):
-    return _worker_job(i)
+    try:
+        return None if _cancelled.is_set() else _worker_job(i)
+    except KeyboardInterrupt:  # the caller is interrupted too: start no queued job
+        _cancelled.set()
+        raise
 
 
 def map_jobs(job, n: int, workers: int) -> list:
@@ -72,26 +77,26 @@ def map_jobs(job, n: int, workers: int) -> list:
     slower than on one), and forking a parent with BLAS threads running
     costs more than forking one without.
 
-    Jobs run in-process inside a pool worker, which as a daemonic process
-    may not have children of its own.
+    Once the error to raise is read, or the caller is interrupted, no queued
+    job starts, but jobs already running finish first: killing a worker in
+    the middle of a send can leave the result queue locked for good. Inside
+    a pool worker, jobs run in-process.
     """
-    if (workers < 2 or n < 2 or multiprocessing.current_process().daemon
+    if (workers < 2 or n < 2 or _worker_job is not None
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [job(i) for i in range(n)]
+    context = multiprocessing.get_context("fork")
+    cancelled = context.Event()
+    executor = ProcessPoolExecutor(min(workers, n), context, _start_worker, (job, cancelled))
     blas = openblas_threads()
     if blas is not None:
         threads = blas[0]()
         blas[1](1)
-    try:
-        pool = multiprocessing.get_context("fork").Pool(min(workers, n), _start_worker, (job,))
-        try:
-            return list(pool.imap(_run_job, range(n), chunksize=1))
-        except BaseException:
-            pool.terminate()  # stop the jobs still queued behind the failure
-            raise
-        finally:
-            pool.close()
-            pool.join()
+    try:  # the workers fork at the first submit, so they inherit one BLAS thread
+        futures = [executor.submit(_run_job, i) for i in range(n)]
+        return [future.result() for future in futures]
     finally:
+        cancelled.set()
+        executor.shutdown(cancel_futures=True)
         if blas is not None:
             blas[1](threads)

@@ -114,8 +114,7 @@ def mlp_as_dtype(model, dtype):
                    biases=[b.astype(dtype) for b in model.biases])
 
 
-def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
-                   max_entries=10, kink_margin=5e-3):
+def gradient_check(spec, seed, n_rows=7, step=1e-4, max_entries=10, kink_margin=5e-3):
     """Worst relative error between analytic and central-difference grads.
 
     For relu specs, redraws the seed until no pre-activation sits within
@@ -139,7 +138,7 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
                 continue
         break
 
-    loss, gW, gb = neural.loss_and_gradients(model, X, Y, weight_decay=weight_decay)
+    loss, gW, gb = neural.loss_and_gradients(model, X, Y)
     worst = 0.0
     param_rng = np.random.default_rng(seed + 7)
     for l in range(len(model.weights)):
@@ -150,9 +149,9 @@ def gradient_check(spec, seed, n_rows=7, step=1e-4, weight_decay=0.0,
             for k in picks:
                 orig = flat[k]
                 flat[k] = orig + step
-                lp = neural.loss_and_gradients(model, X, Y, weight_decay=weight_decay)[0]
+                lp = neural.loss_and_gradients(model, X, Y)[0]
                 flat[k] = orig - step
-                lm = neural.loss_and_gradients(model, X, Y, weight_decay=weight_decay)[0]
+                lm = neural.loss_and_gradients(model, X, Y)[0]
                 flat[k] = orig
                 numeric = (lp - lm) / (2 * step)
                 rel = abs(numeric - gflat[k]) / max(1e-8, abs(numeric) + abs(gflat[k]))
@@ -184,8 +183,8 @@ def _reference_forward(model, X, masks=None, first=None):
     return inputs, zs, hs, probs
 
 
-def _reference_loss_and_gradients(model, X, Y, weight_decay, masks, first=None):
-    """Mean cross-entropy plus L2 penalty, and its gradients, for one model.
+def _reference_loss_and_gradients(model, X, Y, masks, first=None):
+    """Mean cross-entropy and its gradients, for one model.
     With ``first``, the first layer's product, its gradient is the first
     weight gradient."""
     spec = model.spec
@@ -196,15 +195,11 @@ def _reference_loss_and_gradients(model, X, Y, weight_decay, masks, first=None):
         loss = float(-(Y64 * np.log(p)).sum(axis=1).mean())
     else:
         loss = float(-(Y64 * np.log(p) + (1.0 - Y64) * np.log(1.0 - p)).sum(axis=1).mean())
-    if weight_decay:
-        loss += 0.5 * weight_decay * sum(float((W * W).sum()) for W in model.weights)
     delta = (probs - Y) / Y.shape[0]
     grads_W, grads_b = [None] * len(model.weights), [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
         grads_W[l] = delta if l == 0 and first is not None else inputs[l].T @ delta
         grads_b[l] = delta.sum(axis=0)
-        if weight_decay:
-            grads_W[l] = grads_W[l] + weight_decay * model.weights[l]
         if l > 0:
             upstream = delta @ model.weights[l].T
             if masks is not None:
@@ -219,11 +214,11 @@ def reference_train_mlp(spec, X, Y, config, row_space=None):
     """One MLP trained alone, batch by batch on 2-D arrays: the minibatch SGD
     loop that ``neural.train_mlps`` runs for many fits at once.
 
-    With fewer rows than inputs and no weight decay (or with ``row_space``
-    True; False forces input space), the first layer trains in the span of
-    the rows: its weights are ``W0 + X.T @ A``, a batch's products are
-    ``P[idx] + K[idx] @ A`` for ``P = X @ W0`` and ``K = X @ X.T``, and a
-    step moves only the batch's rows of ``A``."""
+    With fewer rows than inputs (or with ``row_space`` True; False forces
+    input space), the first layer trains in the span of the rows: its
+    weights are ``W0 + X.T @ A``, a batch's products are ``P[idx] + K[idx]
+    @ A`` for ``P = X @ W0`` and ``K = X @ X.T``, and a step moves only the
+    batch's rows of ``A``."""
     X = np.asarray(X)
     dtype = np.float32 if X.dtype == np.float32 else np.float64
     X = X.astype(dtype, copy=False)
@@ -234,7 +229,7 @@ def reference_train_mlp(spec, X, Y, config, row_space=None):
     rng = np.random.default_rng(config.seed + 1)
     n = X.shape[0]
     if row_space is None:
-        row_space = n < spec.input_dim and not config.weight_decay
+        row_space = n < spec.input_dim
     if row_space:
         W0 = model.weights[0]
         P, K, A = X @ W0, X @ X.T, np.zeros((n, W0.shape[1]), dtype)
@@ -249,8 +244,7 @@ def reference_train_mlp(spec, X, Y, config, row_space=None):
                 masks = [neural.dropout_mask((len(idx), h), spec.dropout_rate, rng).astype(dtype)
                          for h in spec.hidden_sizes]
             first = P[idx] + K[idx] @ A if row_space else None
-            loss, gW, gb = _reference_loss_and_gradients(model, X[idx], Y[idx],
-                                                         config.weight_decay, masks, first)
+            loss, gW, gb = _reference_loss_and_gradients(model, X[idx], Y[idx], masks, first)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             for l in range(len(model.weights)):

@@ -488,12 +488,12 @@ def test_mistyped_hyperparameter_is_a_config_error(kind, hyper):
     ("linear_svc", {"c": float("nan")}, "hyperparameter 'c' must be finite, got nan"),
     ("sgd_linear", {"alpha": float("-inf")}, "hyperparameter 'alpha' must be finite, got -inf"),
     ("mlp", {"dropout_rate": float("inf")}, "hyperparameter 'dropout_rate' must be finite, got inf"),
-    ("mlp", {"epochs": 0}, "batch_size, epochs and patience must be positive"),
-    ("mlp", {"batch_size": 0}, "batch_size, epochs and patience must be positive"),
+    ("mlp", {"epochs": 0}, "hyperparameter 'epochs' must be >= 1, got 0"),
+    ("mlp", {"batch_size": 0}, "hyperparameter 'batch_size' must be >= 1, got 0"),
     ("mlp", {"patience": -1}, "unknown hyperparameters ['patience']"),
     ("mlp", {"dropout_rate": 1.5}, "dropout_rate must lie in [0, 1), got 1.5"),
     ("mlp", {"hidden_sizes": (8, 0)}, "all layer dimensions must be positive"),
-    ("mlp", {"learning_rate": -0.1}, "learning_rate and weight_decay must be finite and non-negative"),
+    ("mlp", {"learning_rate": -0.1}, "hyperparameter 'learning_rate' must be >= 0, got -0.1"),
     ("linear_svc", {"c": 0}, "hyperparameter 'c' must be > 0, got 0"),
     ("logistic_regression", {"c": -1.0}, "hyperparameter 'c' must be > 0, got -1.0"),
     ("random_forest", {"n_trees": 0}, "hyperparameter 'n_trees' must be >= 1, got 0"),

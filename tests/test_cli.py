@@ -417,6 +417,52 @@ def test_eval_rejected_split_setting_leaves_no_out_directory(tmp_path, capsys, m
     assert not (tmp_path / "x").exists()
 
 
+# Per eval config key, the mode whose JSON report it must change and a value
+# that changes it. grouping's other value needs patient ids, which a feature
+# CSV does not carry, so eval rejects it.
+_EVAL_KEY_EFFECTS = {
+    "master_seed": ("single", "1"),
+    "n_runs": ("single", "2"),
+    "test_fraction": ("single", "0.3"),
+    "stratified": ("single", "false"),
+    "grouping": ("single", "patient_grouped"),
+    "rfe_folds": ("rfe", "2"),
+    "rfe_repeats": ("rfe", "2"),
+    "model.kind": ("single", "sgd_linear"),
+}
+# Small run counts and a fast kind; each key's value departs from these too.
+_EVAL_BASE = {"n_runs": "3", "rfe_repeats": "1", "model.kind": "logistic_regression"}
+
+
+@pytest.mark.parametrize("key", list(cli.EVAL_DEFAULTS))
+def test_every_eval_key_changes_a_report(tmp_path, capsys, key):
+    # A key that eval accepts but no report reads fails here, and so does a
+    # new key without an entry.
+    mode, value = _EVAL_KEY_EFFECTS[key]
+    assert value != _EVAL_BASE.get(key)
+    assert cli._coerce(key, value, cli.EVAL_DEFAULTS[key]) != cli.EVAL_DEFAULTS[key]
+    X = np.random.default_rng(0).normal(0, 1, (80, 4))
+    y = (X[:, 0] + X[:, 1] + np.random.default_rng(1).normal(0, 1, 80) > 0).astype(float)
+    csv_path = tmp_path / "four.csv"
+    schema = features.FeatureSchema(["a", "b", "c", "d"])
+    write_csv(features.FeatureMatrix(schema=schema, X=X, y=y), csv_path)
+
+    def report(settings, out):
+        code = run(["eval", mode, "--features", csv_path,
+                    *[a for item in settings.items() for a in ("--set", "=".join(item))],
+                    "--out", out])
+        return code, (out / f"eval_{mode}.json").read_bytes() if code == 0 else None
+
+    base = report(_EVAL_BASE, tmp_path / "base")
+    assert base[0] == 0
+    changed = report({**_EVAL_BASE, key: value}, tmp_path / "changed")
+    if key == "grouping":
+        assert changed[0] == 2
+        assert "patient_grouped evaluation needs patient ids" in capsys.readouterr().err
+    else:
+        assert changed[0] == 0 and changed[1] != base[1]
+
+
 def test_eval_patient_grouped_rejected(pipeline_dirs, tmp_path, capsys):
     *_, features_csv = pipeline_dirs
     code = run(["eval", "single", "--features", features_csv,
@@ -555,9 +601,9 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
 
 
 @pytest.mark.parametrize("settings, message", [
-    (["model.kind=mlp", "model.epochs=0"], "mlp: batch_size, epochs and patience must be positive"),
+    (["model.kind=mlp", "model.epochs=0"], "mlp: hyperparameter 'epochs' must be >= 1, got 0"),
     (["model.kind=mlp", "model.batch_size=0"],
-     "mlp: batch_size, epochs and patience must be positive"),
+     "mlp: hyperparameter 'batch_size' must be >= 1, got 0"),
     (["model.kind=mlp", "model.dropout_rate=1.5"], "mlp: dropout_rate must lie in [0, 1), got 1.5"),
     (["model.kind=mlp", "model.patience=20"], "mlp: unknown hyperparameters ['patience']"),
     (["model.kind=logistic_regression", "model.learning_rate=nan"],
@@ -574,6 +620,7 @@ def test_eval_bad_hyperparameter_exits_2(pipeline_dirs, tmp_path, setting):
      "decision_tree: hyperparameter 'min_samples_leaf' must be >= 1, got 0"),
     (["model.kind=logistic_regression", "model.iterations=-3"],
      "logistic_regression: hyperparameter 'iterations' must be >= 1, got -3"),
+    (["model.seed=5"], "random_forest: unknown hyperparameters ['seed']"),
 ])
 def test_eval_rejected_hyperparameter_leaves_no_out_directory(pipeline_dirs, tmp_path, capsys,
                                                               settings, message):

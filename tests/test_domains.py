@@ -450,7 +450,7 @@ def test_sentiment_transport_leaves_no_files(small_gen, encoder, tmp_path, monke
 
 
 def test_sentiment_training_inside_a_pool_worker(small_gen, encoder, tmp_path):
-    # a pool worker is daemonic and may not fork; its sentiment models train in-process
+    # inside a pool worker, map_jobs runs in-process: its sentiment models train there
     config, _, _ = small_gen
     records = syngen.make_sentiment_seed(config, 700)
     direct = _model_bytes(train_sentiment_models(records, encoder, SHORT_SENTIMENT_CONFIG),

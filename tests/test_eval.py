@@ -433,6 +433,41 @@ def test_worker_error_reaches_caller_and_no_child_survives():
     assert lines == ["after success []", f"1 {error}", f"2 {error}", "after failure []"]
 
 
+# Runs in a child interpreter, so a hang fails the test on its timeout. Job 1
+# fails at once while the others compute and send back 100 kB each: a pool
+# that kills its workers after a failure can stop one in the middle of a send,
+# leave the result queue locked, and then wait on that lock forever.
+_REPEATED_FAILURE_SCRIPT = textwrap.dedent("""
+    import multiprocessing
+    from readmit import pool
+
+    def job(i):
+        if i == 1:
+            raise ValueError("job 1")
+        sum(range(100_000))
+        return bytes(100_000)
+
+    for _ in range(300):
+        try:
+            pool.map_jobs(job, 7, workers=2)
+        except ValueError as exc:
+            assert str(exc) == "job 1", exc
+        else:
+            raise AssertionError("job 1 did not fail")
+    print(multiprocessing.active_children())
+""")
+
+
+def test_repeated_failing_maps_finish_and_leave_no_child():
+    src = str(Path(pool.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _REPEATED_FAILURE_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_ablation_column_sets_by_prefix():
     names = ["age", "sentence_fraction_mood", "clinical_sentiment_mood",
              "sentence_fraction_mood__missing", "gaf_admission"]

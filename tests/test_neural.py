@@ -98,7 +98,7 @@ def test_hashing_rows_equal_reference_bytes(small_gen, dim):
 def test_gradients_match_finite_differences(output_kind, activation):
     spec = MLPSpec(input_dim=5, hidden_sizes=(6, 4), activation=activation,
                    output_kind=output_kind, n_outputs=3)
-    assert gradient_check(spec, seed=11, weight_decay=0.01) < 1e-4
+    assert gradient_check(spec, seed=11) < 1e-4
 
 
 def test_xor_trains_to_perfect_accuracy():
@@ -225,7 +225,7 @@ def test_spec_validation():
         MLPSpec(input_dim=2, activation="gelu").validate()
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("field", ["learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
 def test_train_config_rejects_non_finite_or_negative_rates(field, value):
     with pytest.raises(ConfigError, match="must be finite and non-negative"):
@@ -263,7 +263,6 @@ def test_fits_trained_together_equal_fits_trained_alone(data):
                    n_outputs=draw(st.integers(2 if output_kind == "softmax" else 1, 4)))
     config = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
                          batch_size=draw(st.integers(1, 12)), epochs=draw(st.integers(1, 8)),
-                         weight_decay=draw(st.sampled_from([0.0, 0.01])),
                          patience=draw(st.integers(1, 4)))
     n = draw(st.integers(1, 40))
     X = rng.normal(0, 1, (n, spec.input_dim)).astype(draw(st.sampled_from([np.float32, np.float64])))
@@ -316,8 +315,8 @@ def test_row_space_first_layer_equals_input_space_to_rounding(data):
         if config.validation_fraction:
             train_part, epochs = validation_split(rows, config.validation_fraction, seed)[0], model.best_epoch
         row_space = len(train_part) < d
-        assert neural.first_layer(spec, config, len(train_part)) == ("row_space" if row_space
-                                                                      else "input_space")
+        assert neural.first_layer(spec, len(train_part)) == ("row_space" if row_space
+                                                              else "input_space")
         plain = replace(config, seed=seed, epochs=epochs, validation_fraction=0)
         reference = reference_train_mlp(spec, X[train_part], Y[train_part], plain)
         input_space = reference_train_mlp(spec, X[train_part], Y[train_part], plain, row_space=False)
@@ -396,7 +395,6 @@ def test_fits_with_validation_equal_train_mlp_stopped_at_their_best_epoch(data):
                    n_outputs=draw(st.integers(2 if output_kind == "softmax" else 1, 4)))
     config = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])),
                          batch_size=draw(st.integers(1, 12)), epochs=draw(st.integers(1, 25)),
-                         weight_decay=draw(st.sampled_from([0.0, 0.01])),
                          patience=draw(st.integers(1, 4)),
                          validation_fraction=draw(st.sampled_from([0.05, 0.2, 0.5])))
     n = draw(st.integers(3, 50))
@@ -625,6 +623,6 @@ def test_float32_gradients_stay_float32():
         spec = MLPSpec(input_dim=5, hidden_sizes=(4, 3), activation=activation,
                        output_kind="softmax", n_outputs=3)
         model = mlp_as_dtype(init_mlp(spec, seed=0), np.float32)
-        loss, gW, gb = neural.loss_and_gradients(model, X, Y, weight_decay=0.01)
+        loss, gW, gb = neural.loss_and_gradients(model, X, Y)
         assert isinstance(loss, float) and np.isfinite(loss)
         assert all(g.dtype == np.float32 for g in gW + gb)
